@@ -81,7 +81,7 @@ def load_dataset(dataset_id: str, data_dir=None, seed: int = 0,
         if candidate.exists():
             ds = dataio.load_csv(candidate, seed=seed)
             if desk_scale and ds.n_nodes > DESK_SCALE_MAX_NODES:
-                ds = _subsample(ds, DESK_SCALE_MAX_NODES, seed)
+                ds = subsample_dataset(ds, DESK_SCALE_MAX_NODES, seed)
             return ds, f"csv:{candidate}"
     max_nodes = DESK_SCALE_MAX_NODES if desk_scale else None
     ds = dataio.synthetic_dataset(dataset_id, seed=seed, max_nodes=max_nodes)
@@ -89,7 +89,7 @@ def load_dataset(dataset_id: str, data_dir=None, seed: int = 0,
     return ds, "synthetic"
 
 
-def _subsample(ds: Dataset, max_nodes: int, seed: int) -> Dataset:
+def subsample_dataset(ds: Dataset, max_nodes: int, seed: int = 0) -> Dataset:
     """Class-stratified subsample, then re-split/standardize."""
     rng = substream(seed, "desk-scale")
     keep = []
@@ -99,10 +99,6 @@ def _subsample(ds: Dataset, max_nodes: int, seed: int) -> Dataset:
         keep.append(rng.choice(idx, size=min(take, idx.size), replace=False))
     keep = np.sort(np.concatenate(keep))
     return dataio.from_arrays(ds.features[keep], ds.clean_labels[keep], seed=seed)
-
-
-def subsample_dataset(ds: Dataset, max_nodes: int, seed: int = 0) -> Dataset:
-    return _subsample(ds, max_nodes, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -101,10 +101,3 @@ def denoise(lap: LaplacianSystem, y_prev: np.ndarray, params: GlrParams,
         x = np.linalg.solve(system.toarray(), y_prev)
     return x
 
-
-def dump_residuals(residuals: list, path) -> None:
-    from pathlib import Path
-
-    lines = ["iteration,relative_residual"]
-    lines += [f"{i},{r:.12g}" for i, r in enumerate(residuals)]
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -11,7 +11,6 @@ after denoising.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -227,23 +226,6 @@ def gft_spectrum(lap: LaplacianSystem, signal: np.ndarray) -> tuple[np.ndarray, 
     eigvals, eigvecs = np.linalg.eigh(lap.laplacian.toarray())
     coefs = eigvecs.T @ np.asarray(signal, dtype=np.float64)
     return eigvals, np.abs(coefs)
-
-
-def dump_graph(g: Graph, csv_path, header_path=None) -> None:
-    """Edge list CSV (i, j, w) on the upper triangle plus a JSON header."""
-    pairs = g.edge_pairs
-    w = np.asarray(g.weights[pairs[:, 0], pairs[:, 1]]).ravel() if pairs.size else np.zeros(0)
-    lines = ["i,j,w"] + [f"{i},{j},{wij:.12g}" for (i, j), wij in zip(pairs, w)]
-    Path(csv_path).write_text("\n".join(lines) + "\n")
-    if header_path is not None:
-        header = {
-            "n_nodes": int(g.n_nodes),
-            "n_edges": int(pairs.shape[0]),
-            "gamma_min": int(g.gamma.min()),
-            "gamma_max": int(g.gamma.max()),
-            "gamma_mean": float(g.gamma.mean()),
-        }
-        Path(header_path).write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
 
 
 def dump_spectrum(eigvals: np.ndarray, magnitudes: np.ndarray, path) -> None:

@@ -12,7 +12,7 @@ differences in the test suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -115,11 +115,6 @@ class MetricNet:
         """(embeddings, shallow activations) for a batch of row vectors."""
         emb, shallow, _ = self._forward_cached(np.asarray(x, dtype=np.float64))
         return emb, shallow
-
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Single-vector convenience wrapper around forward_batch."""
-        emb, shallow = self.forward_batch(np.asarray(x, dtype=np.float64)[None, :])
-        return emb[0], shallow[0]
 
     def _backward(self, cache, d_out: np.ndarray) -> list[np.ndarray]:
         """Gradients of sum(d_out * output) w.r.t. parameters()."""
@@ -299,75 +294,60 @@ def lr_at(config: NetConfig, epoch: int) -> float:
     return config.lr_start + (config.lr_end - config.lr_start) * frac
 
 
-def train(net: MetricNet, loss_fn: Callable, config: NetConfig, batches: Sequence,
-          state: AdamState | None = None) -> MetricNet:
-    """Run config.epochs passes of loss_fn over the given batches.
+def train(net: MetricNet, batches: Callable[[int], Sequence], loss_fn: Callable,
+          name: str = "net") -> list[float]:
+    """Run net.config.epochs passes, each over the batches that batches(epoch)
+    returns, with one adaptive-moment step per batch.
 
-    loss_fn(net, batch) must return (loss, gradients aligned with
-    net.parameters()). Aborts with epoch/batch diagnostics on non-finite loss.
+    loss_fn(batch, epoch, b_idx) returns (loss, gradients aligned with
+    net.parameters()), or None to skip the batch. Returns the mean loss per
+    epoch, 0.0 for an epoch whose batches were all skipped. Aborts on a
+    non-finite loss, naming the net, epoch and batch.
     """
-    if not batches:
-        raise ConfigError("batches must be nonempty")
-    state = state or AdamState.for_net(net)
+    config = net.config
+    state = AdamState.for_net(net)
+    epoch_losses = []
     for epoch in range(config.epochs):
         lr = lr_at(config, epoch)
-        for b_idx, batch in enumerate(batches):
-            loss, grads = loss_fn(net, batch)
+        epoch_batches = batches(epoch)
+        if not epoch_batches:
+            raise ConfigError("batches must be nonempty")
+        losses = []
+        for b_idx, batch in enumerate(epoch_batches):
+            result = loss_fn(batch, epoch, b_idx)
+            if result is None:
+                continue
+            loss, grads = result
             if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, batch {b_idx}")
+                raise TrainingError(f"{name}: non-finite loss at epoch {epoch}, batch {b_idx}")
+            losses.append(loss)
             adam_step(net, grads, state, lr)
-    return net
+        epoch_losses.append(float(np.mean(losses)) if losses else 0.0)
+    return epoch_losses
 
 
-def save_checkpoint(net: MetricNet, path, state: AdamState | None = None,
-                    rng_state: dict | None = None) -> None:
-    """Versioned npz checkpoint: shapes, parameters, optimizer moments, RNG state."""
-    meta = {
-        "version": 1,
-        "in_dim": net.in_dim,
-        "layer_widths": list(net.config.layer_widths),
-        "embedding_dim": net.config.embedding_dim,
-        "shallow_tap_index": net.shallow_tap,
-        "skip_to_layer": net.config.skip_to_layer,
-        "lr_start": net.config.lr_start,
-        "lr_end": net.config.lr_end,
-        "epochs": net.config.epochs,
-        "seed": net.config.seed,
-        "adam_t": state.t if state else 0,
-        "rng_state": rng_state,
-    }
+def save_checkpoint(net: MetricNet, path) -> None:
+    """Versioned npz checkpoint: input width, full NetConfig, parameters."""
+    meta = {"version": 2, "in_dim": net.in_dim, "config": asdict(net.config)}
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
     for k, w in enumerate(net.weights):
         arrays[f"w{k}"] = w
     for k, b in enumerate(net.biases):
         arrays[f"b{k}"] = b
-    if state is not None:
-        for k, m in enumerate(state.m):
-            arrays[f"adam_m{k}"] = m
-        for k, v in enumerate(state.v):
-            arrays[f"adam_v{k}"] = v
     np.savez(path, **arrays)
 
 
-def load_checkpoint(path) -> tuple[MetricNet, AdamState | None]:
+# the NetConfig fields a version-1 checkpoint kept at its top level
+_V1_FIELDS = ("layer_widths", "embedding_dim", "lr_start", "lr_end", "epochs",
+              "shallow_tap_index", "skip_to_layer", "seed")
+
+
+def load_checkpoint(path) -> MetricNet:
     with np.load(Path(path), allow_pickle=False) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        config = NetConfig(
-            layer_widths=tuple(meta["layer_widths"]),
-            embedding_dim=meta["embedding_dim"],
-            lr_start=meta["lr_start"],
-            lr_end=meta["lr_end"],
-            epochs=meta["epochs"],
-            shallow_tap_index=meta["shallow_tap_index"],
-            skip_to_layer=meta["skip_to_layer"],
-            seed=meta["seed"],
-        )
+        fields = meta.get("config") or {k: meta[k] for k in _V1_FIELDS}
+        config = NetConfig(**{**fields, "layer_widths": tuple(fields["layer_widths"])})
         net = MetricNet(meta["in_dim"], config)
         net.weights = [data[f"w{k}"] for k in range(net.n_layers)]
         net.biases = [data[f"b{k}"] for k in range(net.n_layers)]
-        state = None
-        if "adam_m0" in data:
-            state = AdamState(m=[data[f"adam_m{k}"] for k in range(net.n_layers * 2)],
-                              v=[data[f"adam_v{k}"] for k in range(net.n_layers * 2)],
-                              t=meta["adam_t"])
-    return net, state
+    return net

@@ -16,10 +16,13 @@ A trailing "s" (e.g. "G-12s") switches prediction to rank-sampled reference
 batches. "DML-KNN" trains the embedding net only and predicts by
 nearest-neighbor vote, the natural baseline of the ablation ladder.
 
-Training batches draw 80 labeled train nodes and 20 unlabeled validation
-nodes per graph, 16 graphs per epoch; test nodes never appear in training
-and are classified by joining them to small reference graphs and running the
-frozen chain with their labels set to 0.
+Each variant is one ordered list of steps (CHAIN_STEPS), and run_chain
+applies it to any node set: to the train+val working set during training,
+where each net is trained just before the step that first uses it, and
+again when a saved run is reloaded; and to small reference graphs joined by
+test nodes whose labels are set to 0, to classify them. Training batches
+draw 80 labeled train nodes and 20 unlabeled validation nodes per graph, 16
+graphs per epoch; test nodes never appear in training.
 """
 
 from __future__ import annotations
@@ -40,23 +43,33 @@ from .glr import GlrParams, denoise
 from .graphs import (Graph, LaplacianSystem, assign_weights, auto_sigma,
                      build_laplacian, graph_update, knn_edges,
                      pairwise_sq_dists, partition_edges)
-from .metricnet import (AdamState, MetricNet, NetConfig, adam_step, lr_at,
-                        load_checkpoint, node_attention_matrix, sample_triplets,
-                        save_checkpoint, triplet_loss_E, triplet_loss_W)
+from .metricnet import (MetricNet, NetConfig, load_checkpoint, node_attention_matrix,
+                        sample_triplets, save_checkpoint, train, triplet_loss_E,
+                        triplet_loss_W)
 from .seeds import substream, substream_seed
 
 logger = logging.getLogger(__name__)
 
-CHAINS = ("G-2", "G-12", "G-1232", "G-12312")
+# "embed" builds the KNN graph in the embedding net's space, "weightN"
+# reweights the current graph with net N's kernel, "update" rebuilds it in
+# the update net's space with recounted budgets, and "denoise" runs one GLR
+# pass over the current signal.
+CHAIN_STEPS = {
+    "DML-KNN": ("embed",),
+    "G-2": ("embed", "denoise"),
+    "G-12": ("embed", "weight1", "denoise"),
+    "G-1232": ("embed", "weight1", "denoise", "update", "denoise"),
+    "G-12312": ("embed", "weight1", "denoise", "update", "weight2", "denoise"),
+}
 VARIANT_LADDER = ("DML-KNN", "DML-KNN-s", "G-2", "G-12", "G-12s",
                   "G-1232", "G-12312", "G-12312s")
 
 
 def parse_variant(variant: str) -> tuple[str, bool]:
     """Split a variant name into (chain, rank-sampling flag)."""
-    sampling = variant.endswith("s") and variant not in CHAINS + ("DML-KNN",)
+    sampling = variant.endswith("s") and variant not in CHAIN_STEPS
     chain = variant[:-1].removesuffix("-") if sampling else variant
-    if chain not in CHAINS + ("DML-KNN",):
+    if chain not in CHAIN_STEPS:
         raise ConfigError(f"unknown variant {variant!r}; known: {VARIANT_LADDER}")
     return chain, sampling
 
@@ -157,22 +170,10 @@ class PipelineConfig:
 # attention
 
 def node_phi(y_prev: np.ndarray, y_cur: np.ndarray, eps: float) -> np.ndarray:
-    """Per-node reliability: 1 where the denoising pass moved the value <= eps."""
+    """Per-node reliability: 1 where the denoising pass moved the value <= eps.
+
+    Edge attention is the min of the endpoint flags (node_attention_matrix)."""
     return (np.abs(np.asarray(y_prev) - np.asarray(y_cur)) <= eps).astype(np.float64)
-
-
-def attention(y_prev_i, y_cur_i, y_prev_j, y_cur_j, eps: float) -> int:
-    """Edge attention: min of the endpoint reliability flags."""
-    phi_i = 1 if abs(y_prev_i - y_cur_i) <= eps else 0
-    phi_j = 1 if abs(y_prev_j - y_cur_j) <= eps else 0
-    return min(phi_i, phi_j)
-
-
-def edge_attention_matrix(graph: Graph, phi: np.ndarray) -> sp.csr_matrix:
-    """Attention restricted to the graph's edge pattern."""
-    coo = graph.edges.tocoo()
-    vals = np.minimum(phi[coo.row], phi[coo.col])
-    return sp.csr_matrix((vals, (coo.row, coo.col)), shape=graph.edges.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +225,21 @@ def batch_signal(ds: Dataset, batch: Batch) -> np.ndarray:
 
 @dataclass
 class StageRecord:
+    """A graph of the chain, the signal on it, and the embeddings that last
+    built or weighted it."""
+
     graph: Graph
-    laplacian: LaplacianSystem
     y: np.ndarray
     embeddings: np.ndarray | None = None
-    attention: sp.csr_matrix | None = None
-    phi: np.ndarray | None = None
+    _laplacian: LaplacianSystem | None = None
+
+    @property
+    def laplacian(self) -> LaplacianSystem:
+        """Built on first use: most frozen-chain graphs are reweighted
+        before any denoising pass needs their Laplacian."""
+        if self._laplacian is None:
+            self._laplacian = build_laplacian(self.graph)
+        return self._laplacian
 
 
 @dataclass
@@ -241,10 +251,6 @@ class PipelineState:
     nets: dict = field(default_factory=dict)
     gamma0: int | None = None
     stages: dict = field(default_factory=dict)
-    update_graph: Graph | None = None
-    update_budgets: np.ndarray | None = None
-    update_inputs: np.ndarray | None = None
-    update_shallow: np.ndarray | None = None
     stage_losses: dict = field(default_factory=dict)
     trained_chain: str | None = None
 
@@ -299,150 +305,80 @@ def grid_search_gamma(embeddings: np.ndarray, train_pos: np.ndarray,
 # ---------------------------------------------------------------------------
 # stage training
 
-def _train_stage(net: MetricNet, cfg: PipelineConfig, ds: Dataset, stage: str,
-                 loss_of_batch) -> list[float]:
-    """Shared epoch/batch loop; loss_of_batch(batch, epoch, b_idx) -> (loss, grads)
-    or None to skip. Returns the mean batch loss per epoch."""
-    net_cfg = net.config
-    adam = AdamState.for_net(net)
-    epoch_losses = []
-    for epoch in range(net_cfg.epochs):
-        lr = lr_at(net_cfg, epoch)
-        batches = build_batches(ds, cfg, substream_seed(cfg.seed, stage, "epoch", epoch))
-        losses = []
-        for b_idx, batch in enumerate(batches):
-            result = loss_of_batch(batch, epoch, b_idx)
-            if result is None:
-                continue
-            loss, grads = result
-            losses.append(loss)
-            adam_step(net, grads, adam, lr)
-        epoch_losses.append(float(np.mean(losses)) if losses else 0.0)
-    return epoch_losses
+def _train_net(state: PipelineState, stage: str, net: MetricNet, loss_of_batch) -> None:
+    """Fit net on fresh batch graphs each epoch and store it under stage."""
+    cfg = state.config
+
+    def batches(epoch):
+        return build_batches(state.dataset, cfg, substream_seed(cfg.seed, stage, "epoch", epoch))
+
+    state.stage_losses[stage] = train(net, batches, loss_of_batch, stage)
+    state.nets[stage] = net
 
 
-def run_stage_gnet(ds: Dataset, cfg: PipelineConfig) -> PipelineState:
-    """Train the embedding net, grid-search the neighbor budget, build the
-    initial unweighted working graph."""
-    state = PipelineState.fresh(ds, cfg)
-    net = MetricNet(ds.n_features, cfg.net_config("embed"))
+def _triplets_or_skip(labels: np.ndarray, cfg: PipelineConfig, stage: str, epoch: int,
+                      b_idx: int):
+    """The batch's triplets, or None (logged) when a class lacks members."""
+    try:
+        return sample_triplets(labels, cfg.triplets_per_graph,
+                               substream_seed(cfg.seed, stage, "trip", epoch, b_idx))
+    except SamplingError:
+        logger.info("%s: single-class batch skipped (epoch %d)", stage, epoch)
+        return None
+
+
+def run_stage_gnet(state: PipelineState, inputs: np.ndarray) -> MetricNet:
+    """Train the embedding net and grid-search the neighbor budget on its
+    embedding of the working-set inputs."""
+    cfg, ds = state.config, state.dataset
+    net = MetricNet(inputs.shape[1], cfg.net_config("embed"))
 
     def loss_of_batch(batch, epoch, b_idx):
-        y = batch_signal(ds, batch)
-        try:
-            trips = sample_triplets(y, cfg.triplets_per_graph,
-                                    substream_seed(cfg.seed, "embed", "trip", epoch, b_idx))
-        except SamplingError:
-            logger.info("embed stage: single-class batch skipped (epoch %d)", epoch)
+        trips = _triplets_or_skip(batch_signal(ds, batch), cfg, "embed", epoch, b_idx)
+        if trips is None:
             return None
         return triplet_loss_E(net, ds.features[batch.ids], trips, cfg.margin_e)
 
-    state.stage_losses["embed"] = _train_stage(net, cfg, ds, "embed", loss_of_batch)
-    state.nets["embed"] = net
-
-    emb_work, _ = net.forward_batch(ds.features[state.work_ids])
+    _train_net(state, "embed", net, loss_of_batch)
+    emb_work, _ = net.forward_batch(inputs)
     split_work = ds.split[state.work_ids]
+    labels_work = ds.noisy_labels[state.work_ids]
     train_pos = np.flatnonzero(split_work == TRAIN)
     val_pos = np.flatnonzero(split_work == VAL)
-    state.gamma0 = grid_search_gamma(
-        emb_work, train_pos, ds.noisy_labels[state.work_ids][train_pos],
-        val_pos, ds.noisy_labels[state.work_ids][val_pos], cfg.gamma_candidates)
-
-    graph0 = knn_edges(emb_work, state.gamma0)
-    lap0 = build_laplacian(graph0)
-    state.stages[0] = StageRecord(graph=graph0, laplacian=lap0,
-                                  y=state.work_signal0, embeddings=emb_work)
-    return state
+    state.gamma0 = grid_search_gamma(emb_work, train_pos, labels_work[train_pos], val_pos,
+                                     labels_work[val_pos], cfg.gamma_candidates)
+    return net
 
 
-def _stage_inputs(state: PipelineState, r: int) -> np.ndarray:
-    """Concatenated inputs for a weighting stage: raw features plus the
-    previous net's shallow feature tap."""
-    ds = state.dataset
-    feats = ds.features[state.work_ids]
-    if r == 1:
-        _, shallow = state.nets["embed"].forward_batch(feats)
-    else:
-        shallow = state.update_shallow
-    return np.hstack([feats, shallow])
-
-
-def run_stage_wnet(state: PipelineState, r: int, cfg: PipelineConfig | None = None
-                   ) -> PipelineState:
-    """Train weighting net r, alternating per batch graph: weight, denoise,
-    refresh attention from the signal change, then one loss step."""
-    cfg = cfg or state.config
-    ds = state.dataset
+def run_stage_wnet(state: PipelineState, r: int, inputs: np.ndarray,
+                   embeddings: np.ndarray, gamma: np.ndarray, y_prev: np.ndarray
+                   ) -> MetricNet:
+    """Train weighting net r on working-set batch graphs: KNN in the preceding
+    net's space (embeddings, per-node budgets gamma), learned kernel weights,
+    denoise of y_prev, attention from the signal change, one loss step."""
+    cfg = state.config
     eps = cfg.eps1 if r == 1 else cfg.eps2
-    inputs_work = _stage_inputs(state, r)
-    if r == 1:
-        y_prev_work = state.stages[0].y
-        labels_work = y_prev_work
-        base_emb = state.stages[0].embeddings
-        budgets_work = None
-    else:
-        if state.update_graph is None:
-            raise UsageError("run the update stage before weighting r=2")
-        y_prev_work = state.stages[1].y
-        labels_work = np.sign(state.stages[1].y)
-        base_emb = state.nets["update"].forward_batch(state.update_inputs)[0]
-        budgets_work = state.update_budgets
     stage = f"weight{r}"
-    net = MetricNet(inputs_work.shape[1], cfg.net_config(stage))
+    net = MetricNet(inputs.shape[1], cfg.net_config(stage))
 
     def loss_of_batch(batch, epoch, b_idx):
         pos = state.positions(batch.ids)
-        x_in = inputs_work[pos]
-        labels_b = labels_work[pos]
-        if r == 1:
-            g_b = knn_edges(base_emb[pos], state.gamma0)
-        else:
-            g_b = knn_edges(base_emb[pos], np.maximum(budgets_work[pos], 1))
-        part = partition_edges(g_b, labels_b)
+        x_in, y_b = inputs[pos], y_prev[pos]
+        g_b = knn_edges(embeddings[pos], gamma[pos])
+        part = partition_edges(g_b, y_b)
         if part.same.size == 0 or part.opposite.size == 0:
             logger.info("%s: batch without both edge classes skipped (epoch %d)", stage, epoch)
             return None
         emb_c, _ = net.forward_batch(x_in)
-        sigma = auto_sigma(emb_c, part)
-        lap = build_laplacian(assign_weights(g_b, emb_c, sigma))
-        y_cur = denoise(lap, y_prev_work[pos], cfg.glr)
-        att = node_attention_matrix(node_phi(y_prev_work[pos], y_cur, eps))
-        try:
-            trips = sample_triplets(labels_b, cfg.triplets_per_graph,
-                                    substream_seed(cfg.seed, stage, "trip", epoch, b_idx))
-        except SamplingError:
-            logger.info("%s: single-class batch skipped (epoch %d)", stage, epoch)
+        lap = build_laplacian(assign_weights(g_b, emb_c, auto_sigma(emb_c, part)))
+        att = node_attention_matrix(node_phi(y_b, denoise(lap, y_b, cfg.glr), eps))
+        trips = _triplets_or_skip(y_b, cfg, stage, epoch, b_idx)
+        if trips is None:
             return None
         return triplet_loss_W(net, x_in, trips, cfg.margin_w, att)
 
-    state.stage_losses[stage] = _train_stage(net, cfg, ds, stage, loss_of_batch)
-    state.nets[stage] = net
-
-    base_graph = state.stages[0].graph if r == 1 else state.update_graph
-    emb_work, _ = net.forward_batch(inputs_work)
-    part = partition_edges(base_graph, labels_work)
-    sigma = auto_sigma(emb_work, part)
-    weighted = assign_weights(base_graph, emb_work, sigma)
-    lap = build_laplacian(weighted)
-    y_r = denoise(lap, y_prev_work, cfg.glr)
-    phi = node_phi(y_prev_work, y_r, eps)
-    state.stages[r] = StageRecord(graph=weighted, laplacian=lap, y=y_r,
-                                  embeddings=emb_work,
-                                  attention=edge_attention_matrix(weighted, phi),
-                                  phi=phi)
-    return state
-
-
-def _denoise_stage(state: PipelineState, r: int, graph: Graph, y_prev: np.ndarray,
-                   eps: float, embeddings=None) -> None:
-    """Record a GLR pass over an existing (possibly unweighted) graph."""
-    lap = build_laplacian(graph)
-    y_r = denoise(lap, y_prev, state.config.glr)
-    phi = node_phi(y_prev, y_r, eps)
-    state.stages[r] = StageRecord(graph=graph, laplacian=lap, y=y_r,
-                                  embeddings=embeddings,
-                                  attention=edge_attention_matrix(graph, phi),
-                                  phi=phi)
+    _train_net(state, stage, net, loss_of_batch)
+    return net
 
 
 def unet_inputs(features: np.ndarray, y: np.ndarray, adjacency: sp.csr_matrix,
@@ -484,103 +420,94 @@ def unet_inputs(features: np.ndarray, y: np.ndarray, adjacency: sp.csr_matrix,
     return np.hstack([features, enc, diffs.reshape(m, 2 * k)])
 
 
-def run_stage_unet(state: PipelineState, cfg: PipelineConfig | None = None
-                   ) -> PipelineState:
-    """Train the update net on neighborhood-encoded inputs and rebuild the
-    graph with budgets recounted from surviving edges."""
-    cfg = cfg or state.config
-    ds = state.dataset
-    rec1 = state.stages[1]
-    feats = ds.features[state.work_ids]
-    g_inputs = unet_inputs(feats, rec1.y, rec1.laplacian.adjacency, cfg.unet_neighbors)
-    labels_work = np.sign(rec1.y)
-    phi1 = rec1.phi if rec1.phi is not None else np.ones(rec1.y.size)
-    net = MetricNet(g_inputs.shape[1], cfg.net_config("update"))
+def run_stage_unet(state: PipelineState, inputs: np.ndarray, y: np.ndarray,
+                   phi: np.ndarray) -> MetricNet:
+    """Train the update net on neighborhood-encoded inputs, with triplets
+    labeled by the sign of the denoised signal y and gated by the per-node
+    reliability phi of the first denoising pass."""
+    cfg = state.config
+    net = MetricNet(inputs.shape[1], cfg.net_config("update"))
 
     def loss_of_batch(batch, epoch, b_idx):
         pos = state.positions(batch.ids)
-        labels_b = labels_work[pos]
-        att = node_attention_matrix(phi1[pos])
-        try:
-            trips = sample_triplets(labels_b, cfg.triplets_per_graph,
-                                    substream_seed(cfg.seed, "update", "trip", epoch, b_idx))
-        except SamplingError:
-            logger.info("update stage: single-class batch skipped (epoch %d)", epoch)
+        att = node_attention_matrix(phi[pos])
+        trips = _triplets_or_skip(y[pos], cfg, "update", epoch, b_idx)
+        if trips is None:
             return None
-        return triplet_loss_W(net, g_inputs[pos], trips, cfg.margin_w, att)
+        return triplet_loss_W(net, inputs[pos], trips, cfg.margin_w, att)
 
-    state.stage_losses["update"] = _train_stage(net, cfg, ds, "update", loss_of_batch)
-    state.nets["update"] = net
+    _train_net(state, "update", net, loss_of_batch)
+    return net
 
-    emb_hu, shallow_hu = net.forward_batch(g_inputs)
-    state.update_graph = graph_update(rec1.graph, rec1.laplacian, rec1.y, emb_hu,
-                                      cfg.beta)
-    state.update_budgets = state.update_graph.gamma
-    state.update_inputs = g_inputs
-    state.update_shallow = shallow_hu
-    return state
+
+# ---------------------------------------------------------------------------
+# the frozen chain
+
+def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.ndarray,
+              cfg: PipelineConfig, train_missing: bool = False) -> list[StageRecord]:
+    """Run a variant's steps (CHAIN_STEPS) on a node set with signal y0.
+
+    Returns one record after the KNN step and one after each denoising pass.
+    With train_missing, the node set must be the train+val working set, and
+    each net not yet in state.nets is trained there just before the step
+    that first uses it.
+    """
+    graph = lap = emb = shallow = None
+    y = y0
+    records = []
+    for step in CHAIN_STEPS[chain]:
+        if step == "denoise":
+            if lap is None:
+                lap = build_laplacian(graph)
+            y_prev, y = y, denoise(lap, y, cfg.glr)
+            records.append(StageRecord(graph, y, emb, lap))
+            continue
+        if step == "embed":
+            x = features
+        elif step == "update":
+            x = unet_inputs(features, y, lap.adjacency, cfg.unet_neighbors)
+        else:
+            x = np.hstack([features, shallow])
+        if step not in state.nets:
+            if not train_missing:
+                raise UsageError(f"chain {chain} needs the untrained {step} net")
+            if step == "embed":
+                run_stage_gnet(state, x)
+            elif step == "update":
+                run_stage_unet(state, x, y, node_phi(y_prev, y, cfg.eps1))
+            else:
+                run_stage_wnet(state, int(step[-1]), x, emb, graph.gamma, y)
+        emb, tap = state.nets[step].forward_batch(x)
+        if step == "embed":
+            graph, shallow = knn_edges(emb, state.gamma0), tap
+            records.append(StageRecord(graph, y, emb))
+        elif step == "update":
+            graph, shallow = graph_update(graph, lap, y, emb, cfg.beta), tap
+        else:
+            graph = assign_weights(graph, emb, auto_sigma(emb, partition_edges(graph, y)))
+        lap = None
+    return records
+
+
+def _work_stages(state: PipelineState, chain: str, cfg: PipelineConfig,
+                 train_missing: bool = False) -> dict:
+    features = state.dataset.features[state.work_ids]
+    records = run_chain(state, chain, features, state.work_signal0, cfg, train_missing)
+    return dict(enumerate(records))
 
 
 def run_variant(ds: Dataset, cfg: PipelineConfig) -> PipelineState:
-    """Train every stage the configured variant needs and record per-iteration
+    """Train every net the configured variant needs and record per-iteration
     artifacts on the train+val working set."""
     chain, _ = parse_variant(cfg.variant)
-    state = run_stage_gnet(ds, cfg)
-    if chain == "DML-KNN":
-        state.trained_chain = chain
-        return state
-    if chain == "G-2":
-        _denoise_stage(state, 1, state.stages[0].graph, state.stages[0].y, cfg.eps1,
-                       embeddings=state.stages[0].embeddings)
-    else:
-        run_stage_wnet(state, 1, cfg)
-        if chain in ("G-1232", "G-12312"):
-            run_stage_unet(state, cfg)
-            if chain == "G-1232":
-                _denoise_stage(state, 2, state.update_graph, state.stages[1].y, cfg.eps2)
-            else:
-                run_stage_wnet(state, 2, cfg)
+    state = PipelineState.fresh(ds, cfg)
+    state.stages = _work_stages(state, chain, cfg, train_missing=True)
     state.trained_chain = chain
     return state
 
 
 # ---------------------------------------------------------------------------
-# frozen-chain transduction
-
-def _forward_chain(state: PipelineState, chain: str, features: np.ndarray,
-                   y0: np.ndarray, cfg: PipelineConfig
-                   ) -> tuple[np.ndarray, sp.csr_matrix]:
-    """Run the frozen variant chain on an arbitrary node set.
-
-    Returns the final denoised signal and the final adjacency (for
-    neighbor-based tie-breaks).
-    """
-    emb_d, shallow_d = state.nets["embed"].forward_batch(features)
-    g0 = knn_edges(emb_d, state.gamma0)
-    if chain == "G-2":
-        lap = build_laplacian(g0)
-        return denoise(lap, y0, cfg.glr), lap.adjacency
-    f1 = np.hstack([features, shallow_d])
-    emb_c1, _ = state.nets["weight1"].forward_batch(f1)
-    sigma = auto_sigma(emb_c1, partition_edges(g0, y0))
-    g1 = assign_weights(g0, emb_c1, sigma)
-    lap1 = build_laplacian(g1)
-    y1 = denoise(lap1, y0, cfg.glr)
-    if chain == "G-12":
-        return y1, lap1.adjacency
-    labels1 = np.sign(y1)
-    g_in = unet_inputs(features, y1, lap1.adjacency, cfg.unet_neighbors)
-    emb_hu, shallow_hu = state.nets["update"].forward_batch(g_in)
-    g_up = graph_update(g1, lap1, y1, emb_hu, cfg.beta)
-    if chain == "G-1232":
-        lap2 = build_laplacian(g_up)
-        return denoise(lap2, y1, cfg.glr), lap2.adjacency
-    f2 = np.hstack([features, shallow_hu])
-    emb_c2, _ = state.nets["weight2"].forward_batch(f2)
-    sigma2 = auto_sigma(emb_c2, partition_edges(g_up, labels1))
-    lap3 = build_laplacian(assign_weights(g_up, emb_c2, sigma2))
-    return denoise(lap3, y1, cfg.glr), lap3.adjacency
-
+# transduction
 
 def _stratified_train_sample(ds: Dataset, size: int, rng) -> np.ndarray:
     """Class-proportional draw of train node ids, without replacement.
@@ -621,42 +548,48 @@ def _reference_sets(state: PipelineState, cfg: PipelineConfig, sampling: bool
     return _stratified_batches(top, ds.noisy_labels[top], cfg.rank_sample_batches, rng)
 
 
-def _chunks(indices: np.ndarray, size: int):
-    for start in range(0, indices.size, size):
-        yield indices[start:start + size]
+def _chunks(n: int, size: int):
+    for start in range(0, n, size):
+        yield slice(start, min(start + size, n))
+
+
+def _joined_final(state: PipelineState, chain: str, refs: np.ndarray,
+                  targets: np.ndarray, cfg: PipelineConfig) -> StageRecord:
+    """Final chain record of a reference set joined by target nodes.
+
+    References carry their noisy labels and targets carry 0; the targets
+    are the rows after the first refs.size."""
+    ds = state.dataset
+    nodes = np.concatenate([refs, targets])
+    y0 = np.concatenate([ds.noisy_labels[refs], np.zeros(targets.size)])
+    return run_chain(state, chain, ds.features[nodes], y0, cfg)[-1]
 
 
 def predict(state: PipelineState, test_indices, cfg: PipelineConfig | None = None
             ) -> np.ndarray:
     """Classify nodes by joining them to reference graphs of training nodes.
 
-    References carry their noisy labels, targets carry 0; the frozen chain
-    runs end to end and the prediction is the sign of the final signal,
-    averaged over reference batches in sampling mode. Exact zeros fall back
-    to the sign of the accumulated weighted-neighbor signal, then +1.
+    The frozen chain runs end to end on each joined graph and the prediction
+    is the sign of the final signal, averaged over reference batches in
+    sampling mode. Exact zeros fall back to the sign of the accumulated
+    weighted-neighbor signal, then +1.
     """
     cfg = cfg or state.config
     if state.trained_chain is None:
         raise UsageError("predict called before the pipeline was trained")
     chain, sampling = parse_variant(cfg.variant)
     test_indices = np.asarray(test_indices, dtype=np.int64)
-    ds = state.dataset
     if chain == "DML-KNN":
         return _predict_dml_knn(state, test_indices, cfg, sampling)
     ref_sets = _reference_sets(state, cfg, sampling)
     total = np.zeros(test_indices.size)
     neighbor_total = np.zeros(test_indices.size)
-    offset = 0
-    for chunk in _chunks(test_indices, cfg.unlabeled_per_graph):
-        chunk_slice = slice(offset, offset + chunk.size)
+    for chunk in _chunks(test_indices.size, cfg.unlabeled_per_graph):
         for refs in ref_sets:
-            nodes = np.concatenate([refs, chunk])
-            y0 = np.concatenate([ds.noisy_labels[refs], np.zeros(chunk.size)])
-            y_fin, adj = _forward_chain(state, chain, ds.features[nodes], y0, cfg)
-            tpos = np.arange(refs.size, nodes.size)
-            total[chunk_slice] += y_fin[tpos]
-            neighbor_total[chunk_slice] += np.asarray(adj[tpos] @ y_fin).ravel()
-        offset += chunk.size
+            final = _joined_final(state, chain, refs, test_indices[chunk], cfg)
+            total[chunk] += final.y[refs.size:]
+            neighbor_total[chunk] += np.asarray(
+                final.laplacian.adjacency[refs.size:] @ final.y).ravel()
     avg = total / len(ref_sets)
     pred = np.sign(avg)
     ties = pred == 0
@@ -705,14 +638,11 @@ def _batch_accuracy(state: PipelineState, chain: str, refs: np.ndarray,
         pred = np.where(votes >= 0, 1.0, -1.0)
         return float(np.mean(pred == target_labels))
     hits = 0
-    for chunk_start in range(0, target_ids.size, cfg.unlabeled_per_graph):
-        chunk = target_ids[chunk_start:chunk_start + cfg.unlabeled_per_graph]
-        nodes = np.concatenate([refs, chunk])
-        y0 = np.concatenate([ds.noisy_labels[refs], np.zeros(chunk.size)])
-        y_fin, _ = _forward_chain(state, chain, ds.features[nodes], y0, cfg)
-        pred = np.sign(y_fin[refs.size:])
+    for chunk in _chunks(target_ids.size, cfg.unlabeled_per_graph):
+        final = _joined_final(state, chain, refs, target_ids[chunk], cfg)
+        pred = np.sign(final.y[refs.size:])
         pred[pred == 0] = 1.0
-        hits += int((pred == target_labels[chunk_start:chunk_start + chunk.size]).sum())
+        hits += int((pred == target_labels[chunk]).sum())
     return hits / target_ids.size
 
 
@@ -737,6 +667,9 @@ def rank_sampling(ds: Dataset, state: PipelineState, k: int | None = None,
         clamped = (int(0.6 * m) // cfg.rank_sample_batches) * cfg.rank_sample_batches
         logger.info("rank_sampling k=%d exceeds train size %d; clamped to %d", k, m, clamped)
         k = clamped
+    if k < cfg.rank_sample_batches:
+        raise SamplingError(f"rank sampling keeps {k} of {m} train nodes, fewer than "
+                            f"its {cfg.rank_sample_batches} reference batches")
     val_ids = ds.indices(VAL)
     val_labels = np.sign(ds.noisy_labels[val_ids])
     rounds = max(1, math.ceil(cfg.rank_coverage * m / cfg.labeled_per_graph))
@@ -804,61 +737,27 @@ def write_run_manifest(path, cfg: PipelineConfig, ds_manifest: dict,
 
 
 def save_state(state: PipelineState, run_dir) -> None:
-    """Checkpoint directory: one file per net plus per-iteration snapshots."""
+    """Run directory: state.json plus one checkpoint per net. load_state
+    rebuilds every stage record by replaying the chain."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     for name, net in state.nets.items():
         save_checkpoint(net, run_dir / f"net_{name}.npz")
     meta = {"gamma0": state.gamma0, "trained_chain": state.trained_chain,
-            "variant": state.config.variant, "seed": state.config.seed,
-            "stages": sorted(state.stages)}
+            "variant": state.config.variant, "seed": state.config.seed}
     (run_dir / "state.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    for r, rec in state.stages.items():
-        arrays = {"y": rec.y}
-        if rec.phi is not None:
-            arrays["phi"] = rec.phi
-        if rec.embeddings is not None:
-            arrays["embeddings"] = rec.embeddings
-        np.savez(run_dir / f"stage{r}.npz", **arrays)
-        sp.save_npz(run_dir / f"stage{r}_edges.npz", rec.graph.edges)
-        sp.save_npz(run_dir / f"stage{r}_weights.npz", rec.graph.weights)
-        np.save(run_dir / f"stage{r}_gamma.npy", rec.graph.gamma)
-    if state.update_graph is not None:
-        sp.save_npz(run_dir / "update_edges.npz", state.update_graph.edges)
-        np.save(run_dir / "update_budgets.npy", state.update_budgets)
-        np.savez(run_dir / "update_arrays.npz", inputs=state.update_inputs,
-                 shallow=state.update_shallow)
 
 
 def load_state(run_dir, ds: Dataset, cfg: PipelineConfig) -> PipelineState:
+    """Reload a saved run on its dataset: the nets and the neighbor budget
+    from save_state's files, then the stage records by replaying the trained
+    chain on the working set. Other files in the directory are ignored."""
     run_dir = Path(run_dir)
     meta = json.loads((run_dir / "state.json").read_text())
     state = PipelineState.fresh(ds, cfg)
     state.gamma0 = meta["gamma0"]
     state.trained_chain = meta["trained_chain"]
     for path in sorted(run_dir.glob("net_*.npz")):
-        name = path.stem.removeprefix("net_")
-        state.nets[name], _ = load_checkpoint(path)
-    for r in meta["stages"]:
-        with np.load(run_dir / f"stage{r}.npz") as data:
-            y = data["y"]
-            phi = data["phi"] if "phi" in data else None
-            emb = data["embeddings"] if "embeddings" in data else None
-        edges = sp.load_npz(run_dir / f"stage{r}_edges.npz").tocsr()
-        weights = sp.load_npz(run_dir / f"stage{r}_weights.npz").tocsr()
-        gamma = np.load(run_dir / f"stage{r}_gamma.npy")
-        graph = Graph(n_nodes=edges.shape[0], edges=edges, weights=weights, gamma=gamma)
-        lap = build_laplacian(graph)
-        att = edge_attention_matrix(graph, phi) if phi is not None else None
-        state.stages[r] = StageRecord(graph=graph, laplacian=lap, y=y,
-                                      embeddings=emb, attention=att, phi=phi)
-    if (run_dir / "update_edges.npz").exists():
-        edges = sp.load_npz(run_dir / "update_edges.npz").tocsr()
-        budgets = np.load(run_dir / "update_budgets.npy")
-        with np.load(run_dir / "update_arrays.npz") as data:
-            state.update_inputs = data["inputs"]
-            state.update_shallow = data["shallow"]
-        state.update_budgets = budgets
-        state.update_graph = Graph(n_nodes=edges.shape[0], edges=edges,
-                                   weights=edges.astype(np.float64), gamma=budgets)
+        state.nets[path.stem.removeprefix("net_")] = load_checkpoint(path)
+    state.stages = _work_stages(state, state.trained_chain, cfg)
     return state

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dynglr.errors import ValidationError
-from dynglr.glr import GlrParams, denoise, dump_residuals, mu_max
+from dynglr.glr import GlrParams, denoise, mu_max
 from dynglr.graphs import assign_weights, build_laplacian, knn_edges
 
 
@@ -111,14 +111,12 @@ class TestDenoise:
             assert eigvals.min() >= 1.0 - 1e-6
             assert eigvals.max() <= params.kappa + 1e-6
 
-    def test_residual_log_written(self, tmp_path):
+    def test_residual_log_written(self):
         rng = np.random.default_rng(7)
         lap = random_weighted_laplacian(rng, 25)
         residuals = []
         denoise(lap, rng.uniform(-1, 1, 25), GlrParams(), residual_log=residuals)
         assert residuals and residuals[-1] <= residuals[0]
-        dump_residuals(residuals, tmp_path / "resid.csv")
-        assert (tmp_path / "resid.csv").read_text().startswith("iteration,")
 
 
 class TestParams:

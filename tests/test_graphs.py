@@ -347,15 +347,6 @@ class TestSpectrum:
 
 
 class TestDumps:
-    def test_graph_dump_roundtrip_fields(self, tmp_path):
-        rng = np.random.default_rng(16)
-        emb = rng.normal(size=(10, 2))
-        g = assign_weights(knn_edges(emb, 2), emb, sigma=1.0)
-        graphs.dump_graph(g, tmp_path / "edges.csv", tmp_path / "header.json")
-        lines = (tmp_path / "edges.csv").read_text().splitlines()
-        assert lines[0] == "i,j,w"
-        assert len(lines) - 1 == g.edge_pairs.shape[0]
-
     def test_spectrum_dump(self, tmp_path):
         graphs.dump_spectrum(np.array([0.0, 1.0]), np.array([2.0, 3.0]),
                              tmp_path / "spec.csv")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +9,7 @@ from dynglr.metricnet import (AdamState, MetricNet, NetConfig, Triplet, adam_ste
                               load_checkpoint, lr_at, node_attention_matrix,
                               sample_triplets, save_checkpoint, train,
                               triplet_loss_E, triplet_loss_W)
+from dynglr.pipeline import PipelineConfig
 
 
 def loop_forward_oracle(net, x):
@@ -26,6 +29,12 @@ def loop_forward_oracle(net, x):
             out = [max(v, 0.0) for v in out]
         h = out
     return np.array(h)
+
+
+def forward_one(net, x):
+    """(embedding, shallow activations) of a single row vector."""
+    emb, shallow = net.forward_batch(np.asarray(x, dtype=np.float64)[None, :])
+    return emb[0], shallow[0]
 
 
 def flat_params(net):
@@ -76,14 +85,14 @@ class TestForward:
         net = MetricNet(3, NetConfig(layer_widths=(4,), embedding_dim=2))
         for p in net.parameters():
             p[...] = 0.0
-        emb, _ = net.forward(np.array([1.0, 2.0, 3.0]))
+        emb, _ = forward_one(net, np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(emb, np.zeros(2))
 
     def test_identity_single_layer(self):
         net = MetricNet(2, NetConfig(layer_widths=(), embedding_dim=2))
         net.weights[0][...] = np.eye(2)
         net.biases[0][...] = 0.0
-        emb, _ = net.forward(np.array([1.0, 2.0]))
+        emb, _ = forward_one(net, np.array([1.0, 2.0]))
         np.testing.assert_allclose(emb, [1.0, 2.0])
 
     @pytest.mark.parametrize("widths,skip", [((5, 3), None), ((4,), None), ((6, 4), 1)])
@@ -93,20 +102,20 @@ class TestForward:
                                      skip_to_layer=skip, seed=1))
         for _ in range(5):
             x = rng.normal(size=4)
-            emb, _ = net.forward(x)
+            emb, _ = forward_one(net, x)
             np.testing.assert_allclose(emb, loop_forward_oracle(net, x), atol=1e-12)
 
     def test_shallow_tap_is_last_hidden_activation(self):
         net = MetricNet(3, NetConfig(layer_widths=(5, 4), embedding_dim=2, seed=2))
         x = np.array([0.1, -0.2, 0.3])
-        _, shallow = net.forward(x)
+        _, shallow = forward_one(net, x)
         assert shallow.shape == (4,)
         assert (shallow >= 0).all()  # rectified hidden output
 
     def test_dimension_mismatch_raises(self):
         net = MetricNet(3, NetConfig(layer_widths=(2,), embedding_dim=2))
         with pytest.raises(ShapeError):
-            net.forward(np.zeros(5))
+            forward_one(net, np.zeros(5))
 
     def test_batch_order_equivariance(self):
         rng = np.random.default_rng(3)
@@ -287,29 +296,38 @@ class TestOptimizer:
                         lr_end=0.05, epochs=500, seed=11)
         net = MetricNet(1, cfg)
 
-        def loss_fn(n, batch):
-            w = n.weights[0][0, 0]
+        def loss_fn(batch, epoch, b_idx):
+            w = net.weights[0][0, 0]
             grads = [np.array([[2.0 * (w - 3.0)]]), np.zeros(1)]
             return (w - 3.0) ** 2, grads
 
-        train(net, loss_fn, cfg, batches=[None])
+        losses = train(net, lambda epoch: [None], loss_fn)
         assert abs(net.weights[0][0, 0] - 3.0) <= 1e-3
+        assert len(losses) == 500 and losses[-1] < losses[0]
 
     def test_non_finite_loss_aborts_with_location(self):
         cfg = NetConfig(layer_widths=(), embedding_dim=1, epochs=3)
         net = MetricNet(1, cfg)
 
-        def loss_fn(n, batch):
-            return np.nan, n.zero_grads()
+        def loss_fn(batch, epoch, b_idx):
+            return np.nan, net.zero_grads()
 
-        with pytest.raises(TrainingError, match="epoch 0, batch 0"):
-            train(net, loss_fn, cfg, batches=[None])
+        with pytest.raises(TrainingError, match="probe: non-finite loss at epoch 0, batch 0"):
+            train(net, lambda epoch: [None], loss_fn, "probe")
 
     def test_empty_batches_rejected(self):
         cfg = NetConfig(layer_widths=(), embedding_dim=1)
         net = MetricNet(1, cfg)
         with pytest.raises(ConfigError):
-            train(net, lambda n, b: (0.0, n.zero_grads()), cfg, batches=[])
+            train(net, lambda epoch: [], lambda b, e, i: (0.0, net.zero_grads()))
+
+    def test_skipped_batches_leave_net_unchanged(self):
+        cfg = NetConfig(layer_widths=(3,), embedding_dim=2, epochs=2, seed=16)
+        net = MetricNet(2, cfg)
+        before = [p.copy() for p in net.parameters()]
+        assert train(net, lambda epoch: [None, None], lambda b, e, i: None) == [0.0, 0.0]
+        for b, p in zip(before, net.parameters()):
+            np.testing.assert_array_equal(b, p)
 
     def test_parameters_stay_finite_through_training(self):
         rng = np.random.default_rng(12)
@@ -318,7 +336,7 @@ class TestOptimizer:
         x = rng.normal(size=(10, 3))
         labels = np.array([1.0] * 5 + [-1.0] * 5)
         batches = [sample_triplets(labels, 8, seed=k) for k in range(4)]
-        train(net, lambda n, b: triplet_loss_E(n, x, b, 10.0), cfg, batches)
+        train(net, lambda epoch: batches, lambda b, e, i: triplet_loss_E(net, x, b, 10.0))
         assert all(np.all(np.isfinite(p)) for p in net.parameters())
 
 
@@ -340,16 +358,34 @@ class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         cfg = NetConfig(layer_widths=(4, 3), embedding_dim=2, seed=14, skip_to_layer=1)
         net = MetricNet(5, cfg)
-        state = AdamState.for_net(net)
         grads = [np.ones_like(p) for p in net.parameters()]
-        adam_step(net, grads, state, lr=0.01)
+        adam_step(net, grads, AdamState.for_net(net), lr=0.01)
         path = tmp_path / "net.npz"
-        save_checkpoint(net, path, state=state, rng_state={"stream": 7})
-        loaded, loaded_state = load_checkpoint(path)
+        save_checkpoint(net, path)
+        loaded = load_checkpoint(path)
         for a, b in zip(net.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(a, b)
-        assert loaded_state.t == 1
         rng = np.random.default_rng(15)
         x = rng.normal(size=(3, 5))
         np.testing.assert_array_equal(net.forward_batch(x)[0],
                                       loaded.forward_batch(x)[0])
+
+    def test_pipeline_config_survives_roundtrip(self, tmp_path):
+        cfg = PipelineConfig().net_config("weight2")
+        net = MetricNet(7, cfg)
+        save_checkpoint(net, tmp_path / "net.npz")
+        assert load_checkpoint(tmp_path / "net.npz").config == net.config
+
+    def test_version_1_checkpoint_loads(self, tmp_path):
+        # the layout earlier releases wrote: a flat meta without weight decay
+        net = MetricNet(3, NetConfig(layer_widths=(4,), embedding_dim=2, seed=17))
+        meta = {"version": 1, "in_dim": 3, "layer_widths": [4], "embedding_dim": 2,
+                "shallow_tap_index": 0, "skip_to_layer": None, "lr_start": 0.02,
+                "lr_end": 0.01, "epochs": 60, "seed": 17, "adam_t": 0, "rng_state": None}
+        arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
+        arrays.update({f"w{k}": w for k, w in enumerate(net.weights)})
+        arrays.update({f"b{k}": b for k, b in enumerate(net.biases)})
+        np.savez(tmp_path / "v1.npz", **arrays)
+        loaded = load_checkpoint(tmp_path / "v1.npz")
+        x = np.random.default_rng(18).normal(size=(4, 3))
+        np.testing.assert_array_equal(loaded.forward_batch(x)[0], net.forward_batch(x)[0])

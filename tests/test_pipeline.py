@@ -4,13 +4,26 @@ import pytest
 from conftest import blob_dataset, tiny_config
 from dynglr import dataio, pipeline
 from dynglr.dataio import TRAIN, VAL, TEST
-from dynglr.errors import ConfigError, UsageError
-from dynglr.graphs import knn_edges, pairwise_sq_dists
-from dynglr.pipeline import (PipelineConfig, PipelineState, attention,
-                             batch_signal, build_batches, edge_attention_matrix,
-                             grid_search_gamma, load_state, node_phi,
-                             parse_variant, predict, rank_sampling, run_variant,
-                             save_state, unet_inputs, _ordinal_rank)
+from dynglr.errors import ConfigError, SamplingError, TrainingError, UsageError
+from dynglr.graphs import knn_edges, pairwise_sq_dists, surviving_edge_budgets
+from dynglr.metricnet import node_attention_matrix
+from dynglr.pipeline import (PipelineConfig, PipelineState, batch_signal,
+                             build_batches, grid_search_gamma, load_state,
+                             node_phi, parse_variant, predict, rank_sampling,
+                             run_chain, run_variant, save_state, unet_inputs,
+                             _ordinal_rank)
+
+
+def attention(y_prev_i, y_cur_i, y_prev_j, y_cur_j, eps: float) -> int:
+    """Scalar oracle: edge attention is the min of the endpoint reliability flags."""
+    phi_i = 1 if abs(y_prev_i - y_cur_i) <= eps else 0
+    phi_j = 1 if abs(y_prev_j - y_cur_j) <= eps else 0
+    return min(phi_i, phi_j)
+
+
+def pair_attention(y_prev, y_cur, eps):
+    """Attention of the edge (0, 1) through node_phi and node_attention_matrix."""
+    return node_attention_matrix(node_phi(np.array(y_prev), np.array(y_cur), eps))[0, 1]
 
 
 class TestParseVariant:
@@ -30,22 +43,25 @@ class TestParseVariant:
 class TestAttention:
     def test_both_changes_under_threshold(self):
         assert attention(0.5, 0.0, 0.2, 0.0, eps=0.6) == 1
+        assert pair_attention([0.5, 0.2], [0.0, 0.0], 0.6) == 1
 
     def test_one_endpoint_over_threshold_kills_edge(self):
         assert attention(0.7, 0.0, 0.0, 0.0, eps=0.6) == 0
         assert attention(0.7, 0.0, 0.5, 0.5, eps=0.6) == 0
+        assert pair_attention([0.7, 0.0], [0.0, 0.0], 0.6) == 0
+        assert pair_attention([0.7, 0.5], [0.0, 0.5], 0.6) == 0
 
     def test_zero_eps_unchanged_labels(self):
         assert attention(1.0, 1.0, -1.0, -1.0, eps=0.0) == 1
+        assert pair_attention([1.0, -1.0], [1.0, -1.0], 0.0) == 1
 
     def test_node_phi_vectorized_matches_scalar(self):
         rng = np.random.default_rng(0)
         prev, cur = rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 20)
-        phi = node_phi(prev, cur, 0.3)
+        att = node_attention_matrix(node_phi(prev, cur, 0.3))
         for i in range(20):
             for j in range(20):
-                assert min(phi[i], phi[j]) == attention(prev[i], cur[i],
-                                                        prev[j], cur[j], 0.3)
+                assert att[i, j] == attention(prev[i], cur[i], prev[j], cur[j], 0.3)
 
 
 class TestBatches:
@@ -185,22 +201,17 @@ class TestRunVariant:
         assert (a.stages[0].graph.edges != b.stages[0].graph.edges).nnz == 0
         np.testing.assert_array_equal(a.stages[0].embeddings, b.stages[0].embeddings)
 
-    def test_attention_recomputable_from_state(self, trained_full):
-        state, cfg = trained_full
-        for r, eps in ((1, cfg.eps1), (2, cfg.eps2)):
-            rec = state.stages[r]
-            prev = state.stages[r - 1].y
-            phi = node_phi(prev, rec.y, eps)
-            expected = edge_attention_matrix(rec.graph, phi)
-            assert (rec.attention != expected).nnz == 0
-
     def test_g1232_second_pass_on_unweighted_updated_graph(self, blobs):
         state = run_variant(blobs, tiny_config("G-1232", seed=21))
         assert set(state.nets) == {"embed", "weight1", "update"}
         assert sorted(state.stages) == [0, 1, 2]
-        # the updated graph enters the second pass unweighted
-        assert (state.stages[2].graph.weights.data == 1.0).all()
-        assert np.array_equal(state.stages[2].graph.gamma, state.update_budgets)
+        # the updated graph enters the second pass unweighted, with budgets
+        # recounted from the edges that survived the first pass
+        rec1, rec2 = state.stages[1], state.stages[2]
+        assert (rec2.graph.weights.data == 1.0).all()
+        budgets, _ = surviving_edge_budgets(rec1.graph, rec1.laplacian, rec1.y,
+                                            state.config.beta)
+        assert np.array_equal(rec2.graph.gamma, budgets)
         pred = predict(state, blobs.indices(TEST)[:20], state.config)
         assert set(np.unique(pred)) <= {-1, 1}
 
@@ -214,9 +225,11 @@ class TestRunVariant:
     def test_clean_run_flags_few_unreliable_train_nodes(self, blobs):
         # 0% injected noise: under the default threshold the denoised signal
         # moves almost every train label by less than eps1
-        state = run_variant(blobs, tiny_config("G-12", seed=13))
+        cfg = tiny_config("G-12", seed=13)
+        state = run_variant(blobs, cfg)
         split_work = blobs.split[state.work_ids]
-        phi_train = state.stages[1].phi[split_work == TRAIN]
+        phi = node_phi(state.stages[0].y, state.stages[1].y, cfg.eps1)
+        phi_train = phi[split_work == TRAIN]
         assert (phi_train == 0).mean() < 0.10
 
     def test_dml_knn_trains_embed_only(self, blobs):
@@ -230,6 +243,35 @@ class TestRunVariant:
         for stage, losses in state.stage_losses.items():
             assert len(losses) == cfg.net_config(stage).epochs
             assert all(np.isfinite(v) and v >= 0 for v in losses)
+
+    def test_non_finite_loss_names_stage(self, blobs, monkeypatch):
+        def nan_loss(net, x, triplets, margin, attention):
+            return float("nan"), net.zero_grads()
+
+        monkeypatch.setattr(pipeline, "triplet_loss_W", nan_loss)
+        with pytest.raises(TrainingError, match="weight1: non-finite loss at epoch 0"):
+            run_variant(blobs, tiny_config("G-12", seed=7))
+
+
+class TestChain:
+    @pytest.mark.parametrize("chain", ["G-2", "G-12", "G-1232", "G-12312"])
+    def test_replay_reproduces_training_records(self, blobs, chain):
+        cfg = tiny_config(chain, seed=23)
+        state = run_variant(blobs, cfg)
+        replayed = run_chain(state, chain, blobs.features[state.work_ids],
+                             state.work_signal0, cfg)
+        assert len(replayed) == len(state.stages)
+        for r, rec in enumerate(replayed):
+            assert np.array_equal(rec.y, state.stages[r].y)
+            assert (rec.graph.edges != state.stages[r].graph.edges).nnz == 0
+            assert (rec.graph.weights != state.stages[r].graph.weights).nnz == 0
+            assert np.array_equal(rec.graph.gamma, state.stages[r].graph.gamma)
+
+    def test_frozen_chain_rejects_missing_net(self, trained_g12, blobs):
+        state, cfg = trained_g12
+        with pytest.raises(UsageError, match="update"):
+            run_chain(state, "G-1232", blobs.features[state.work_ids],
+                      state.work_signal0, cfg)
 
 
 class TestPredict:
@@ -324,6 +366,13 @@ class TestRankSampling:
         assert np.array_equal(selected, np.sort(selected))
         assert np.isin(selected, blobs.indices(TRAIN)).all()
 
+    def test_clamp_to_zero_raises(self, blobs, trained_g12):
+        state, _ = trained_g12
+        # 120 train nodes: 0.6 * 120 = 72 holds no batch of 80 references
+        cfg = tiny_config("G-12s", seed=7, rank_sample_k=160, rank_sample_batches=80)
+        with pytest.raises(SamplingError, match="fewer than"):
+            rank_sampling(blobs, state, cfg=cfg)
+
     def test_deterministic(self, blobs, trained_g12):
         state, cfg = trained_g12
         a = rank_sampling(blobs, state, k=24, cfg=cfg)
@@ -338,9 +387,14 @@ class TestPersistence:
         test_idx = blobs.indices(TEST)[:30]
         before = predict(state, test_idx, cfg)
         save_state(state, tmp_path / "run")
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "net_embed.npz", "net_update.npz", "net_weight1.npz", "net_weight2.npz",
+            "state.json"]
         reloaded = load_state(tmp_path / "run", blobs, cfg)
         after = predict(reloaded, test_idx, cfg)
         assert np.array_equal(before, after)
+        for r, rec in state.stages.items():
+            assert np.array_equal(reloaded.stages[r].y, rec.y)
 
     def test_run_manifest_written(self, trained_full, blobs, tmp_path):
         _, cfg = trained_full
