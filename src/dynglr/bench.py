@@ -211,11 +211,16 @@ def run_cell(ds_cell: Dataset, dataset_id: str, variant: str, seed: int,
     return result
 
 
+def _cell_key(row: dict) -> tuple:
+    return row["dataset"], float(row["noise"]), int(row["repeat"]), row["variant"]
+
+
 def _read_results(path: Path) -> list[dict]:
+    """Rows of a results CSV, the last one only for a cell that was rerun."""
     if not path.exists():
         return []
     with path.open(newline="") as fh:
-        return list(csv.DictReader(fh))
+        return list({_cell_key(r): r for r in csv.DictReader(fh)}.values())
 
 
 def run_grid(grid: ExperimentGrid, out_csv, config_overrides: dict | None = None
@@ -223,13 +228,12 @@ def run_grid(grid: ExperimentGrid, out_csv, config_overrides: dict | None = None
     """Run every cell, appending one CSV row per finished cell.
 
     Completed cells found in an existing results file are not recomputed; a
-    failing cell is recorded with an error tag and the grid continues.
+    failing cell is recorded with an error tag and the grid continues. A
+    rerun cell's new row replaces its old one in the report.
     """
     out_csv = Path(out_csv)
-    existing = _read_results(out_csv)
-    done = {(r["dataset"], float(r["noise"]), int(r["repeat"]), r["variant"])
-            for r in existing if r["status"] == "ok"}
-    rows = list(existing)
+    rows = {_cell_key(r): r for r in _read_results(out_csv)}
+    done = {key for key, r in rows.items() if r["status"] == "ok"}
     write_header = not out_csv.exists()
     datasets = {}
     with out_csv.open("a", newline="") as fh:
@@ -264,5 +268,5 @@ def run_grid(grid: ExperimentGrid, out_csv, config_overrides: dict | None = None
                            diag_rho="")
             writer.writerow(row)
             fh.flush()
-            rows.append({k: str(v) for k, v in row.items()})
-    return Report(rows=rows)
+            rows[dataset_id, noise, repeat, variant] = {k: str(v) for k, v in row.items()}
+    return Report(rows=list(rows.values()))

@@ -66,7 +66,11 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _reload_run(run_path: Path):
+def _reload_run(run: str):
+    """Reload a train run from its directory or its manifest.json."""
+    run_path = Path(run)
+    if run_path.name == "manifest.json":
+        run_path = run_path.parent
     manifest = json.loads((run_path / "manifest.json").read_text())
     dataset_id = manifest["dataset"]["dataset_id"]
     seed = manifest["seed"]
@@ -82,10 +86,7 @@ def _reload_run(run_path: Path):
 
 
 def _cmd_eval(args) -> int:
-    run_path = Path(args.run)
-    if run_path.name == "manifest.json":
-        run_path = run_path.parent
-    manifest, ds, cfg, state = _reload_run(run_path)
+    manifest, ds, cfg, state = _reload_run(args.run)
     test_idx = ds.indices(dataio.TEST)
     pred = pipeline.predict(state, test_idx, cfg)
     err = bench.error_rate(pred, ds.clean_labels[test_idx])
@@ -112,13 +113,9 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    run_path = Path(args.run)
-    if run_path.name == "manifest.json":
-        run_path = run_path.parent
-    _, _, _, state = _reload_run(run_path)
-    last = max(state.stages)
-    rec = state.stages[last]
-    eigvals, mags = graphs.gft_spectrum(rec.laplacian, rec.y)
+    _, _, _, state = _reload_run(args.run)
+    rec = state.stages[max(state.stages)]
+    eigvals, mags = graphs.gft_spectrum(rec.graph.laplacian, rec.y)
     graphs.dump_spectrum(eigvals, mags, args.out)
     print(f"wrote {eigvals.size} spectral lines -> {args.out}")
     return 0

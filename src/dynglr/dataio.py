@@ -65,10 +65,6 @@ class NoiseSpec:
     seed: int
 
 
-def _strip_keel_header(lines: list[str]) -> list[str]:
-    return [ln for ln in lines if not ln.lstrip().startswith("@")]
-
-
 def _parse_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
     rows = []
     labels = []
@@ -186,10 +182,7 @@ def load_csv(path, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> Dataset:
     if len(numbered) < 2:
         raise ParseError("file must contain a header row and at least one data row")
     features, raw_labels = _parse_rows(numbered[1:])
-    labels = _map_labels(raw_labels)
-    features, labels = _dedup_rows(features, labels)
-    features = _drop_constant_columns(features)
-    return _assemble(features, labels, fractions, seed)
+    return from_arrays(features, raw_labels, fractions, seed)
 
 
 def stratified_split(ds: Dataset, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> Dataset:

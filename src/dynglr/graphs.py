@@ -3,16 +3,20 @@
 Construction keeps, for node i, its gamma_i nearest neighbors by squared
 Euclidean distance and symmetrizes with an OR rule; edge weights come from a
 Gaussian kernel whose scale maximizes the gap between mean same-label and
-mean opposite-label edge weights. The combinatorial Laplacian L = D - A with
-a_ij = max(w_ij e_ij, w_ji e_ji) feeds the signal-restoration solver, and the
-update rule recounts per-node degree budgets from edges that stayed reliable
-after denoising.
+mean opposite-label edge weights. The paper's adjacency
+a_ij = max(w_ij e_ij, w_ji e_ji) is the weight matrix itself, because the edge
+set is symmetric and the kernel gives w_ij = w_ji, so a graph is one
+symmetric weight matrix whose support is its edge set. The combinatorial
+Laplacian L = D - A feeds the signal-restoration solver, and the update rule
+recounts per-node degree budgets from edges that stayed reliable after
+denoising.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,18 +32,35 @@ _GFT_NODE_GUARD = 4000
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph: symmetric boolean edges, per-edge weights, budgets."""
+    """Undirected graph: a symmetric csr weight matrix (unit weights before
+    any kernel is assigned) whose nonzeros are the edges, and per-node
+    neighbor budgets."""
 
-    n_nodes: int
-    edges: sp.csr_matrix
     weights: sp.csr_matrix
     gamma: np.ndarray
 
     @property
+    def n_nodes(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def edges(self) -> sp.csr_matrix:
+        """The int8 edge pattern of the weights."""
+        w = self.weights
+        return sp.csr_matrix((np.ones(w.nnz, dtype=np.int8), w.indices, w.indptr),
+                             shape=w.shape)
+
+    @property
     def edge_pairs(self) -> np.ndarray:
         """Upper-triangle (i, j) pairs, i < j, one row per undirected edge."""
-        coo = sp.triu(self.edges, k=1).tocoo()
+        coo = sp.triu(self.weights, k=1).tocoo()
         return np.column_stack([coo.row, coo.col])
+
+    @cached_property
+    def laplacian(self) -> "LaplacianSystem":
+        """Built on first use: most frozen-chain graphs are reweighted
+        before any denoising pass needs their Laplacian."""
+        return build_laplacian(self)
 
 
 @dataclass(frozen=True)
@@ -95,12 +116,10 @@ def directed_knn(embeddings: np.ndarray, gamma) -> sp.csr_matrix:
 def knn_edges(embeddings: np.ndarray, gamma) -> Graph:
     """Symmetric KNN graph: e_ij = 1 iff j in i's gamma_i nearest or vice versa."""
     selected = directed_knn(embeddings, gamma)
-    edges = selected.maximum(selected.T).tocsr()
-    edges.data = np.ones_like(edges.data)
+    weights = selected.maximum(selected.T).tocsr().astype(np.float64)
     n = embeddings.shape[0]
-    weights = edges.astype(np.float64)
     gamma_vec = np.broadcast_to(np.asarray(gamma, dtype=np.int64), (n,)).copy()
-    return Graph(n_nodes=n, edges=edges, weights=weights, gamma=gamma_vec)
+    return Graph(weights=weights, gamma=gamma_vec)
 
 
 def partition_edges(g: Graph, labels: np.ndarray) -> EdgePartition:
@@ -154,21 +173,22 @@ def kernel_margin(sigma: float, w_p: float, w_q: float) -> float:
 
 
 def assign_weights(g: Graph, embeddings: np.ndarray, sigma: float) -> Graph:
-    """Gaussian-kernel weights on the existing edge set (edges act as a mask)."""
+    """Gaussian-kernel weights on the existing edge set. Edges whose kernel
+    value underflows to exactly 0 leave the graph."""
     if sigma <= 0:
         raise ValidationError("sigma must be positive")
-    coo = g.edges.tocoo()
-    diff = embeddings[coo.row] - embeddings[coo.col]
+    weights = g.weights.copy()
+    rows = np.repeat(np.arange(g.n_nodes), np.diff(weights.indptr))
+    diff = embeddings[rows] - embeddings[weights.indices]
     sq = (diff * diff).sum(axis=1)
-    w = np.exp(-sq / (2.0 * sigma**2))
-    weights = sp.csr_matrix((w, (coo.row, coo.col)), shape=g.edges.shape)
-    return Graph(n_nodes=g.n_nodes, edges=g.edges, weights=weights, gamma=g.gamma)
+    weights.data = np.exp(-sq / (2.0 * sigma**2))
+    weights.eliminate_zeros()
+    return Graph(weights=weights, gamma=g.gamma)
 
 
 def build_laplacian(g: Graph) -> LaplacianSystem:
-    """L = D - A with a_ij = max over edge directions of masked weights."""
-    masked = g.weights.multiply(g.edges).tocsr()
-    adjacency = masked.maximum(masked.T).tocsr()
+    """L = D - A, with the symmetric weight matrix as A."""
+    adjacency = g.weights
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
     laplacian = (sp.diags(degrees) - adjacency).tocsr()
     d_max = float(degrees.max()) if degrees.size else 0.0
@@ -176,23 +196,22 @@ def build_laplacian(g: Graph) -> LaplacianSystem:
                            laplacian=laplacian, d_max=d_max)
 
 
-def surviving_edge_budgets(g: Graph, lap: LaplacianSystem, denoised: np.ndarray,
-                           beta: float) -> tuple[np.ndarray, sp.csr_matrix]:
+def surviving_edge_budgets(g: Graph, denoised: np.ndarray, beta: float
+                           ) -> tuple[np.ndarray, sp.csr_matrix]:
     """Per-node counts of edges that stayed reliable after denoising.
 
     An edge survives iff its endpoints share the sign of the denoised signal
-    and its adjacency entry exceeds beta; opposite-sign or weak edges are
-    removed, as are edges touching an exactly-zero (unlabeled) value. Budgets
-    are floored at 1 (logged).
+    and its weight exceeds beta; opposite-sign or weak edges are removed, as
+    are edges touching an exactly-zero (unlabeled) value. Budgets are floored
+    at 1 (logged).
     """
-    coo = g.edges.tocoo()
+    coo = g.weights.tocoo()
     si = np.sign(denoised[coo.row])
     sj = np.sign(denoised[coo.col])
-    a = np.asarray(lap.adjacency[coo.row, coo.col]).ravel()
-    survive = (si != 0) & (sj != 0) & (si == sj) & (a > beta)
+    survive = (si != 0) & (sj != 0) & (si == sj) & (coo.data > beta)
     survivors = sp.csr_matrix(
         (np.ones(int(survive.sum()), dtype=np.int8),
-         (coo.row[survive], coo.col[survive])), shape=g.edges.shape)
+         (coo.row[survive], coo.col[survive])), shape=coo.shape)
     budgets = np.asarray(survivors.sum(axis=1)).ravel().astype(np.int64)
     floored = budgets < 1
     if floored.any():
@@ -201,14 +220,14 @@ def surviving_edge_budgets(g: Graph, lap: LaplacianSystem, denoised: np.ndarray,
     return budgets, survivors
 
 
-def graph_update(g: Graph, lap: LaplacianSystem, denoised: np.ndarray,
-                 embeddings_new: np.ndarray, beta: float) -> Graph:
+def graph_update(g: Graph, denoised: np.ndarray, embeddings_new: np.ndarray,
+                 beta: float) -> Graph:
     """Recount budgets from surviving edges, then rebuild KNN in the new space.
 
     Returns an unweighted graph (weights identically 1) whose per-node budgets
     are the survivor counts.
     """
-    budgets, _ = surviving_edge_budgets(g, lap, denoised, beta)
+    budgets, _ = surviving_edge_budgets(g, denoised, beta)
     return knn_edges(embeddings_new, budgets)
 
 

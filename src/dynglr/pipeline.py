@@ -40,8 +40,7 @@ from . import dataio
 from .dataio import TRAIN, VAL, Dataset
 from .errors import ConfigError, SamplingError, UsageError
 from .glr import GlrParams, denoise
-from .graphs import (Graph, LaplacianSystem, assign_weights, auto_sigma,
-                     build_laplacian, graph_update, knn_edges,
+from .graphs import (Graph, assign_weights, auto_sigma, graph_update, knn_edges,
                      pairwise_sq_dists, partition_edges)
 from .metricnet import (MetricNet, NetConfig, load_checkpoint, node_attention_matrix,
                         sample_triplets, save_checkpoint, train, triplet_loss_E,
@@ -141,29 +140,18 @@ class PipelineConfig:
         return cls(arch=arch, **overrides)
 
     def net_config(self, stage: str) -> NetConfig:
+        if stage not in ("embed", "weight1", "update", "weight2"):
+            raise ConfigError(f"unknown stage {stage!r}")
         arch = self.arch
-        seed = substream_seed(self.seed, "net", stage)
-        common = dict(seed=seed, weight_decay=self.weight_decay)
-
-        def lrs(pair):
-            return self.lr_scale * pair[0], self.lr_scale * pair[1]
-
-        if stage == "embed":
-            return NetConfig(arch.metric_hidden, self.embedding_dim,
-                             *lrs(arch.embed_lr), arch.embed_epochs, **common)
-        if stage == "weight1":
-            return NetConfig(arch.metric_hidden, self.embedding_dim,
-                             *lrs(arch.weight1_lr), arch.weight1_epochs, **common)
-        if stage == "update":
-            return NetConfig(arch.update_hidden, self.embedding_dim,
-                             *lrs(arch.update_lr), arch.update_epochs, **common)
+        hidden = arch.update_hidden if stage == "update" else arch.metric_hidden
+        skip = None
         if stage == "weight2":
-            hidden = arch.metric_hidden
             skip = len(hidden) - 1 if len(hidden) >= 2 else (1 if hidden else None)
-            return NetConfig(hidden, self.embedding_dim,
-                             *lrs(arch.weight2_lr), arch.weight2_epochs,
-                             skip_to_layer=skip, **common)
-        raise ConfigError(f"unknown stage {stage!r}")
+        lr_start, lr_end = getattr(arch, f"{stage}_lr")
+        return NetConfig(hidden, self.embedding_dim, self.lr_scale * lr_start,
+                         self.lr_scale * lr_end, getattr(arch, f"{stage}_epochs"),
+                         skip_to_layer=skip, seed=substream_seed(self.seed, "net", stage),
+                         weight_decay=self.weight_decay)
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +219,6 @@ class StageRecord:
     graph: Graph
     y: np.ndarray
     embeddings: np.ndarray | None = None
-    _laplacian: LaplacianSystem | None = None
-
-    @property
-    def laplacian(self) -> LaplacianSystem:
-        """Built on first use: most frozen-chain graphs are reweighted
-        before any denoising pass needs their Laplacian."""
-        if self._laplacian is None:
-            self._laplacian = build_laplacian(self.graph)
-        return self._laplacian
 
 
 @dataclass
@@ -370,8 +349,8 @@ def run_stage_wnet(state: PipelineState, r: int, inputs: np.ndarray,
             logger.info("%s: batch without both edge classes skipped (epoch %d)", stage, epoch)
             return None
         emb_c, _ = net.forward_batch(x_in)
-        lap = build_laplacian(assign_weights(g_b, emb_c, auto_sigma(emb_c, part)))
-        att = node_attention_matrix(node_phi(y_b, denoise(lap, y_b, cfg.glr), eps))
+        g_w = assign_weights(g_b, emb_c, auto_sigma(emb_c, part))
+        att = node_attention_matrix(node_phi(y_b, denoise(g_w.laplacian, y_b, cfg.glr), eps))
         trips = _triplets_or_skip(y_b, cfg, stage, epoch, b_idx)
         if trips is None:
             return None
@@ -381,38 +360,36 @@ def run_stage_wnet(state: PipelineState, r: int, inputs: np.ndarray,
     return net
 
 
-def unet_inputs(features: np.ndarray, y: np.ndarray, adjacency: sp.csr_matrix,
+def unet_inputs(features: np.ndarray, y: np.ndarray, weights: sp.csr_matrix,
                 k: int) -> np.ndarray:
     """Per-node update-net encoding: raw features, the two-slot label encoding
     of the denoised value, and its differences to the k largest-weight
-    neighbors' encodings.
+    neighbors' encodings (equal weights in column order).
 
     The encoding of value v is (v, 0) for v > 0 and (0, v) otherwise. Nodes
-    with fewer than k neighbors repeat their nearest available neighbor
-    (isolated nodes repeat themselves), logged.
+    with fewer than k neighbors cycle through their neighbor list from the
+    heaviest (isolated nodes repeat themselves), logged.
     """
     m = features.shape[0]
     enc = np.zeros((m, 2))
     posv = y > 0
     enc[posv, 0] = y[posv]
     enc[~posv, 1] = y[~posv]
-    adj = adjacency.tocsr()
-    adj.sort_indices()
-    neighbor_ids = np.empty((m, k), dtype=np.int64)
-    padded = 0
-    for i in range(m):
-        row = slice(adj.indptr[i], adj.indptr[i + 1])
-        cols = adj.indices[row]
-        w = adj.data[row]
-        order = np.argsort(-w, kind="stable")
-        chosen = cols[order[:k]]
-        if chosen.size == 0:
-            chosen = np.array([i], dtype=np.int64)
-            padded += 1
-        elif chosen.size < k:
-            padded += 1
-        reps = np.resize(chosen, k) if chosen.size < k else chosen
-        neighbor_ids[i] = reps
+    if not weights.has_sorted_indices:
+        weights = weights.sorted_indices()
+    counts = np.diff(weights.indptr)
+    # each node's negated weights in one row, padded with +inf: a stable sort
+    # along the rows ranks its neighbors, equal weights in column order
+    key = np.full((m, max(int(counts.max(initial=0)), 1)), np.inf)
+    key[np.repeat(np.arange(m), counts),
+        np.arange(weights.nnz) - np.repeat(weights.indptr[:-1], counts)] = -weights.data
+    ranked = np.argsort(key, axis=1, kind="stable")
+    # slot s of a node holds its (s mod count)-th heaviest neighbor
+    slot = np.take_along_axis(ranked, np.arange(k) % np.maximum(counts, 1)[:, None], axis=1)
+    neighbor_ids = np.repeat(np.arange(m)[:, None], k, axis=1)
+    linked = counts > 0
+    neighbor_ids[linked] = weights.indices[(weights.indptr[:-1, None] + slot)[linked]]
+    padded = int((counts < k).sum())
     if padded:
         logger.info("padded neighbor lists for %d nodes with fewer than %d neighbors",
                     padded, k)
@@ -452,20 +429,18 @@ def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.nda
     each net not yet in state.nets is trained there just before the step
     that first uses it.
     """
-    graph = lap = emb = shallow = None
+    graph = emb = shallow = None
     y = y0
     records = []
     for step in CHAIN_STEPS[chain]:
         if step == "denoise":
-            if lap is None:
-                lap = build_laplacian(graph)
-            y_prev, y = y, denoise(lap, y, cfg.glr)
-            records.append(StageRecord(graph, y, emb, lap))
+            y_prev, y = y, denoise(graph.laplacian, y, cfg.glr)
+            records.append(StageRecord(graph, y, emb))
             continue
         if step == "embed":
             x = features
         elif step == "update":
-            x = unet_inputs(features, y, lap.adjacency, cfg.unet_neighbors)
+            x = unet_inputs(features, y, graph.weights, cfg.unet_neighbors)
         else:
             x = np.hstack([features, shallow])
         if step not in state.nets:
@@ -482,10 +457,9 @@ def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.nda
             graph, shallow = knn_edges(emb, state.gamma0), tap
             records.append(StageRecord(graph, y, emb))
         elif step == "update":
-            graph, shallow = graph_update(graph, lap, y, emb, cfg.beta), tap
+            graph, shallow = graph_update(graph, y, emb, cfg.beta), tap
         else:
             graph = assign_weights(graph, emb, auto_sigma(emb, partition_edges(graph, y)))
-        lap = None
     return records
 
 
@@ -537,15 +511,17 @@ def _stratified_batches(ids: np.ndarray, labels: np.ndarray, n_batches: int,
     return [np.asarray(g, dtype=np.int64) for g in groups]
 
 
-def _reference_sets(state: PipelineState, cfg: PipelineConfig, sampling: bool
-                    ) -> list[np.ndarray]:
+def _reference_sets(state: PipelineState, cfg: PipelineConfig, chain: str,
+                    sampling: bool) -> list[np.ndarray]:
     ds = state.dataset
-    if not sampling:
-        rng = substream(cfg.seed, "predict", "refs")
-        return [_stratified_train_sample(ds, cfg.labeled_per_graph, rng)]
-    top = rank_sampling(ds, state, cfg.rank_sample_k, cfg)
-    rng = substream(cfg.seed, "predict", "rank-batches")
-    return _stratified_batches(top, ds.noisy_labels[top], cfg.rank_sample_batches, rng)
+    if sampling:
+        top = rank_sampling(ds, state, cfg.rank_sample_k, cfg)
+        rng = substream(cfg.seed, "predict", "rank-batches")
+        return _stratified_batches(top, ds.noisy_labels[top], cfg.rank_sample_batches, rng)
+    if chain == "DML-KNN":
+        return [ds.indices(TRAIN)]
+    rng = substream(cfg.seed, "predict", "refs")
+    return [_stratified_train_sample(ds, cfg.labeled_per_graph, rng)]
 
 
 def _chunks(n: int, size: int):
@@ -553,74 +529,59 @@ def _chunks(n: int, size: int):
         yield slice(start, min(start + size, n))
 
 
-def _joined_final(state: PipelineState, chain: str, refs: np.ndarray,
-                  targets: np.ndarray, cfg: PipelineConfig) -> StageRecord:
-    """Final chain record of a reference set joined by target nodes.
+def _transduce(state: PipelineState, chain: str, refs: np.ndarray, targets: np.ndarray,
+               cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Signal of the target nodes given a reference set, and each target's
+    weighted sum of the final signal over its neighbors.
 
-    References carry their noisy labels and targets carry 0; the targets
-    are the rows after the first refs.size."""
+    The baseline's signal is the sign of the vote of each target's gamma0
+    nearest references in the embedding space (neighbor sums 0). A graph
+    chain runs on the references, which carry their noisy labels, joined by
+    each chunk of targets, which carry 0.
+    """
     ds = state.dataset
-    nodes = np.concatenate([refs, targets])
-    y0 = np.concatenate([ds.noisy_labels[refs], np.zeros(targets.size)])
-    return run_chain(state, chain, ds.features[nodes], y0, cfg)[-1]
+    if chain == "DML-KNN":
+        net = state.nets["embed"]
+        emb_refs, _ = net.forward_batch(ds.features[refs])
+        emb_targets, _ = net.forward_batch(ds.features[targets])
+        d = pairwise_sq_dists(emb_targets, emb_refs)
+        nearest = np.argsort(d, axis=1, kind="stable")[:, : min(state.gamma0, refs.size)]
+        return np.sign(ds.noisy_labels[refs][nearest].sum(axis=1)), np.zeros(targets.size)
+    signal = np.empty(targets.size)
+    neighbor_sum = np.empty(targets.size)
+    for chunk in _chunks(targets.size, cfg.unlabeled_per_graph):
+        nodes = np.concatenate([refs, targets[chunk]])
+        y0 = np.concatenate([ds.noisy_labels[refs], np.zeros(nodes.size - refs.size)])
+        final = run_chain(state, chain, ds.features[nodes], y0, cfg)[-1]
+        signal[chunk] = final.y[refs.size:]
+        neighbor_sum[chunk] = final.graph.weights[refs.size:] @ final.y
+    return signal, neighbor_sum
 
 
 def predict(state: PipelineState, test_indices, cfg: PipelineConfig | None = None
             ) -> np.ndarray:
-    """Classify nodes by joining them to reference graphs of training nodes.
+    """Classify nodes by transduction from reference sets of training nodes.
 
-    The frozen chain runs end to end on each joined graph and the prediction
-    is the sign of the final signal, averaged over reference batches in
-    sampling mode. Exact zeros fall back to the sign of the accumulated
-    weighted-neighbor signal, then +1.
+    The prediction is the sign of the target signal averaged over reference
+    sets (several in sampling mode). Exact zeros fall back to the sign of the
+    accumulated weighted-neighbor signal, then +1.
     """
     cfg = cfg or state.config
     if state.trained_chain is None:
         raise UsageError("predict called before the pipeline was trained")
     chain, sampling = parse_variant(cfg.variant)
     test_indices = np.asarray(test_indices, dtype=np.int64)
-    if chain == "DML-KNN":
-        return _predict_dml_knn(state, test_indices, cfg, sampling)
-    ref_sets = _reference_sets(state, cfg, sampling)
+    ref_sets = _reference_sets(state, cfg, chain, sampling)
     total = np.zeros(test_indices.size)
     neighbor_total = np.zeros(test_indices.size)
-    for chunk in _chunks(test_indices.size, cfg.unlabeled_per_graph):
-        for refs in ref_sets:
-            final = _joined_final(state, chain, refs, test_indices[chunk], cfg)
-            total[chunk] += final.y[refs.size:]
-            neighbor_total[chunk] += np.asarray(
-                final.laplacian.adjacency[refs.size:] @ final.y).ravel()
-    avg = total / len(ref_sets)
-    pred = np.sign(avg)
+    for refs in ref_sets:
+        signal, neighbor_sum = _transduce(state, chain, refs, test_indices, cfg)
+        total += signal
+        neighbor_total += neighbor_sum
+    pred = np.sign(total / len(ref_sets))
     ties = pred == 0
     pred[ties] = np.sign(neighbor_total[ties])
     pred[pred == 0] = 1.0
-    return pred.astype(np.int8)
-
-
-def _knn_vote(emb_refs: np.ndarray, labels_refs: np.ndarray, emb_targets: np.ndarray,
-              gamma: int) -> np.ndarray:
-    d = pairwise_sq_dists(emb_targets, emb_refs)
-    order = np.argsort(d, axis=1, kind="stable")[:, : min(gamma, emb_refs.shape[0])]
-    return labels_refs[order].sum(axis=1)
-
-
-def _predict_dml_knn(state: PipelineState, test_indices: np.ndarray,
-                     cfg: PipelineConfig, sampling: bool) -> np.ndarray:
-    """Nearest-neighbor vote in the embedding space (the ladder's baseline)."""
-    ds = state.dataset
-    net = state.nets["embed"]
-    emb_test, _ = net.forward_batch(ds.features[test_indices])
-    if sampling:
-        ref_sets = _reference_sets(state, cfg, True)
-    else:
-        ref_sets = [ds.indices(TRAIN)]
-    votes = np.zeros(test_indices.size)
-    for refs in ref_sets:
-        emb_refs, _ = net.forward_batch(ds.features[refs])
-        votes += np.sign(_knn_vote(emb_refs, ds.noisy_labels[refs], emb_test,
-                                   state.gamma0))
-    pred = np.where(votes >= 0, 1, -1)
     return pred.astype(np.int8)
 
 
@@ -630,20 +591,8 @@ def _predict_dml_knn(state: PipelineState, test_indices: np.ndarray,
 def _batch_accuracy(state: PipelineState, chain: str, refs: np.ndarray,
                     target_ids: np.ndarray, target_labels: np.ndarray,
                     cfg: PipelineConfig) -> float:
-    ds = state.dataset
-    if chain == "DML-KNN":
-        emb_refs, _ = state.nets["embed"].forward_batch(ds.features[refs])
-        emb_t, _ = state.nets["embed"].forward_batch(ds.features[target_ids])
-        votes = _knn_vote(emb_refs, ds.noisy_labels[refs], emb_t, state.gamma0)
-        pred = np.where(votes >= 0, 1.0, -1.0)
-        return float(np.mean(pred == target_labels))
-    hits = 0
-    for chunk in _chunks(target_ids.size, cfg.unlabeled_per_graph):
-        final = _joined_final(state, chain, refs, target_ids[chunk], cfg)
-        pred = np.sign(final.y[refs.size:])
-        pred[pred == 0] = 1.0
-        hits += int((pred == target_labels[chunk]).sum())
-    return hits / target_ids.size
+    signal, _ = _transduce(state, chain, refs, target_ids, cfg)
+    return float(np.mean(np.where(signal >= 0, 1.0, -1.0) == target_labels))
 
 
 def rank_sampling(ds: Dataset, state: PipelineState, k: int | None = None,

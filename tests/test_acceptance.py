@@ -311,7 +311,7 @@ def test_criterion_9_spectral_smoothing_trend():
         state = run_variant(ds25, cfg)
 
         def low_quartile_fraction(rec):
-            lam, mag = gft_spectrum(rec.laplacian, rec.y)
+            lam, mag = gft_spectrum(rec.graph.laplacian, rec.y)
             cutoff = np.quantile(lam, 0.25)
             energy = mag**2
             return float(energy[lam <= cutoff].sum() / energy.sum())

@@ -27,12 +27,9 @@ class TestErrorRate:
 
 
 def two_edge_graph(w_same, w_opposite):
-    edges = sp.csr_matrix((np.ones(4, dtype=np.int8),
-                           ([0, 1, 1, 2], [1, 0, 2, 1])), shape=(3, 3))
     weights = sp.csr_matrix((np.array([w_same, w_same, w_opposite, w_opposite]),
                              ([0, 1, 1, 2], [1, 0, 2, 1])), shape=(3, 3))
-    return Graph(n_nodes=3, edges=edges, weights=weights,
-                 gamma=np.ones(3, dtype=np.int64))
+    return Graph(weights=weights, gamma=np.ones(3, dtype=np.int64))
 
 
 class TestMeanEdgeWeightProportion:
@@ -57,13 +54,11 @@ class TestMeanEdgeWeightProportion:
         labels = np.array([1, 1, -1])
         base = mean_edge_weight_proportion(g, labels)
         for c in (0.25, 0.5, 0.9):
-            scaled = Graph(n_nodes=3, edges=g.edges, weights=g.weights * c,
-                           gamma=g.gamma)
+            scaled = Graph(weights=g.weights * c, gamma=g.gamma)
             assert mean_edge_weight_proportion(scaled, labels) == pytest.approx(c * base)
 
     def test_edgeless_graph(self):
-        g = Graph(n_nodes=2, edges=sp.csr_matrix((2, 2), dtype=np.int8),
-                  weights=sp.csr_matrix((2, 2)), gamma=np.ones(2, dtype=np.int64))
+        g = Graph(weights=sp.csr_matrix((2, 2)), gamma=np.ones(2, dtype=np.int64))
         assert mean_edge_weight_proportion(g, np.array([1, -1])) == 0.0
 
 
@@ -218,6 +213,23 @@ class TestRunGrid:
         report = run_grid(grid, tmp_path / "res.csv", TINY_OVERRIDES)
         statuses = sorted(r["status"] for r in report.rows)
         assert statuses == ["error:RuntimeError", "ok"]
+
+    def test_rerun_of_failed_cell_replaces_its_row(self, toy_csv_dir, tmp_path,
+                                                   monkeypatch):
+        real = bench.run_cell
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        grid = tiny_grid(toy_csv_dir, variants=("DML-KNN",), noise_levels=(0.25,))
+        out = tmp_path / "res.csv"
+        monkeypatch.setattr(bench, "run_cell", failing)
+        assert [r["status"] for r in run_grid(grid, out, TINY_OVERRIDES).rows] == [
+            "error:RuntimeError"]
+        monkeypatch.setattr(bench, "run_cell", real)
+        report = run_grid(grid, out, TINY_OVERRIDES)
+        assert [r["status"] for r in report.rows] == ["ok"]
+        assert [r["status"] for r in bench._read_results(out)] == ["ok"]
 
 
 class TestReport:

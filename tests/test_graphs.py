@@ -197,8 +197,7 @@ class TestLaplacian:
         np.testing.assert_allclose(lap.laplacian.toarray(), [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_edgeless_graph_zero_laplacian(self):
-        g = graphs.Graph(n_nodes=3, edges=sp.csr_matrix((3, 3), dtype=np.int8),
-                         weights=sp.csr_matrix((3, 3)), gamma=np.ones(3, dtype=np.int64))
+        g = graphs.Graph(weights=sp.csr_matrix((3, 3)), gamma=np.ones(3, dtype=np.int64))
         lap = build_laplacian(g)
         assert lap.laplacian.nnz == 0
         assert lap.d_max == 0.0
@@ -243,18 +242,16 @@ class TestGraphUpdate:
     def test_weak_opposite_edge_removed(self):
         g, emb = self._weighted_toy()
         gw = assign_weights(g, emb, sigma=0.6)
-        lap = build_laplacian(gw)
         denoised = np.array([1.0, 1.0, -1.0, -1.0])
-        budgets, survivors = surviving_edge_budgets(gw, lap, denoised, beta=0.1)
+        budgets, survivors = surviving_edge_budgets(gw, denoised, beta=0.1)
         # cross-cluster edges are opposite-label: none survive
         assert survivors[1, 2] == 0 and survivors[2, 1] == 0
 
     def test_strong_same_sign_edge_counts(self):
         g, emb = self._weighted_toy()
         gw = assign_weights(g, emb, sigma=0.6)
-        lap = build_laplacian(gw)
         denoised = np.array([1.0, 1.0, -1.0, -1.0])
-        budgets, survivors = surviving_edge_budgets(gw, lap, denoised, beta=0.1)
+        budgets, survivors = surviving_edge_budgets(gw, denoised, beta=0.1)
         assert survivors[0, 1] == 1
         assert budgets[0] >= 1
 
@@ -263,22 +260,20 @@ class TestGraphUpdate:
         emb = np.array([[0.0], [0.2], [0.4], [0.6]])
         g = knn_edges(emb, 1)
         gw = assign_weights(g, emb, sigma=1.0)
-        lap = build_laplacian(gw)
         denoised = np.ones(4)
-        budgets, _ = surviving_edge_budgets(gw, lap, denoised, beta=0.1)
+        budgets, _ = surviving_edge_budgets(gw, denoised, beta=0.1)
         degrees = np.asarray(g.edges.sum(axis=1)).ravel()
         assert np.array_equal(budgets, degrees)
-        updated = graph_update(gw, lap, denoised, emb, beta=0.1)
+        updated = graph_update(gw, denoised, emb, beta=0.1)
         assert np.array_equal(updated.gamma, degrees)
 
     def test_zero_budget_floored_to_one(self, caplog):
         emb = np.array([[0.0], [1.0], [10.0]])
         g = knn_edges(emb, 1)
         gw = assign_weights(g, emb, sigma=0.5)
-        lap = build_laplacian(gw)
         denoised = np.array([1.0, -1.0, 1.0])  # every edge opposite or weak
         with caplog.at_level("INFO"):
-            budgets, _ = surviving_edge_budgets(gw, lap, denoised, beta=0.1)
+            budgets, _ = surviving_edge_budgets(gw, denoised, beta=0.1)
         assert (budgets >= 1).all()
         assert "floored" in caplog.text
 
@@ -287,9 +282,8 @@ class TestGraphUpdate:
         for trial in range(10):
             emb = rng.normal(size=(30, 2))
             g = assign_weights(knn_edges(emb, 4), emb, sigma=1.0)
-            lap = build_laplacian(g)
             denoised = rng.uniform(-1, 1, size=30)
-            _, survivors = surviving_edge_budgets(g, lap, denoised, beta=0.1)
+            _, survivors = surviving_edge_budgets(g, denoised, beta=0.1)
             coo = survivors.tocoo()
             signs = np.sign(denoised)
             assert (signs[coo.row] == signs[coo.col]).all()
@@ -298,9 +292,7 @@ class TestGraphUpdate:
         emb = np.array([[0.0], [0.1], [0.2]])
         g = knn_edges(emb, 2)
         gw = assign_weights(g, emb, sigma=1.0)
-        lap = build_laplacian(gw)
-        budgets, survivors = surviving_edge_budgets(gw, lap, np.array([1.0, 0.0, 1.0]),
-                                                    beta=0.1)
+        budgets, survivors = surviving_edge_budgets(gw, np.array([1.0, 0.0, 1.0]), beta=0.1)
         assert survivors[0, 1] == 0 and survivors[1, 2] == 0
         assert survivors[0, 2] == 1
 
@@ -338,8 +330,7 @@ class TestSpectrum:
             assert np.sum(mags**2) == pytest.approx(np.sum(signal**2), abs=1e-6)
 
     def test_node_guard(self):
-        big = graphs.Graph(n_nodes=4001, edges=sp.csr_matrix((4001, 4001), dtype=np.int8),
-                           weights=sp.csr_matrix((4001, 4001)),
+        big = graphs.Graph(weights=sp.csr_matrix((4001, 4001)),
                            gamma=np.ones(4001, dtype=np.int64))
         lap = build_laplacian(big)
         with pytest.raises(ValidationError, match="subsample"):

@@ -5,7 +5,8 @@ from conftest import blob_dataset, tiny_config
 from dynglr import dataio, pipeline
 from dynglr.dataio import TRAIN, VAL, TEST
 from dynglr.errors import ConfigError, SamplingError, TrainingError, UsageError
-from dynglr.graphs import knn_edges, pairwise_sq_dists, surviving_edge_budgets
+from dynglr.graphs import (assign_weights, knn_edges, pairwise_sq_dists,
+                           surviving_edge_budgets)
 from dynglr.metricnet import node_attention_matrix
 from dynglr.pipeline import (PipelineConfig, PipelineState, batch_signal,
                              build_batches, grid_search_gamma, load_state,
@@ -19,6 +20,29 @@ def attention(y_prev_i, y_cur_i, y_prev_j, y_cur_j, eps: float) -> int:
     phi_i = 1 if abs(y_prev_i - y_cur_i) <= eps else 0
     phi_j = 1 if abs(y_prev_j - y_cur_j) <= eps else 0
     return min(phi_i, phi_j)
+
+
+def loop_neighbor_ids(weights, k):
+    """Row-by-row oracle of unet_inputs' neighbor lists: the k heaviest
+    neighbors (equal weights in column order), a shorter list repeated
+    cyclically, an isolated node repeated itself."""
+    adj = weights.tocsr()
+    adj.sort_indices()
+    ids = np.empty((adj.shape[0], k), dtype=np.int64)
+    for i in range(adj.shape[0]):
+        row = slice(adj.indptr[i], adj.indptr[i + 1])
+        chosen = adj.indices[row][np.argsort(-adj.data[row], kind="stable")[:k]]
+        ids[i] = np.resize(chosen if chosen.size else np.array([i]), k)
+    return ids
+
+
+def knn_vote_oracle(emb_refs, labels_refs, emb_targets, gamma):
+    """Brute-force vote of each target's gamma nearest references, ties by index."""
+    votes = []
+    for e in emb_targets:
+        dists = sorted((float(np.sum((e - r) ** 2)), j) for j, r in enumerate(emb_refs))
+        votes.append(sum(labels_refs[j] for _, j in dists[:gamma]))
+    return np.array(votes)
 
 
 def pair_attention(y_prev, y_cur, eps):
@@ -137,9 +161,7 @@ class TestUnetInputs:
         y = np.array([0.5, -0.3, 0.0])
         emb = np.arange(3.0)[:, None]
         g = knn_edges(emb, 2)
-        from dynglr.graphs import assign_weights, build_laplacian
-        lap = build_laplacian(assign_weights(g, emb, 1.0))
-        out = unet_inputs(feats, y, lap.adjacency, k=2)
+        out = unet_inputs(feats, y, assign_weights(g, emb, 1.0).weights, k=2)
         assert out.shape == (3, 5 + 2 + 4)
         np.testing.assert_allclose(out[0, 5:7], [0.5, 0.0])
         np.testing.assert_allclose(out[1, 5:7], [0.0, -0.3])
@@ -150,14 +172,35 @@ class TestUnetInputs:
         y = np.array([1.0, -1.0])
         emb = np.array([[0.0], [1.0]])
         g = knn_edges(emb, 1)
-        from dynglr.graphs import assign_weights, build_laplacian
-        lap = build_laplacian(assign_weights(g, emb, 1.0))
         with caplog.at_level("INFO"):
-            out = unet_inputs(feats, y, lap.adjacency, k=3)
+            out = unet_inputs(feats, y, assign_weights(g, emb, 1.0).weights, k=3)
         assert "padded" in caplog.text
         # node 0's single neighbor (node 1) is repeated across all three slots
         np.testing.assert_allclose(out[0, 3:5], out[0, 5:7])
         np.testing.assert_allclose(out[0, 5:7], out[0, 7:9])
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_neighbor_lists_match_loop_oracle(self, k, caplog):
+        rng = np.random.default_rng(31)
+        n = 12
+        emb = rng.normal(size=(n, 2))
+        w = assign_weights(knn_edges(emb, 2), emb, 1.0).weights.tolil()
+        w[1, 2] = w[2, 1] = w[1, 3] = w[3, 1] = 0.5  # a tie, broken by column
+        for j in list(w.rows[0]):  # node 0 isolated
+            w[0, j] = w[j, 0] = 0.0
+        w = w.tocsr()
+        w.eliminate_zeros()
+        counts = np.diff(w.indptr)
+        assert counts[0] == 0 and ((counts > 0) & (counts < k)).any()
+        feats = rng.normal(size=(n, 3))
+        y = rng.uniform(-1, 1, n)  # distinct values: each encoding names its node
+        with caplog.at_level("INFO"):
+            out = unet_inputs(feats, y, w, k)
+        oracle = loop_neighbor_ids(w, k)
+        enc = out[:, 3:5]
+        np.testing.assert_array_equal(out[:, :3], feats)
+        np.testing.assert_array_equal(out[:, 5:].reshape(n, k, 2), enc[oracle] - enc[:, None])
+        assert f"padded neighbor lists for {int((counts < k).sum())} nodes" in caplog.text
 
 
 @pytest.fixture(scope="module")
@@ -209,8 +252,7 @@ class TestRunVariant:
         # recounted from the edges that survived the first pass
         rec1, rec2 = state.stages[1], state.stages[2]
         assert (rec2.graph.weights.data == 1.0).all()
-        budgets, _ = surviving_edge_budgets(rec1.graph, rec1.laplacian, rec1.y,
-                                            state.config.beta)
+        budgets, _ = surviving_edge_budgets(rec1.graph, rec1.y, state.config.beta)
         assert np.array_equal(rec2.graph.gamma, budgets)
         pred = predict(state, blobs.indices(TEST)[:20], state.config)
         assert set(np.unique(pred)) <= {-1, 1}
@@ -337,6 +379,24 @@ class TestPredict:
         state = run_variant(blobs, cfg)
         pred = predict(state, blobs.indices(TEST)[:30], cfg)
         assert set(np.unique(pred)) <= {-1, 1}
+
+    @pytest.mark.parametrize("variant", ["DML-KNN", "DML-KNN-s"])
+    def test_dml_knn_matches_brute_force_vote(self, blobs, variant):
+        cfg = tiny_config(variant, seed=5, rank_sample_k=60)
+        state = run_variant(blobs, cfg)
+        test_idx = blobs.indices(TEST)
+        ref_sets = pipeline._reference_sets(state, cfg, "DML-KNN", variant.endswith("s"))
+        if variant == "DML-KNN":
+            assert len(ref_sets) == 1 and np.array_equal(ref_sets[0], blobs.indices(TRAIN))
+        net = state.nets["embed"]
+        emb_test, _ = net.forward_batch(blobs.features[test_idx])
+        votes = np.zeros(test_idx.size)
+        for refs in ref_sets:
+            emb_refs, _ = net.forward_batch(blobs.features[refs])
+            votes += np.sign(knn_vote_oracle(emb_refs, blobs.noisy_labels[refs], emb_test,
+                                             state.gamma0))
+        pred = predict(state, test_idx, cfg)
+        assert np.array_equal(pred, np.where(votes >= 0, 1, -1))
 
     def test_dml_knn_predicts_well_on_blobs(self, blobs):
         cfg = tiny_config("DML-KNN", seed=5)

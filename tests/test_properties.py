@@ -2,6 +2,7 @@
 rule, the Laplacian, and the GLR denoiser."""
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -29,6 +30,16 @@ def weighted_laplacian(emb, gamma, sigma):
     return build_laplacian(assign_weights(knn_edges(emb, gamma), emb, sigma))
 
 
+def masked_max_adjacency(edges, emb, sigma):
+    """The paper's a_ij = max(w_ij e_ij, w_ji e_ji): kernel weights on the
+    edge mask, symmetrized by an elementwise max."""
+    coo = edges.tocoo()
+    diff = emb[coo.row] - emb[coo.col]
+    w = np.exp(-(diff * diff).sum(axis=1) / (2.0 * sigma**2))
+    masked = sp.csr_matrix((w, (coo.row, coo.col)), shape=edges.shape).multiply(edges).tocsr()
+    return masked.maximum(masked.T).tocsr()
+
+
 @PROPERTY
 @given(point_sets())
 def test_knn_symmetric_and_keeps_budgets(points):
@@ -38,6 +49,18 @@ def test_knn_symmetric_and_keeps_budgets(points):
     assert (edges != edges.T).nnz == 0
     assert edges.diagonal().sum() == 0
     assert (edges.getnnz(axis=1) >= np.minimum(gamma, n - 1)).all()
+
+
+@PROPERTY
+@given(point_sets(), st.floats(0.1, 5.0))
+def test_adjacency_is_masked_max_of_weights(points, sigma):
+    # small sigmas underflow far edges to 0, which leave both matrices
+    emb, gamma = points
+    g = knn_edges(emb, gamma)
+    adjacency = build_laplacian(assign_weights(g, emb, sigma)).adjacency
+    oracle = masked_max_adjacency(g.edges, emb, sigma)
+    assert adjacency.nnz == oracle.nnz
+    assert np.array_equal(adjacency.toarray(), oracle.toarray())
 
 
 @PROPERTY
