@@ -43,6 +43,13 @@ class TrainingError(DynglrError, RuntimeError):
     exit_code = 1
 
 
+class SolverError(DynglrError, RuntimeError):
+    """Linear solve failed with no safe fallback; message carries N, the
+    iteration count and the final relative residual."""
+
+    exit_code = 1
+
+
 class UsageError(DynglrError, RuntimeError):
     """API or CLI called in an invalid order (e.g. predict before train)."""
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ValidationError
-from .graphs import LaplacianSystem
+from .errors import SolverError, ValidationError
+from .graphs import DENSE_NODE_GUARD, LaplacianSystem
 
 logger = logging.getLogger(__name__)
 
@@ -79,7 +79,9 @@ def denoise(lap: LaplacianSystem, y_prev: np.ndarray, params: GlrParams,
     An explicit nonnegative mu overrides the params-derived one (mu = 0 is
     the identity). Edgeless graphs short-circuit to the identity. If CG fails
     to reach the relative-residual tolerance within max_iter_factor * N
-    iterations, falls back to a dense direct solve with a warning.
+    iterations, falls back to a dense direct solve with a warning, or raises
+    SolverError above DENSE_NODE_GUARD nodes, where the dense matrix alone
+    would take N^2 * 8 bytes.
     """
     y_prev = np.asarray(y_prev, dtype=np.float64)
     if not np.all(np.isfinite(y_prev)):
@@ -96,8 +98,13 @@ def denoise(lap: LaplacianSystem, y_prev: np.ndarray, params: GlrParams,
                                        params.solver_tol, params.max_iter_factor * n,
                                        residual_log)
     if not converged:
-        logger.warning("CG did not converge in %d iterations; dense fallback",
-                       params.max_iter_factor * n)
+        iters = params.max_iter_factor * n
+        if n > DENSE_NODE_GUARD:
+            residual = np.linalg.norm(y_prev - system @ x) / np.linalg.norm(y_prev)
+            raise SolverError(
+                f"CG did not converge on N={n} nodes in {iters} iterations (relative "
+                f"residual {residual:.3g}); a dense fallback needs N <= {DENSE_NODE_GUARD}")
+        logger.warning("CG did not converge in %d iterations; dense fallback", iters)
         x = np.linalg.solve(system.toarray(), y_prev)
     return x
 

@@ -27,7 +27,9 @@ from .errors import ValidationError
 logger = logging.getLogger(__name__)
 
 _DIST_CHUNK = 512
-_GFT_NODE_GUARD = 4000
+# largest graph for which a dense (N, N) matrix is formed: the spectrum's
+# eigendecomposition and the GLR solver's direct fallback
+DENSE_NODE_GUARD = 4000
 
 
 @dataclass(frozen=True)
@@ -52,9 +54,12 @@ class Graph:
 
     @property
     def edge_pairs(self) -> np.ndarray:
-        """Upper-triangle (i, j) pairs, i < j, one row per undirected edge."""
-        coo = sp.triu(self.weights, k=1).tocoo()
-        return np.column_stack([coo.row, coo.col])
+        """Upper-triangle (i, j) pairs, i < j, one row per undirected edge,
+        in row-major order."""
+        w = self.weights
+        rows = np.repeat(np.arange(w.shape[0], dtype=w.indices.dtype), np.diff(w.indptr))
+        upper = w.indices > rows
+        return np.column_stack([rows[upper], w.indices[upper]])
 
     @cached_property
     def laplacian(self) -> "LaplacianSystem":
@@ -88,8 +93,33 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d
 
 
-def directed_knn(embeddings: np.ndarray, gamma) -> sp.csr_matrix:
-    """Row i selects its gamma_i nearest other rows; ties broken by index."""
+def nearest(d: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k smallest columns in ascending order, ties broken by
+    column index: the first k columns of a stable argsort of the rows, found
+    without sorting them. The k-th value of each row bounds its candidates;
+    only those are sorted."""
+    m, n = d.shape
+    k = min(int(k), n)
+    if k < 1:
+        raise ValidationError("need k >= 1 and at least one column")
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+    # NaN compares false, so a NaN bound or entry stays a candidate
+    rows, cols = np.nonzero(~(d > kth))
+    counts = np.bincount(rows, minlength=m)
+    slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    # candidates in column order, padded with NaN, which sorts after every
+    # value; the stable sort then orders each row by (distance, column)
+    vals = np.full((m, counts.max(initial=0)), np.nan)
+    vals[rows, slot] = d[rows, cols]
+    idx = np.zeros(vals.shape, dtype=np.intp)
+    idx[rows, slot] = cols
+    order = np.argsort(vals, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(idx, order, axis=1)
+
+
+def directed_knn(embeddings: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the selected pairs: row i selects its gamma_i nearest
+    other rows, ties broken by index. Pairs come row by row, nearest first."""
     n = embeddings.shape[0]
     if n < 2:
         raise ValidationError("need at least 2 nodes to build a graph")
@@ -97,27 +127,27 @@ def directed_knn(embeddings: np.ndarray, gamma) -> sp.csr_matrix:
     if gamma.min() < 1:
         raise ValidationError("every gamma_i must be >= 1")
     gamma = np.minimum(gamma, n - 1)
-    rows, cols = [], []
+    cols = []
     for start in range(0, n, _DIST_CHUNK):
         stop = min(start + _DIST_CHUNK, n)
         d = pairwise_sq_dists(embeddings[start:stop], embeddings)
-        for local, i in enumerate(range(start, stop)):
-            d[local, i] = np.inf
-            order = np.argsort(d[local], kind="stable")
-            chosen = order[: gamma[i]]
-            rows.append(np.full(chosen.size, i, dtype=np.int64))
-            cols.append(chosen.astype(np.int64))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.ones(rows.size, dtype=np.int8)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        d[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        budget = gamma[start:stop]
+        nn = nearest(d, budget.max())
+        cols.append(nn[np.arange(nn.shape[1]) < budget[:, None]])
+    return np.repeat(np.arange(n), gamma), np.concatenate(cols)
 
 
 def knn_edges(embeddings: np.ndarray, gamma) -> Graph:
     """Symmetric KNN graph: e_ij = 1 iff j in i's gamma_i nearest or vice versa."""
-    selected = directed_knn(embeddings, gamma)
-    weights = selected.maximum(selected.T).tocsr().astype(np.float64)
+    rows, cols = directed_knn(embeddings, gamma)
     n = embeddings.shape[0]
+    # each undirected edge once per direction, in row-major order (a sort and
+    # a neighbour compare: np.unique is ten times slower on 100-node graphs)
+    keys = np.sort(np.concatenate([rows * n + cols, cols * n + rows]))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    weights = sp.csr_matrix((np.ones(keys.size), keys % n, indptr), shape=(n, n))
     gamma_vec = np.broadcast_to(np.asarray(gamma, dtype=np.int64), (n,)).copy()
     return Graph(weights=weights, gamma=gamma_vec)
 
@@ -238,10 +268,10 @@ def gft_spectrum(lap: LaplacianSystem, signal: np.ndarray) -> tuple[np.ndarray, 
     subsample instead of stalling.
     """
     n = lap.laplacian.shape[0]
-    if n > _GFT_NODE_GUARD:
+    if n > DENSE_NODE_GUARD:
         raise ValidationError(
             f"spectrum needs a dense eigendecomposition; N={n} exceeds the "
-            f"{_GFT_NODE_GUARD}-node guard - subsample the graph first")
+            f"{DENSE_NODE_GUARD}-node guard - subsample the graph first")
     eigvals, eigvecs = np.linalg.eigh(lap.laplacian.toarray())
     coefs = eigvecs.T @ np.asarray(signal, dtype=np.float64)
     return eigvals, np.abs(coefs)

@@ -40,7 +40,7 @@ from . import dataio
 from .dataio import TRAIN, VAL, Dataset
 from .errors import ConfigError, SamplingError, UsageError
 from .glr import GlrParams, denoise
-from .graphs import (Graph, assign_weights, auto_sigma, graph_update, knn_edges,
+from .graphs import (Graph, assign_weights, auto_sigma, graph_update, knn_edges, nearest,
                      pairwise_sq_dists, partition_edges)
 from .metricnet import (MetricNet, NetConfig, load_checkpoint, node_attention_matrix,
                         sample_triplets, save_checkpoint, train, triplet_loss_E,
@@ -269,10 +269,10 @@ def grid_search_gamma(embeddings: np.ndarray, train_pos: np.ndarray,
     if not candidates:
         raise ConfigError("gamma candidate set is empty")
     d = pairwise_sq_dists(embeddings[val_pos], embeddings[train_pos])
-    order = np.argsort(d, axis=1, kind="stable")
+    order = nearest(d, candidates[-1])
     best_gamma, best_acc = None, -1.0
     for gamma in candidates:
-        nn = order[:, : min(gamma, train_pos.size)]
+        nn = order[:, :gamma]
         votes = train_labels[nn].sum(axis=1)
         pred = np.where(votes >= 0, 1.0, -1.0)
         acc = float(np.mean(pred == np.sign(val_labels)))
@@ -545,8 +545,8 @@ def _transduce(state: PipelineState, chain: str, refs: np.ndarray, targets: np.n
         emb_refs, _ = net.forward_batch(ds.features[refs])
         emb_targets, _ = net.forward_batch(ds.features[targets])
         d = pairwise_sq_dists(emb_targets, emb_refs)
-        nearest = np.argsort(d, axis=1, kind="stable")[:, : min(state.gamma0, refs.size)]
-        return np.sign(ds.noisy_labels[refs][nearest].sum(axis=1)), np.zeros(targets.size)
+        votes = ds.noisy_labels[refs][nearest(d, state.gamma0)].sum(axis=1)
+        return np.sign(votes), np.zeros(targets.size)
     signal = np.empty(targets.size)
     neighbor_sum = np.empty(targets.size)
     for chunk in _chunks(targets.size, cfg.unlabeled_per_graph):

@@ -1,9 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from dynglr.errors import ValidationError
+from dynglr import glr
+from dynglr.errors import SolverError, ValidationError
 from dynglr.glr import GlrParams, denoise, mu_max
 from dynglr.graphs import assign_weights, build_laplacian, knn_edges
 
@@ -117,6 +119,35 @@ class TestDenoise:
         residuals = []
         denoise(lap, rng.uniform(-1, 1, 25), GlrParams(), residual_log=residuals)
         assert residuals and residuals[-1] <= residuals[0]
+
+    def test_unconverged_cg_at_node_guard_falls_back_to_dense_solve(self, monkeypatch,
+                                                                    caplog):
+        monkeypatch.setattr(glr, "DENSE_NODE_GUARD", 30)
+        rng = np.random.default_rng(8)
+        lap = random_weighted_laplacian(rng, 30)
+        y = rng.uniform(-1, 1, 30)
+        params = GlrParams(max_iter_factor=0)  # CG stops before its first step
+        with caplog.at_level(logging.WARNING, logger="dynglr.glr"):
+            got = denoise(lap, y, params)
+        assert [r.getMessage() for r in caplog.records] == [
+            "CG did not converge in 0 iterations; dense fallback"]
+        mu = params.mu_fraction * mu_max(params.kappa, lap.d_max)
+        expected = np.linalg.solve(np.eye(30) + mu * lap.laplacian.toarray(), y)
+        assert np.array_equal(got, expected)
+
+    def test_unconverged_cg_above_node_guard_raises(self, monkeypatch, caplog):
+        monkeypatch.setattr(glr, "DENSE_NODE_GUARD", 29)
+        rng = np.random.default_rng(8)
+        lap = random_weighted_laplacian(rng, 30)
+        y = rng.uniform(-1, 1, 30)
+        params = GlrParams(max_iter_factor=0)
+        # with no CG step the iterate is still y, so its residual is mu ||L y|| / ||y||
+        mu = params.mu_fraction * mu_max(params.kappa, lap.d_max)
+        residual = mu * np.linalg.norm(lap.laplacian @ y) / np.linalg.norm(y)
+        with pytest.raises(SolverError, match=fr"N=30 nodes in 0 iterations "
+                                              fr"\(relative residual {residual:.3g}\)"):
+            denoise(lap, y, params)
+        assert not caplog.records
 
 
 class TestParams:

@@ -1,14 +1,17 @@
-"""Property tests of the graph layer every chain step builds on: the KNN
-rule, the Laplacian, and the GLR denoiser."""
+"""Property tests of the graph layer every chain step builds on: the
+neighbour-selection kernel and the KNN rule, the kernel scale, the
+Laplacian, and the GLR denoiser."""
 
 import numpy as np
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dynglr.glr import GlrParams, denoise
-from dynglr.graphs import assign_weights, build_laplacian, knn_edges
+from dynglr.graphs import (EdgePartition, assign_weights, auto_sigma, build_laplacian,
+                           directed_knn, edge_distances, kernel_margin, knn_edges, nearest,
+                           pairwise_sq_dists)
 
 # fixed example sequence, so a failure reproduces on every run
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -26,6 +29,43 @@ def point_sets(draw):
     return emb, gamma
 
 
+@st.composite
+def tied_point_sets(draw):
+    """(embeddings, per-node budgets) on a coarse integer lattice, so many
+    distances tie, with budgets up to past n - 1. Sets of more than 512
+    points span two distance chunks; they come from a drawn seed, because
+    drawing each coordinate of so many points is slow."""
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 30))
+        emb = draw(arrays(np.float64, (n, dim), elements=st.integers(0, 3).map(float)))
+        gamma = draw(arrays(np.int64, n, elements=st.integers(1, n + 2)))
+        return emb, gamma
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(513, 560))
+    emb = rng.integers(0, 4, size=(n, dim)).astype(np.float64)
+    gamma = rng.integers(1, 12, size=n)
+    gamma[rng.random(n) < 0.02] = n + 2
+    return emb, gamma
+
+
+def loop_directed_knn(emb, gamma):
+    """The per-row selection kernel replaced: one stable argsort of each
+    distance row, self excluded, first gamma_i columns."""
+    n = emb.shape[0]
+    gamma = np.minimum(gamma, n - 1)
+    rows, cols = [], []
+    for start in range(0, n, 512):
+        stop = min(start + 512, n)
+        d = pairwise_sq_dists(emb[start:stop], emb)
+        for local, i in enumerate(range(start, stop)):
+            d[local, i] = np.inf
+            chosen = np.argsort(d[local], kind="stable")[: gamma[i]]
+            rows.append(np.full(chosen.size, i, dtype=np.int64))
+            cols.append(chosen.astype(np.int64))
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def weighted_laplacian(emb, gamma, sigma):
     return build_laplacian(assign_weights(knn_edges(emb, gamma), emb, sigma))
 
@@ -38,6 +78,67 @@ def masked_max_adjacency(edges, emb, sigma):
     w = np.exp(-(diff * diff).sum(axis=1) / (2.0 * sigma**2))
     masked = sp.csr_matrix((w, (coo.row, coo.col)), shape=edges.shape).multiply(edges).tocsr()
     return masked.maximum(masked.T).tocsr()
+
+
+@PROPERTY
+@given(st.integers(1, 12), st.integers(1, 12), st.data())
+def test_nearest_is_stable_argsort_prefix(m, n, data):
+    # few distinct values (many ties), +inf and NaN entries, and k up to past n
+    values = st.integers(0, 3).map(float) | st.just(np.inf) | st.just(np.nan)
+    d = data.draw(arrays(np.float64, (m, n), elements=values))
+    k = data.draw(st.integers(1, n + 3))
+    expected = np.argsort(d, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(nearest(d, k), expected)
+
+
+@PROPERTY
+@given(tied_point_sets())
+def test_directed_knn_matches_row_loop(points):
+    emb, gamma = points
+    rows, cols = directed_knn(emb, gamma)
+    expected_rows, expected_cols = loop_directed_knn(emb, gamma)
+    assert np.array_equal(rows, expected_rows)
+    assert np.array_equal(cols, expected_cols)
+
+
+@PROPERTY
+@given(tied_point_sets())
+def test_knn_edges_match_sparse_constructions(points):
+    """The OR-symmetric csr and its upper-triangle pairs equal the scipy
+    constructions they replaced, arrays and dtypes alike."""
+    emb, gamma = points
+    n = emb.shape[0]
+    rows, cols = loop_directed_knn(emb, gamma)
+    selected = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
+    expected = selected.maximum(selected.T).tocsr().astype(np.float64)
+    g = knn_edges(emb, gamma)
+    for name in ("indices", "indptr", "data"):
+        got, want = getattr(g.weights, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    coo = sp.triu(expected, k=1).tocoo()
+    expected_pairs = np.column_stack([coo.row, coo.col])
+    assert g.edge_pairs.dtype == expected_pairs.dtype
+    assert np.array_equal(g.edge_pairs, expected_pairs)
+
+
+@PROPERTY
+@given(point_sets(), st.data())
+def test_auto_sigma_beats_log_grid(points, data):
+    """With wQ > wP, the closed-form scale is the maximizer of the kernel
+    margin: no sigma on a log-spaced grid does better."""
+    emb, _ = points
+    n = emb.shape[0]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edge_sets = [np.array(data.draw(st.lists(pair, min_size=1, max_size=20)))
+                 for _ in range(2)]
+    w_a, w_b = (float(edge_distances(emb, e).mean()) for e in edge_sets)
+    assume(min(w_a, w_b) >= 1e-12 and w_a != w_b)
+    same, opposite = edge_sets if w_a < w_b else edge_sets[::-1]
+    w_p, w_q = min(w_a, w_b), max(w_a, w_b)
+    sigma = auto_sigma(emb, EdgePartition(same=same, opposite=opposite))
+    grid = np.logspace(np.log10(w_p) - 3, np.log10(w_q) + 3, 2001)
+    best = max(kernel_margin(s, w_p, w_q) for s in grid)
+    assert kernel_margin(sigma, w_p, w_q) >= best - 1e-12
 
 
 @PROPERTY
