@@ -7,10 +7,9 @@ nodes are classified transductively against reference training nodes.
 """
 
 from .dataio import Dataset, NoiseSpec, inject_label_noise, load_csv, stratified_split
-from .glr import GlrParams, denoise, mu_max
-from .graphs import (Graph, LaplacianSystem, assign_weights, auto_sigma,
-                     build_laplacian, gft_spectrum, graph_update, knn_edges,
-                     partition_edges)
+from .glr import denoise, mu_max
+from .graphs import (Graph, assign_weights, auto_sigma, build_laplacian, gft_spectrum,
+                     graph_update, knn_edges, partition_edges)
 from .metricnet import (MetricNet, NetConfig, Triplet, sample_triplets, train,
                         triplet_loss_E, triplet_loss_W)
 from .pipeline import (PipelineConfig, PipelineState, predict, rank_sampling,
@@ -22,8 +21,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "NoiseSpec", "load_csv", "stratified_split", "inject_label_noise",
-    "GlrParams", "mu_max", "denoise",
-    "Graph", "LaplacianSystem", "knn_edges", "partition_edges", "auto_sigma",
+    "mu_max", "denoise",
+    "Graph", "knn_edges", "partition_edges", "auto_sigma",
     "assign_weights", "build_laplacian", "graph_update", "gft_spectrum",
     "MetricNet", "NetConfig", "Triplet", "triplet_loss_E", "triplet_loss_W",
     "sample_triplets", "train",

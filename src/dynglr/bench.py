@@ -13,7 +13,7 @@ import csv
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -223,14 +223,25 @@ def _read_results(path: Path) -> list[dict]:
         return list({_cell_key(r): r for r in csv.DictReader(fh)}.values())
 
 
+def _check_overrides(config_overrides: dict) -> None:
+    """Refuse overrides no cell could take; each cell sets variant and seed."""
+    settable = [f.name for f in fields(PipelineConfig) if f.name not in ("variant", "seed")]
+    unknown = sorted(set(config_overrides) - set(settable))
+    if unknown:
+        raise ConfigError(f"unknown config_overrides {unknown}; settable: {settable}")
+    PipelineConfig(**config_overrides)
+
+
 def run_grid(grid: ExperimentGrid, out_csv, config_overrides: dict | None = None
              ) -> Report:
     """Run every cell, appending one CSV row per finished cell.
 
     Completed cells found in an existing results file are not recomputed; a
     failing cell is recorded with an error tag and the grid continues. A
-    rerun cell's new row replaces its old one in the report.
+    rerun cell's new row replaces its old one in the report. Invalid
+    overrides raise ConfigError before any row is written.
     """
+    _check_overrides(config_overrides or {})
     out_csv = Path(out_csv)
     rows = {_cell_key(r): r for r in _read_results(out_csv)}
     done = {key for key, r in rows.items() if r["status"] == "ok"}

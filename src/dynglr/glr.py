@@ -11,29 +11,21 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import SolverError, ValidationError
-from .graphs import DENSE_NODE_GUARD, LaplacianSystem
+from .graphs import DENSE_NODE_GUARD
 
 logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class GlrParams:
-    kappa: float = 60.0
-    mu_fraction: float = 0.67
-    solver_tol: float = 1e-10
-    max_iter_factor: int = 10
-
-    def __post_init__(self):
-        if self.kappa <= 1:
-            raise ValidationError("kappa must exceed 1")
-        if not 0 < self.mu_fraction <= 1:
-            raise ValidationError("mu_fraction must be in (0, 1]")
+# the paper's condition bound, and the share of the largest mu it allows
+KAPPA = 60.0
+MU_FRACTION = 0.67
+# CG stops at this relative residual, or after MAX_ITER_FACTOR * N iterations
+SOLVER_TOL = 1e-10
+MAX_ITER_FACTOR = 10
 
 
 def mu_max(kappa: float, d_max: float) -> float:
@@ -72,33 +64,34 @@ def _conjugate_gradient(system: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
     return x, math.sqrt(rr) <= tol * b_norm
 
 
-def denoise(lap: LaplacianSystem, y_prev: np.ndarray, params: GlrParams,
-            mu: float | None = None, residual_log: list | None = None) -> np.ndarray:
-    """Solve (I + mu L) y = y_prev with mu = mu_fraction * mu_max.
+def denoise(laplacian: sp.csr_matrix, y_prev: np.ndarray, mu: float | None = None,
+            residual_log: list | None = None) -> np.ndarray:
+    """Solve (I + mu L) y = y_prev with mu = MU_FRACTION * mu_max(KAPPA, d_max).
 
-    An explicit nonnegative mu overrides the params-derived one (mu = 0 is
-    the identity). Edgeless graphs short-circuit to the identity. If CG fails
-    to reach the relative-residual tolerance within max_iter_factor * N
-    iterations, falls back to a dense direct solve with a warning, or raises
-    SolverError above DENSE_NODE_GUARD nodes, where the dense matrix alone
-    would take N^2 * 8 bytes.
+    d_max is the largest diagonal entry of L, the largest degree. An
+    explicit nonnegative mu overrides the derived one (mu = 0 is the
+    identity). Edgeless graphs short-circuit to the identity. If CG fails to
+    reach SOLVER_TOL within MAX_ITER_FACTOR * N iterations, falls back to a
+    dense direct solve with a warning, or raises SolverError above
+    DENSE_NODE_GUARD nodes, where the dense matrix alone would take N^2 * 8
+    bytes.
     """
     y_prev = np.asarray(y_prev, dtype=np.float64)
     if not np.all(np.isfinite(y_prev)):
         raise ValidationError("input signal contains non-finite values")
     if mu is not None and mu < 0:
         raise ValidationError("mu must be nonnegative")
-    if lap.d_max == 0.0 or mu == 0.0:
+    d_max = float(laplacian.diagonal().max(initial=0.0))
+    if d_max == 0.0 or mu == 0.0:
         return y_prev.copy()
     n = y_prev.shape[0]
     if mu is None:
-        mu = params.mu_fraction * mu_max(params.kappa, lap.d_max)
-    system = (sp.identity(n, format="csr") + mu * lap.laplacian).tocsr()
-    x, converged = _conjugate_gradient(system, y_prev, y_prev,
-                                       params.solver_tol, params.max_iter_factor * n,
+        mu = MU_FRACTION * mu_max(KAPPA, d_max)
+    system = (sp.identity(n, format="csr") + mu * laplacian).tocsr()
+    iters = MAX_ITER_FACTOR * n
+    x, converged = _conjugate_gradient(system, y_prev, y_prev, SOLVER_TOL, iters,
                                        residual_log)
     if not converged:
-        iters = params.max_iter_factor * n
         if n > DENSE_NODE_GUARD:
             residual = np.linalg.norm(y_prev - system @ x) / np.linalg.norm(y_prev)
             raise SolverError(

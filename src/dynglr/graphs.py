@@ -62,18 +62,10 @@ class Graph:
         return np.column_stack([rows[upper], w.indices[upper]])
 
     @cached_property
-    def laplacian(self) -> "LaplacianSystem":
+    def laplacian(self) -> sp.csr_matrix:
         """Built on first use: most frozen-chain graphs are reweighted
         before any denoising pass needs their Laplacian."""
         return build_laplacian(self)
-
-
-@dataclass(frozen=True)
-class LaplacianSystem:
-    adjacency: sp.csr_matrix
-    degrees: np.ndarray
-    laplacian: sp.csr_matrix
-    d_max: float
 
 
 @dataclass(frozen=True)
@@ -216,18 +208,14 @@ def assign_weights(g: Graph, embeddings: np.ndarray, sigma: float) -> Graph:
     return Graph(weights=weights, gamma=g.gamma)
 
 
-def build_laplacian(g: Graph) -> LaplacianSystem:
-    """L = D - A, with the symmetric weight matrix as A."""
-    adjacency = g.weights
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    laplacian = (sp.diags(degrees) - adjacency).tocsr()
-    d_max = float(degrees.max()) if degrees.size else 0.0
-    return LaplacianSystem(adjacency=adjacency, degrees=degrees,
-                           laplacian=laplacian, d_max=d_max)
+def build_laplacian(g: Graph) -> sp.csr_matrix:
+    """L = D - A, with the symmetric weight matrix as A. The diagonal of L
+    holds the degrees, since A has no self-loops."""
+    degrees = np.asarray(g.weights.sum(axis=1)).ravel()
+    return (sp.diags(degrees) - g.weights).tocsr()
 
 
-def surviving_edge_budgets(g: Graph, denoised: np.ndarray, beta: float
-                           ) -> tuple[np.ndarray, sp.csr_matrix]:
+def surviving_edge_budgets(g: Graph, denoised: np.ndarray, beta: float) -> np.ndarray:
     """Per-node counts of edges that stayed reliable after denoising.
 
     An edge survives iff its endpoints share the sign of the denoised signal
@@ -235,19 +223,17 @@ def surviving_edge_budgets(g: Graph, denoised: np.ndarray, beta: float
     are edges touching an exactly-zero (unlabeled) value. Budgets are floored
     at 1 (logged).
     """
-    coo = g.weights.tocoo()
-    si = np.sign(denoised[coo.row])
-    sj = np.sign(denoised[coo.col])
-    survive = (si != 0) & (sj != 0) & (si == sj) & (coo.data > beta)
-    survivors = sp.csr_matrix(
-        (np.ones(int(survive.sum()), dtype=np.int8),
-         (coo.row[survive], coo.col[survive])), shape=coo.shape)
-    budgets = np.asarray(survivors.sum(axis=1)).ravel().astype(np.int64)
+    w = g.weights
+    rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
+    si = np.sign(denoised[rows])
+    sj = np.sign(denoised[w.indices])
+    survive = (si != 0) & (sj != 0) & (si == sj) & (w.data > beta)
+    budgets = np.bincount(rows[survive], minlength=w.shape[0]).astype(np.int64)
     floored = budgets < 1
     if floored.any():
         logger.info("floored %d node budgets to 1", int(floored.sum()))
         budgets = np.maximum(budgets, 1)
-    return budgets, survivors
+    return budgets
 
 
 def graph_update(g: Graph, denoised: np.ndarray, embeddings_new: np.ndarray,
@@ -257,22 +243,22 @@ def graph_update(g: Graph, denoised: np.ndarray, embeddings_new: np.ndarray,
     Returns an unweighted graph (weights identically 1) whose per-node budgets
     are the survivor counts.
     """
-    budgets, _ = surviving_edge_budgets(g, denoised, beta)
-    return knn_edges(embeddings_new, budgets)
+    return knn_edges(embeddings_new, surviving_edge_budgets(g, denoised, beta))
 
 
-def gft_spectrum(lap: LaplacianSystem, signal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gft_spectrum(laplacian: sp.csr_matrix, signal: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of L (ascending) and |projection| of the signal on each mode.
 
     Dense eigendecomposition; refuses above the node guard so callers
     subsample instead of stalling.
     """
-    n = lap.laplacian.shape[0]
+    n = laplacian.shape[0]
     if n > DENSE_NODE_GUARD:
         raise ValidationError(
             f"spectrum needs a dense eigendecomposition; N={n} exceeds the "
             f"{DENSE_NODE_GUARD}-node guard - subsample the graph first")
-    eigvals, eigvecs = np.linalg.eigh(lap.laplacian.toarray())
+    eigvals, eigvecs = np.linalg.eigh(laplacian.toarray())
     coefs = eigvecs.T @ np.asarray(signal, dtype=np.float64)
     return eigvals, np.abs(coefs)
 

@@ -29,14 +29,19 @@ class Triplet(NamedTuple):
     negative: int
 
 
+# adaptive-moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class NetConfig:
     """Architecture and schedule for one embedding network.
 
     layer_widths are the hidden widths; the output width is embedding_dim.
-    shallow_tap_index defaults to the last hidden layer. skip_to_layer, when
-    set, concatenates the raw input onto that layer's input (used by the
-    second-iteration weighting net).
+    skip_to_layer, when set, concatenates the raw input onto that layer's
+    input (used by the second-iteration weighting net).
     """
 
     layer_widths: tuple = ()
@@ -44,25 +49,18 @@ class NetConfig:
     lr_start: float = 0.02
     lr_end: float = 0.01
     epochs: int = 60
-    shallow_tap_index: int | None = None
     skip_to_layer: int | None = None
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        n_layers = len(self.layer_widths) + 1
         if any(w < 1 for w in self.layer_widths) or self.embedding_dim < 1:
             raise ConfigError("layer widths must be positive")
         if not self.lr_start >= self.lr_end > 0:
             raise ConfigError("need lr_start >= lr_end > 0")
         if self.epochs < 1:
             raise ConfigError("epochs must be positive")
-        if self.shallow_tap_index is not None and not 0 <= self.shallow_tap_index < n_layers:
-            raise ConfigError("shallow_tap_index must index a layer")
-        if self.skip_to_layer is not None and not 1 <= self.skip_to_layer < n_layers:
+        if self.skip_to_layer is not None and not 1 <= self.skip_to_layer <= len(self.layer_widths):
             raise ConfigError("skip_to_layer must index a non-input layer")
 
 
@@ -74,8 +72,8 @@ class MetricNet:
         self.config = config
         dims = [self.in_dim] + list(config.layer_widths) + [config.embedding_dim]
         self.n_layers = len(dims) - 1
-        tap = config.shallow_tap_index
-        self.shallow_tap = tap if tap is not None else max(self.n_layers - 2, 0)
+        # the last hidden layer (the output layer when there is none)
+        self.shallow_tap = max(self.n_layers - 2, 0)
         rng = substream(config.seed, "init")
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
@@ -271,19 +269,19 @@ def adam_step(net: MetricNet, grads: Sequence[np.ndarray], state: AdamState,
     weight_decay adds the l2 penalty gradient on weight matrices (biases
     excluded, as usual).
     """
-    cfg = net.config
+    decay = net.config.weight_decay
     state.t += 1
-    b1t = 1.0 - cfg.adam_beta1**state.t
-    b2t = 1.0 - cfg.adam_beta2**state.t
+    b1t = 1.0 - ADAM_BETA1**state.t
+    b2t = 1.0 - ADAM_BETA2**state.t
     n_weights = len(net.weights)
     for k, (p, g, m, v) in enumerate(zip(net.parameters(), grads, state.m, state.v)):
-        if cfg.weight_decay and k < n_weights:
-            g = g + cfg.weight_decay * p
-        m *= cfg.adam_beta1
-        m += (1.0 - cfg.adam_beta1) * g
-        v *= cfg.adam_beta2
-        v += (1.0 - cfg.adam_beta2) * g * g
-        p -= lr * (m / b1t) / (np.sqrt(v / b2t) + cfg.adam_eps)
+        if decay and k < n_weights:
+            g = g + decay * p
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 def lr_at(config: NetConfig, epoch: int) -> float:
@@ -343,9 +341,16 @@ _V1_FIELDS = ("layer_widths", "embedding_dim", "lr_start", "lr_end", "epochs",
 
 
 def load_checkpoint(path) -> MetricNet:
+    """Reads every checkpoint version. The shallow tap is always the last
+    hidden layer: a file that put it elsewhere is refused."""
     with np.load(Path(path), allow_pickle=False) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        fields = meta.get("config") or {k: meta[k] for k in _V1_FIELDS}
+        fields = dict(meta.get("config") or {k: meta[k] for k in _V1_FIELDS})
+        tap = fields.pop("shallow_tap_index", None)
+        if tap not in (None, max(len(fields["layer_widths"]) - 1, 0)):
+            raise ConfigError(f"{path}: shallow tap at layer {tap}, not the last hidden one")
+        for key in ("adam_beta1", "adam_beta2", "adam_eps"):  # training-only, now fixed
+            fields.pop(key, None)
         config = NetConfig(**{**fields, "layer_widths": tuple(fields["layer_widths"])})
         net = MetricNet(meta["in_dim"], config)
         net.weights = [data[f"w{k}"] for k in range(net.n_layers)]

@@ -36,10 +36,10 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from . import dataio
+from . import dataio, glr
 from .dataio import TRAIN, VAL, Dataset
 from .errors import ConfigError, SamplingError, UsageError
-from .glr import GlrParams, denoise
+from .glr import denoise
 from .graphs import (Graph, assign_weights, auto_sigma, graph_update, knn_edges, nearest,
                      pairwise_sq_dists, partition_edges)
 from .metricnet import (MetricNet, NetConfig, load_checkpoint, node_attention_matrix,
@@ -100,39 +100,45 @@ PRESETS = {
 }
 
 
+# The paper's fixed values: triplet hinge margins of the embedding (E) and
+# weighted (W) losses, the attention thresholds of the two weighting rounds,
+# and the weight an edge must exceed to count toward its endpoints' budgets.
+MARGIN_E = 10.0
+MARGIN_W = 10.0
+EPS1 = 0.6
+EPS2 = 0.15
+BETA = 0.1
+# batch graphs per epoch; each holds 80 labeled train and 20 unlabeled val nodes
+GRAPHS_PER_EPOCH = 16
+LABELED_PER_GRAPH = 80
+UNLABELED_PER_GRAPH = 20
+TRIPLETS_PER_GRAPH = 80
+# neighbors whose label encodings the update net sees
+UNET_NEIGHBORS = 6
+GAMMA_CANDIDATES = (2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
+EMBEDDING_DIM = 16
+# the per-dataset schedules were published for convolutional stacks; the
+# dense stacks need smaller adaptive-moment steps or they memorize label
+# noise instead of the majority structure
+LR_SCALE = 0.03
+WEIGHT_DECAY = 1e-3
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     variant: str = "G-12312"
-    margin_e: float = 10.0
-    margin_w: float = 10.0
-    eps1: float = 0.6
-    eps2: float = 0.15
-    beta: float = 0.1
-    glr: GlrParams = field(default_factory=GlrParams)
-    graphs_per_epoch: int = 16
-    labeled_per_graph: int = 80
-    unlabeled_per_graph: int = 20
-    triplets_per_graph: int = 80
-    unet_neighbors: int = 6
     rank_sample_k: int = 480
     rank_sample_batches: int = 6
     rank_coverage: float = 3.0
-    gamma_candidates: tuple = (2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
-    embedding_dim: int = 16
     arch: ArchPreset = field(default_factory=lambda: PRESETS["default"])
-    # the per-dataset schedules were published for convolutional stacks; the
-    # dense stacks need smaller adaptive-moment steps or they memorize label
-    # noise instead of the majority structure
-    lr_scale: float = 0.03
-    weight_decay: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
         parse_variant(self.variant)
+        if not isinstance(self.arch, ArchPreset):
+            raise ConfigError(f"arch must be an ArchPreset, not {type(self.arch).__name__}")
         if self.rank_sample_k % self.rank_sample_batches != 0:
             raise ConfigError("rank_sample_k must divide into rank_sample_batches")
-        if self.labeled_per_graph + self.unlabeled_per_graph != 100:
-            raise ConfigError("each batch graph must hold 100 nodes (80 labeled + 20 unlabeled)")
 
     @classmethod
     def for_dataset(cls, dataset_id: str, **overrides) -> "PipelineConfig":
@@ -148,10 +154,10 @@ class PipelineConfig:
         if stage == "weight2":
             skip = len(hidden) - 1 if len(hidden) >= 2 else (1 if hidden else None)
         lr_start, lr_end = getattr(arch, f"{stage}_lr")
-        return NetConfig(hidden, self.embedding_dim, self.lr_scale * lr_start,
-                         self.lr_scale * lr_end, getattr(arch, f"{stage}_epochs"),
-                         skip_to_layer=skip, seed=substream_seed(self.seed, "net", stage),
-                         weight_decay=self.weight_decay)
+        return NetConfig(hidden, EMBEDDING_DIM, LR_SCALE * lr_start, LR_SCALE * lr_end,
+                         getattr(arch, f"{stage}_epochs"), skip_to_layer=skip,
+                         seed=substream_seed(self.seed, "net", stage),
+                         weight_decay=WEIGHT_DECAY)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +179,7 @@ class Batch:
     labeled: np.ndarray
 
 
-def build_batches(ds: Dataset, cfg: PipelineConfig, seed: int) -> list[Batch]:
+def build_batches(ds: Dataset, seed: int) -> list[Batch]:
     """16 batch graphs of 80 train + 20 val nodes, disjoint within the epoch.
 
     If a split cannot cover the epoch without reuse, nodes are drawn with
@@ -181,9 +187,9 @@ def build_batches(ds: Dataset, cfg: PipelineConfig, seed: int) -> list[Batch]:
     """
     rng = substream(seed, "batches")
     pools = []
-    for idx, per_graph in ((ds.indices(TRAIN), cfg.labeled_per_graph),
-                           (ds.indices(VAL), cfg.unlabeled_per_graph)):
-        need = cfg.graphs_per_epoch * per_graph
+    for idx, per_graph in ((ds.indices(TRAIN), LABELED_PER_GRAPH),
+                           (ds.indices(VAL), UNLABELED_PER_GRAPH)):
+        need = GRAPHS_PER_EPOCH * per_graph
         if idx.size >= need:
             pool = rng.choice(idx, size=need, replace=False)
         else:
@@ -192,9 +198,9 @@ def build_batches(ds: Dataset, cfg: PipelineConfig, seed: int) -> list[Batch]:
             pool = rng.choice(idx, size=need, replace=True)
         pools.append(pool)
     batches = []
-    for k in range(cfg.graphs_per_epoch):
-        tr = pools[0][k * cfg.labeled_per_graph:(k + 1) * cfg.labeled_per_graph]
-        va = pools[1][k * cfg.unlabeled_per_graph:(k + 1) * cfg.unlabeled_per_graph]
+    for k in range(GRAPHS_PER_EPOCH):
+        tr = pools[0][k * LABELED_PER_GRAPH:(k + 1) * LABELED_PER_GRAPH]
+        va = pools[1][k * UNLABELED_PER_GRAPH:(k + 1) * UNLABELED_PER_GRAPH]
         ids = np.concatenate([tr, va])
         labeled = np.zeros(ids.size, dtype=bool)
         labeled[: tr.size] = True
@@ -289,7 +295,7 @@ def _train_net(state: PipelineState, stage: str, net: MetricNet, loss_of_batch) 
     cfg = state.config
 
     def batches(epoch):
-        return build_batches(state.dataset, cfg, substream_seed(cfg.seed, stage, "epoch", epoch))
+        return build_batches(state.dataset, substream_seed(cfg.seed, stage, "epoch", epoch))
 
     state.stage_losses[stage] = train(net, batches, loss_of_batch, stage)
     state.nets[stage] = net
@@ -299,7 +305,7 @@ def _triplets_or_skip(labels: np.ndarray, cfg: PipelineConfig, stage: str, epoch
                       b_idx: int):
     """The batch's triplets, or None (logged) when a class lacks members."""
     try:
-        return sample_triplets(labels, cfg.triplets_per_graph,
+        return sample_triplets(labels, TRIPLETS_PER_GRAPH,
                                substream_seed(cfg.seed, stage, "trip", epoch, b_idx))
     except SamplingError:
         logger.info("%s: single-class batch skipped (epoch %d)", stage, epoch)
@@ -316,7 +322,7 @@ def run_stage_gnet(state: PipelineState, inputs: np.ndarray) -> MetricNet:
         trips = _triplets_or_skip(batch_signal(ds, batch), cfg, "embed", epoch, b_idx)
         if trips is None:
             return None
-        return triplet_loss_E(net, ds.features[batch.ids], trips, cfg.margin_e)
+        return triplet_loss_E(net, ds.features[batch.ids], trips, MARGIN_E)
 
     _train_net(state, "embed", net, loss_of_batch)
     emb_work, _ = net.forward_batch(inputs)
@@ -325,7 +331,7 @@ def run_stage_gnet(state: PipelineState, inputs: np.ndarray) -> MetricNet:
     train_pos = np.flatnonzero(split_work == TRAIN)
     val_pos = np.flatnonzero(split_work == VAL)
     state.gamma0 = grid_search_gamma(emb_work, train_pos, labels_work[train_pos], val_pos,
-                                     labels_work[val_pos], cfg.gamma_candidates)
+                                     labels_work[val_pos], GAMMA_CANDIDATES)
     return net
 
 
@@ -336,7 +342,7 @@ def run_stage_wnet(state: PipelineState, r: int, inputs: np.ndarray,
     net's space (embeddings, per-node budgets gamma), learned kernel weights,
     denoise of y_prev, attention from the signal change, one loss step."""
     cfg = state.config
-    eps = cfg.eps1 if r == 1 else cfg.eps2
+    eps = EPS1 if r == 1 else EPS2
     stage = f"weight{r}"
     net = MetricNet(inputs.shape[1], cfg.net_config(stage))
 
@@ -350,11 +356,11 @@ def run_stage_wnet(state: PipelineState, r: int, inputs: np.ndarray,
             return None
         emb_c, _ = net.forward_batch(x_in)
         g_w = assign_weights(g_b, emb_c, auto_sigma(emb_c, part))
-        att = node_attention_matrix(node_phi(y_b, denoise(g_w.laplacian, y_b, cfg.glr), eps))
+        att = node_attention_matrix(node_phi(y_b, denoise(g_w.laplacian, y_b), eps))
         trips = _triplets_or_skip(y_b, cfg, stage, epoch, b_idx)
         if trips is None:
             return None
-        return triplet_loss_W(net, x_in, trips, cfg.margin_w, att)
+        return triplet_loss_W(net, x_in, trips, MARGIN_W, att)
 
     _train_net(state, stage, net, loss_of_batch)
     return net
@@ -411,7 +417,7 @@ def run_stage_unet(state: PipelineState, inputs: np.ndarray, y: np.ndarray,
         trips = _triplets_or_skip(y[pos], cfg, "update", epoch, b_idx)
         if trips is None:
             return None
-        return triplet_loss_W(net, inputs[pos], trips, cfg.margin_w, att)
+        return triplet_loss_W(net, inputs[pos], trips, MARGIN_W, att)
 
     _train_net(state, "update", net, loss_of_batch)
     return net
@@ -421,7 +427,7 @@ def run_stage_unet(state: PipelineState, inputs: np.ndarray, y: np.ndarray,
 # the frozen chain
 
 def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.ndarray,
-              cfg: PipelineConfig, train_missing: bool = False) -> list[StageRecord]:
+              train_missing: bool = False) -> list[StageRecord]:
     """Run a variant's steps (CHAIN_STEPS) on a node set with signal y0.
 
     Returns one record after the KNN step and one after each denoising pass.
@@ -434,13 +440,13 @@ def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.nda
     records = []
     for step in CHAIN_STEPS[chain]:
         if step == "denoise":
-            y_prev, y = y, denoise(graph.laplacian, y, cfg.glr)
+            y_prev, y = y, denoise(graph.laplacian, y)
             records.append(StageRecord(graph, y, emb))
             continue
         if step == "embed":
             x = features
         elif step == "update":
-            x = unet_inputs(features, y, graph.weights, cfg.unet_neighbors)
+            x = unet_inputs(features, y, graph.weights, UNET_NEIGHBORS)
         else:
             x = np.hstack([features, shallow])
         if step not in state.nets:
@@ -449,7 +455,7 @@ def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.nda
             if step == "embed":
                 run_stage_gnet(state, x)
             elif step == "update":
-                run_stage_unet(state, x, y, node_phi(y_prev, y, cfg.eps1))
+                run_stage_unet(state, x, y, node_phi(y_prev, y, EPS1))
             else:
                 run_stage_wnet(state, int(step[-1]), x, emb, graph.gamma, y)
         emb, tap = state.nets[step].forward_batch(x)
@@ -457,16 +463,15 @@ def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.nda
             graph, shallow = knn_edges(emb, state.gamma0), tap
             records.append(StageRecord(graph, y, emb))
         elif step == "update":
-            graph, shallow = graph_update(graph, y, emb, cfg.beta), tap
+            graph, shallow = graph_update(graph, y, emb, BETA), tap
         else:
             graph = assign_weights(graph, emb, auto_sigma(emb, partition_edges(graph, y)))
     return records
 
 
-def _work_stages(state: PipelineState, chain: str, cfg: PipelineConfig,
-                 train_missing: bool = False) -> dict:
+def _work_stages(state: PipelineState, chain: str, train_missing: bool = False) -> dict:
     features = state.dataset.features[state.work_ids]
-    records = run_chain(state, chain, features, state.work_signal0, cfg, train_missing)
+    records = run_chain(state, chain, features, state.work_signal0, train_missing)
     return dict(enumerate(records))
 
 
@@ -475,7 +480,7 @@ def run_variant(ds: Dataset, cfg: PipelineConfig) -> PipelineState:
     artifacts on the train+val working set."""
     chain, _ = parse_variant(cfg.variant)
     state = PipelineState.fresh(ds, cfg)
-    state.stages = _work_stages(state, chain, cfg, train_missing=True)
+    state.stages = _work_stages(state, chain, train_missing=True)
     state.trained_chain = chain
     return state
 
@@ -521,7 +526,7 @@ def _reference_sets(state: PipelineState, cfg: PipelineConfig, chain: str,
     if chain == "DML-KNN":
         return [ds.indices(TRAIN)]
     rng = substream(cfg.seed, "predict", "refs")
-    return [_stratified_train_sample(ds, cfg.labeled_per_graph, rng)]
+    return [_stratified_train_sample(ds, LABELED_PER_GRAPH, rng)]
 
 
 def _chunks(n: int, size: int):
@@ -529,8 +534,8 @@ def _chunks(n: int, size: int):
         yield slice(start, min(start + size, n))
 
 
-def _transduce(state: PipelineState, chain: str, refs: np.ndarray, targets: np.ndarray,
-               cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+def _transduce(state: PipelineState, chain: str, refs: np.ndarray, targets: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Signal of the target nodes given a reference set, and each target's
     weighted sum of the final signal over its neighbors.
 
@@ -549,10 +554,10 @@ def _transduce(state: PipelineState, chain: str, refs: np.ndarray, targets: np.n
         return np.sign(votes), np.zeros(targets.size)
     signal = np.empty(targets.size)
     neighbor_sum = np.empty(targets.size)
-    for chunk in _chunks(targets.size, cfg.unlabeled_per_graph):
+    for chunk in _chunks(targets.size, UNLABELED_PER_GRAPH):
         nodes = np.concatenate([refs, targets[chunk]])
         y0 = np.concatenate([ds.noisy_labels[refs], np.zeros(nodes.size - refs.size)])
-        final = run_chain(state, chain, ds.features[nodes], y0, cfg)[-1]
+        final = run_chain(state, chain, ds.features[nodes], y0)[-1]
         signal[chunk] = final.y[refs.size:]
         neighbor_sum[chunk] = final.graph.weights[refs.size:] @ final.y
     return signal, neighbor_sum
@@ -575,7 +580,7 @@ def predict(state: PipelineState, test_indices, cfg: PipelineConfig | None = Non
     total = np.zeros(test_indices.size)
     neighbor_total = np.zeros(test_indices.size)
     for refs in ref_sets:
-        signal, neighbor_sum = _transduce(state, chain, refs, test_indices, cfg)
+        signal, neighbor_sum = _transduce(state, chain, refs, test_indices)
         total += signal
         neighbor_total += neighbor_sum
     pred = np.sign(total / len(ref_sets))
@@ -587,13 +592,6 @@ def predict(state: PipelineState, test_indices, cfg: PipelineConfig | None = Non
 
 # ---------------------------------------------------------------------------
 # rank sampling
-
-def _batch_accuracy(state: PipelineState, chain: str, refs: np.ndarray,
-                    target_ids: np.ndarray, target_labels: np.ndarray,
-                    cfg: PipelineConfig) -> float:
-    signal, _ = _transduce(state, chain, refs, target_ids, cfg)
-    return float(np.mean(np.where(signal >= 0, 1.0, -1.0) == target_labels))
-
 
 def rank_sampling(ds: Dataset, state: PipelineState, k: int | None = None,
                   cfg: PipelineConfig | None = None) -> np.ndarray:
@@ -621,15 +619,16 @@ def rank_sampling(ds: Dataset, state: PipelineState, k: int | None = None,
                             f"its {cfg.rank_sample_batches} reference batches")
     val_ids = ds.indices(VAL)
     val_labels = np.sign(ds.noisy_labels[val_ids])
-    rounds = max(1, math.ceil(cfg.rank_coverage * m / cfg.labeled_per_graph))
+    rounds = max(1, math.ceil(cfg.rank_coverage * m / LABELED_PER_GRAPH))
     acc_sum = np.zeros(m)
     acc_cnt = np.zeros(m)
     train_rank = np.full(ds.n_nodes, -1, dtype=np.int64)
     train_rank[train_ids] = np.arange(m)
     for rnd in range(rounds):
         rng = substream(cfg.seed, "rank", rnd)
-        refs = _stratified_train_sample(ds, cfg.labeled_per_graph, rng)
-        acc = _batch_accuracy(state, chain, refs, val_ids, val_labels, cfg)
+        refs = _stratified_train_sample(ds, LABELED_PER_GRAPH, rng)
+        signal, _ = _transduce(state, chain, refs, val_ids)
+        acc = float(np.mean(np.where(signal >= 0, 1.0, -1.0) == val_labels))
         members = train_rank[refs]
         acc_sum[members] += acc
         acc_cnt[members] += 1
@@ -668,16 +667,16 @@ def write_run_manifest(path, cfg: PipelineConfig, ds_manifest: dict,
     payload = {
         "variant": cfg.variant,
         "seed": cfg.seed,
-        "margins": {"triplet": cfg.margin_e, "weighted": cfg.margin_w},
-        "thresholds": {"eps1": cfg.eps1, "eps2": cfg.eps2, "beta": cfg.beta},
-        "glr": {"kappa": cfg.glr.kappa, "mu_fraction": cfg.glr.mu_fraction,
-                "solver_tol": cfg.glr.solver_tol},
-        "batching": {"graphs_per_epoch": cfg.graphs_per_epoch,
-                     "labeled_per_graph": cfg.labeled_per_graph,
-                     "unlabeled_per_graph": cfg.unlabeled_per_graph},
+        "margins": {"triplet": MARGIN_E, "weighted": MARGIN_W},
+        "thresholds": {"eps1": EPS1, "eps2": EPS2, "beta": BETA},
+        "glr": {"kappa": glr.KAPPA, "mu_fraction": glr.MU_FRACTION,
+                "solver_tol": glr.SOLVER_TOL},
+        "batching": {"graphs_per_epoch": GRAPHS_PER_EPOCH,
+                     "labeled_per_graph": LABELED_PER_GRAPH,
+                     "unlabeled_per_graph": UNLABELED_PER_GRAPH},
         "rank_sampling": {"k": cfg.rank_sample_k, "batches": cfg.rank_sample_batches},
-        "gamma_candidates": list(cfg.gamma_candidates),
-        "embedding_dim": cfg.embedding_dim,
+        "gamma_candidates": list(GAMMA_CANDIDATES),
+        "embedding_dim": EMBEDDING_DIM,
         "dataset": ds_manifest,
     }
     if extra:
@@ -708,5 +707,5 @@ def load_state(run_dir, ds: Dataset, cfg: PipelineConfig) -> PipelineState:
     state.trained_chain = meta["trained_chain"]
     for path in sorted(run_dir.glob("net_*.npz")):
         state.nets[path.stem.removeprefix("net_")] = load_checkpoint(path)
-    state.stages = _work_stages(state, state.trained_chain, cfg)
+    state.stages = _work_stages(state, state.trained_chain)
     return state

@@ -14,9 +14,7 @@ TINY_ARCH = ArchPreset(metric_hidden=(8, 4), update_hidden=(8, 4),
 
 
 def tiny_config(variant="G-12312", seed=0, **overrides):
-    defaults = dict(variant=variant, seed=seed, arch=TINY_ARCH,
-                    triplets_per_graph=20, embedding_dim=4,
-                    gamma_candidates=(2, 4, 6), rank_sample_k=48,
+    defaults = dict(variant=variant, seed=seed, arch=TINY_ARCH, rank_sample_k=48,
                     rank_sample_batches=6, rank_coverage=1.0)
     defaults.update(overrides)
     return PipelineConfig(**defaults)

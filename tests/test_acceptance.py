@@ -22,7 +22,7 @@ from dynglr.bench import (ExperimentGrid, cell_seed, error_rate, load_dataset,
                           mean_edge_weight_proportion, residual_noise, run_grid,
                           split_seed, subsample_dataset)
 from dynglr.dataio import NoiseSpec, TEST, TRAIN
-from dynglr.glr import GlrParams, _conjugate_gradient, denoise, mu_max
+from dynglr.glr import SOLVER_TOL, _conjugate_gradient, denoise, mu_max
 from dynglr.graphs import (EdgePartition, assign_weights, auto_sigma,
                            build_laplacian, gft_spectrum, kernel_margin,
                            knn_edges)
@@ -62,7 +62,6 @@ def random_lap(rng, n, gamma, sigma=1.0):
 
 def test_criterion_1_solver_oracle_equivalence():
     rng = np.random.default_rng(BASE_SEED)
-    params = GlrParams()
     worst = 0.0
     start = time.perf_counter()
     for _ in range(50):
@@ -70,10 +69,10 @@ def test_criterion_1_solver_oracle_equivalence():
         gamma = int(rng.integers(2, 9))
         lap = random_lap(rng, n, gamma)
         y = rng.uniform(-1, 1, n)
-        mu = 0.67 * mu_max(60.0, lap.d_max)
+        mu = 0.67 * mu_max(60.0, lap.diagonal().max())
         import scipy.sparse as sp
-        system = (sp.identity(n, format="csr") + mu * lap.laplacian).tocsr()
-        x_cg, converged = _conjugate_gradient(system, y, y, params.solver_tol, 10 * n)
+        system = (sp.identity(n, format="csr") + mu * lap).tocsr()
+        x_cg, converged = _conjugate_gradient(system, y, y, SOLVER_TOL, 10 * n)
         assert converged
         x_direct = np.linalg.solve(system.toarray(), y)
         worst = max(worst, np.linalg.norm(x_cg - x_direct) / np.linalg.norm(x_direct))
@@ -92,8 +91,8 @@ def test_criterion_2_conditioning():
     for _ in range(20):
         n = int(rng.integers(30, 501))
         lap = random_lap(rng, n, int(rng.integers(2, 9)))
-        mu = 0.67 * mu_max(60.0, lap.d_max)
-        eig = np.linalg.eigvalsh(np.eye(n) + mu * lap.laplacian.toarray())
+        mu = 0.67 * mu_max(60.0, lap.diagonal().max())
+        eig = np.linalg.eigvalsh(np.eye(n) + mu * lap.toarray())
         lo, hi = min(lo, eig.min()), max(hi, eig.max())
     report(2, lo >= 1.0 - 1e-6 and hi <= 60.0 + 1e-6,
            f"20 graphs, eigenvalue range [{lo:.6f}, {hi:.4f}] within [1, 60] (tol 1e-6)")
@@ -133,22 +132,21 @@ def test_criterion_3_gradient_correctness():
 
 def test_criterion_4_glr_properties():
     rng = np.random.default_rng(BASE_SEED + 2)
-    params = GlrParams()
     checks = {"identity": 0.0, "constant": 0.0, "bounds": 0.0, "smoothness": 0.0}
     for _ in range(100):
         n = int(rng.integers(10, 120))
         lap = random_lap(rng, n, int(rng.integers(2, 7)))
         y = rng.uniform(-1, 1, n)
-        ident = denoise(lap, y, params, mu=0.0)
+        ident = denoise(lap, y, mu=0.0)
         checks["identity"] = max(checks["identity"], float(np.abs(ident - y).max()))
         c = float(rng.uniform(-1, 1))
-        const = denoise(lap, np.full(n, c), params)
+        const = denoise(lap, np.full(n, c))
         checks["constant"] = max(checks["constant"], float(np.abs(const - c).max()))
-        out = denoise(lap, y, params)
+        out = denoise(lap, y)
         checks["bounds"] = max(checks["bounds"],
                                float(max(y.min() - out.min(), out.max() - y.max())))
-        before = float(y @ (lap.laplacian @ y))
-        after = float(out @ (lap.laplacian @ out))
+        before = float(y @ (lap @ y))
+        after = float(out @ (lap @ out))
         checks["smoothness"] = max(checks["smoothness"], after - before)
     ok = (checks["identity"] == 0.0 and checks["constant"] <= 1e-9
           and checks["bounds"] <= 1e-9 and checks["smoothness"] <= 1e-9)

@@ -148,12 +148,23 @@ def toy_csv_dir(tmp_path):
     return tmp_path
 
 
-TINY_OVERRIDES = dict(arch=TINY_ARCH, triplets_per_graph=20, embedding_dim=4,
-                      gamma_candidates=(2, 4), rank_sample_k=24,
-                      rank_sample_batches=6, rank_coverage=1.0)
+TINY_OVERRIDES = dict(arch=TINY_ARCH, rank_sample_k=24, rank_sample_batches=6,
+                      rank_coverage=1.0)
 
 
 class TestRunGrid:
+    @pytest.mark.parametrize("override, message", [
+        ({"rank_sample_k": 25}, "rank_sample_k must divide"),
+        # what a grid.json can hold: a plain object, not a preset
+        ({"arch": {"metric_hidden": [8, 4]}}, "arch must be an ArchPreset, not dict")])
+    def test_invalid_override_value_rejected_before_any_cell(self, toy_csv_dir, tmp_path,
+                                                             override, message):
+        grid = tiny_grid(toy_csv_dir, variants=("DML-KNN",))
+        out = tmp_path / "results.csv"
+        with pytest.raises(ConfigError, match=message):
+            run_grid(grid, out, {**TINY_OVERRIDES, **override})
+        assert not out.exists()
+
     def test_cell_count(self, toy_csv_dir, tmp_path):
         grid = tiny_grid(toy_csv_dir, noise_levels=(0.0, 0.25), repeats=1,
                          variants=("DML-KNN",))

@@ -85,10 +85,7 @@ class TestAblateReport:
             "variants": ["DML-KNN"],
             "base_seed": 5,
             "data_dir": str(toy_data_dir),
-            "config_overrides": {
-                "triplets_per_graph": 20, "embedding_dim": 4,
-                "gamma_candidates": [2, 4],
-            },
+            "config_overrides": {"rank_coverage": 1.0},
         }))
         results = tmp_path / "results.csv"
         rc = main(["ablate", "--grid", str(grid_file), "--out", str(results)])
@@ -104,3 +101,24 @@ class TestAblateReport:
                    "--out", str(report_file)])
         assert rc == 0
         assert report_file.read_text().startswith("dataset,variant")
+
+    @pytest.mark.parametrize("overrides", [{"esp1": 0.5}, {"eps1": 0.5, "rank_coverage": 1.0},
+                                           {"seed": 3}])
+    def test_unknown_override_rejected_before_any_cell(self, toy_data_dir, tmp_path,
+                                                       capsys, overrides):
+        # eps1 was settable once; the method's thresholds are constants now
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps({
+            "datasets": ["toy"], "noise_levels": [0.0], "repeats": 1,
+            "variants": ["DML-KNN"], "data_dir": str(toy_data_dir),
+            "config_overrides": overrides,
+        }))
+        results = tmp_path / "results.csv"
+        rc = main(["ablate", "--grid", str(grid_file), "--out", str(results)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        unknown = sorted(set(overrides) - {"rank_coverage"})
+        assert f"unknown config_overrides {unknown}" in err
+        assert ("settable: ['rank_sample_k', 'rank_sample_batches', 'rank_coverage', "
+                "'arch']") in err
+        assert not results.exists()

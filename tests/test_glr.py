@@ -6,8 +6,12 @@ import pytest
 
 from dynglr import glr
 from dynglr.errors import SolverError, ValidationError
-from dynglr.glr import GlrParams, denoise, mu_max
+from dynglr.glr import KAPPA, MU_FRACTION, denoise, mu_max
 from dynglr.graphs import assign_weights, build_laplacian, knn_edges
+
+
+def default_mu(lap):
+    return MU_FRACTION * mu_max(KAPPA, lap.diagonal().max())
 
 
 def random_weighted_laplacian(rng, n, gamma=None, sigma=1.0):
@@ -37,20 +41,20 @@ class TestDenoise:
         rng = np.random.default_rng(0)
         lap = random_weighted_laplacian(rng, 20)
         y = rng.uniform(-1, 1, 20)
-        out = denoise(lap, y, GlrParams(), mu=0.0)
+        out = denoise(lap, y, mu=0.0)
         assert np.array_equal(out, y)
 
     def test_two_node_hand_solve(self):
         # dense solve of [[1.5,-0.5],[-0.5,1.5]] Y = (1,-1) gives (0.5,-0.5)
         emb = np.array([[0.0], [1.0]])
         lap = build_laplacian(knn_edges(emb, 1))  # unit weight
-        out = denoise(lap, np.array([1.0, -1.0]), GlrParams(), mu=0.5)
+        out = denoise(lap, np.array([1.0, -1.0]), mu=0.5)
         np.testing.assert_allclose(out, [0.5, -0.5], atol=1e-10)
 
     def test_constant_signal_preserved(self):
         rng = np.random.default_rng(1)
         lap = random_weighted_laplacian(rng, 30)
-        out = denoise(lap, np.full(30, 0.7), GlrParams())
+        out = denoise(lap, np.full(30, 0.7))
         np.testing.assert_allclose(out, 0.7, atol=1e-9)
 
     def test_edgeless_graph_short_circuits(self):
@@ -59,7 +63,7 @@ class TestDenoise:
         g.weights.data[:] = 0.0
         lap = build_laplacian(g)
         y = np.array([0.3, -0.9])
-        assert np.array_equal(denoise(lap, y, GlrParams()), y)
+        assert np.array_equal(denoise(lap, y), y)
 
     def test_non_finite_input_rejected(self):
         rng = np.random.default_rng(2)
@@ -67,19 +71,17 @@ class TestDenoise:
         y = np.zeros(10)
         y[3] = np.nan
         with pytest.raises(ValidationError):
-            denoise(lap, y, GlrParams())
+            denoise(lap, y)
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(3)
-        params = GlrParams()
         for _ in range(10):
             n = int(rng.integers(10, 200))
             lap = random_weighted_laplacian(rng, n)
             y = rng.uniform(-1, 1, n)
-            mu = params.mu_fraction * mu_max(params.kappa, lap.d_max)
-            system = np.eye(n) + mu * lap.laplacian.toarray()
+            system = np.eye(n) + default_mu(lap) * lap.toarray()
             expected = np.linalg.solve(system, y)
-            got = denoise(lap, y, params)
+            got = denoise(lap, y)
             rel = np.linalg.norm(got - expected) / np.linalg.norm(expected)
             assert rel <= 1e-8
 
@@ -88,7 +90,7 @@ class TestDenoise:
         for _ in range(10):
             lap = random_weighted_laplacian(rng, 50)
             y = rng.uniform(-1, 1, 50)
-            out = denoise(lap, y, GlrParams())
+            out = denoise(lap, y)
             assert out.min() >= y.min() - 1e-9
             assert out.max() <= y.max() + 1e-9
 
@@ -97,64 +99,52 @@ class TestDenoise:
         for _ in range(10):
             lap = random_weighted_laplacian(rng, 40)
             y = rng.uniform(-1, 1, 40)
-            out = denoise(lap, y, GlrParams())
-            before = float(y @ (lap.laplacian @ y))
-            after = float(out @ (lap.laplacian @ out))
+            out = denoise(lap, y)
+            before = float(y @ (lap @ y))
+            after = float(out @ (lap @ out))
             assert after <= before + 1e-9
 
     def test_conditioning_bound(self):
         rng = np.random.default_rng(6)
-        params = GlrParams(kappa=60.0)
+        assert KAPPA == 60.0
         for _ in range(5):
             lap = random_weighted_laplacian(rng, 60)
-            mu = params.mu_fraction * mu_max(params.kappa, lap.d_max)
-            system = np.eye(60) + mu * lap.laplacian.toarray()
+            system = np.eye(60) + default_mu(lap) * lap.toarray()
             eigvals = np.linalg.eigvalsh(system)
             assert eigvals.min() >= 1.0 - 1e-6
-            assert eigvals.max() <= params.kappa + 1e-6
+            assert eigvals.max() <= KAPPA + 1e-6
 
     def test_residual_log_written(self):
         rng = np.random.default_rng(7)
         lap = random_weighted_laplacian(rng, 25)
         residuals = []
-        denoise(lap, rng.uniform(-1, 1, 25), GlrParams(), residual_log=residuals)
+        denoise(lap, rng.uniform(-1, 1, 25), residual_log=residuals)
         assert residuals and residuals[-1] <= residuals[0]
 
     def test_unconverged_cg_at_node_guard_falls_back_to_dense_solve(self, monkeypatch,
                                                                     caplog):
         monkeypatch.setattr(glr, "DENSE_NODE_GUARD", 30)
+        monkeypatch.setattr(glr, "MAX_ITER_FACTOR", 0)  # CG stops before its first step
         rng = np.random.default_rng(8)
         lap = random_weighted_laplacian(rng, 30)
         y = rng.uniform(-1, 1, 30)
-        params = GlrParams(max_iter_factor=0)  # CG stops before its first step
         with caplog.at_level(logging.WARNING, logger="dynglr.glr"):
-            got = denoise(lap, y, params)
+            got = denoise(lap, y)
         assert [r.getMessage() for r in caplog.records] == [
             "CG did not converge in 0 iterations; dense fallback"]
-        mu = params.mu_fraction * mu_max(params.kappa, lap.d_max)
-        expected = np.linalg.solve(np.eye(30) + mu * lap.laplacian.toarray(), y)
+        expected = np.linalg.solve(np.eye(30) + default_mu(lap) * lap.toarray(), y)
         assert np.array_equal(got, expected)
 
     def test_unconverged_cg_above_node_guard_raises(self, monkeypatch, caplog):
         monkeypatch.setattr(glr, "DENSE_NODE_GUARD", 29)
+        monkeypatch.setattr(glr, "MAX_ITER_FACTOR", 0)
         rng = np.random.default_rng(8)
         lap = random_weighted_laplacian(rng, 30)
         y = rng.uniform(-1, 1, 30)
-        params = GlrParams(max_iter_factor=0)
         # with no CG step the iterate is still y, so its residual is mu ||L y|| / ||y||
-        mu = params.mu_fraction * mu_max(params.kappa, lap.d_max)
-        residual = mu * np.linalg.norm(lap.laplacian @ y) / np.linalg.norm(y)
+        residual = default_mu(lap) * np.linalg.norm(lap @ y) / np.linalg.norm(y)
         with pytest.raises(SolverError, match=fr"N=30 nodes in 0 iterations "
                                               fr"\(relative residual {residual:.3g}\)"):
-            denoise(lap, y, params)
+            denoise(lap, y)
         assert not caplog.records
 
-
-class TestParams:
-    def test_invalid_kappa(self):
-        with pytest.raises(ValidationError):
-            GlrParams(kappa=0.5)
-
-    def test_invalid_mu_fraction(self):
-        with pytest.raises(ValidationError):
-            GlrParams(mu_fraction=1.5)

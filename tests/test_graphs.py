@@ -196,33 +196,33 @@ class TestLaplacian:
     def test_two_node_unit_weight(self):
         g = knn_edges(np.array([[0.0], [1.0]]), 1)
         lap = build_laplacian(g)
-        np.testing.assert_allclose(lap.laplacian.toarray(), [[1.0, -1.0], [-1.0, 1.0]])
+        np.testing.assert_allclose(lap.toarray(), [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_edgeless_graph_zero_laplacian(self):
         g = graphs.Graph(weights=sp.csr_matrix((3, 3)), gamma=np.ones(3, dtype=np.int64))
         lap = build_laplacian(g)
-        assert lap.laplacian.nnz == 0
-        assert lap.d_max == 0.0
+        assert lap.nnz == 0
+        assert lap.diagonal().max() == 0.0
 
     def test_quadratic_form_identity(self):
         rng = np.random.default_rng(10)
         emb = rng.normal(size=(25, 3))
         g = assign_weights(knn_edges(emb, 4), emb, sigma=1.0)
         lap = build_laplacian(g)
-        adjacency = lap.adjacency.toarray()
+        adjacency = g.weights.toarray()
         for _ in range(5):
             x = rng.normal(size=25)
             direct = 0.5 * np.sum(adjacency * (x[:, None] - x[None, :]) ** 2)
-            assert float(x @ (lap.laplacian @ x)) == pytest.approx(direct, rel=1e-10)
-            assert float(x @ (lap.laplacian @ x)) >= 0
+            assert float(x @ (lap @ x)) == pytest.approx(direct, rel=1e-10)
+            assert float(x @ (lap @ x)) >= 0
 
     def test_rows_sum_to_zero_and_symmetric(self):
         rng = np.random.default_rng(11)
         emb = rng.normal(size=(40, 2))
         g = assign_weights(knn_edges(emb, 3), emb, sigma=0.8)
         lap = build_laplacian(g)
-        assert np.abs(np.asarray(lap.laplacian.sum(axis=1))).max() < 1e-9
-        assert (abs(lap.laplacian - lap.laplacian.T)).max() < 1e-12
+        assert np.abs(np.asarray(lap.sum(axis=1))).max() < 1e-9
+        assert (abs(lap - lap.T)).max() < 1e-12
 
     def test_psd_smallest_eigenvalue(self):
         rng = np.random.default_rng(12)
@@ -230,8 +230,25 @@ class TestLaplacian:
             emb = rng.normal(size=(30, 2))
             g = assign_weights(knn_edges(emb, 3), emb, sigma=1.0)
             lap = build_laplacian(g)
-            eigvals = np.linalg.eigvalsh(lap.laplacian.toarray())
+            eigvals = np.linalg.eigvalsh(lap.toarray())
             assert eigvals.min() >= -1e-8
+
+
+def survivor_mask(g, denoised, beta):
+    """Dense oracle of the surviving edges: both endpoints carry the same
+    nonzero sign and the weight exceeds beta."""
+    s = np.sign(denoised)
+    return (g.weights.toarray() > beta) & (s[:, None] == s[None, :]) & (s[:, None] != 0)
+
+
+def checked_survivors(g, denoised, beta):
+    """The oracle's survivors, after checking the budgets count them per row
+    (floored at 1)."""
+    survivors = survivor_mask(g, denoised, beta)
+    budgets = surviving_edge_budgets(g, denoised, beta)
+    assert budgets.dtype == np.int64
+    assert np.array_equal(budgets, np.maximum(survivors.sum(axis=1), 1))
+    return budgets, survivors
 
 
 class TestGraphUpdate:
@@ -245,7 +262,7 @@ class TestGraphUpdate:
         g, emb = self._weighted_toy()
         gw = assign_weights(g, emb, sigma=0.6)
         denoised = np.array([1.0, 1.0, -1.0, -1.0])
-        budgets, survivors = surviving_edge_budgets(gw, denoised, beta=0.1)
+        _, survivors = checked_survivors(gw, denoised, beta=0.1)
         # cross-cluster edges are opposite-label: none survive
         assert survivors[1, 2] == 0 and survivors[2, 1] == 0
 
@@ -253,7 +270,7 @@ class TestGraphUpdate:
         g, emb = self._weighted_toy()
         gw = assign_weights(g, emb, sigma=0.6)
         denoised = np.array([1.0, 1.0, -1.0, -1.0])
-        budgets, survivors = surviving_edge_budgets(gw, denoised, beta=0.1)
+        budgets, survivors = checked_survivors(gw, denoised, beta=0.1)
         assert survivors[0, 1] == 1
         assert budgets[0] >= 1
 
@@ -263,7 +280,7 @@ class TestGraphUpdate:
         g = knn_edges(emb, 1)
         gw = assign_weights(g, emb, sigma=1.0)
         denoised = np.ones(4)
-        budgets, _ = surviving_edge_budgets(gw, denoised, beta=0.1)
+        budgets = surviving_edge_budgets(gw, denoised, beta=0.1)
         degrees = np.asarray(g.edges.sum(axis=1)).ravel()
         assert np.array_equal(budgets, degrees)
         updated = graph_update(gw, denoised, emb, beta=0.1)
@@ -275,7 +292,7 @@ class TestGraphUpdate:
         gw = assign_weights(g, emb, sigma=0.5)
         denoised = np.array([1.0, -1.0, 1.0])  # every edge opposite or weak
         with caplog.at_level("INFO"):
-            budgets, _ = surviving_edge_budgets(gw, denoised, beta=0.1)
+            budgets = surviving_edge_budgets(gw, denoised, beta=0.1)
         assert (budgets >= 1).all()
         assert "floored" in caplog.text
 
@@ -285,16 +302,16 @@ class TestGraphUpdate:
             emb = rng.normal(size=(30, 2))
             g = assign_weights(knn_edges(emb, 4), emb, sigma=1.0)
             denoised = rng.uniform(-1, 1, size=30)
-            _, survivors = surviving_edge_budgets(g, denoised, beta=0.1)
-            coo = survivors.tocoo()
+            _, survivors = checked_survivors(g, denoised, beta=0.1)
+            rows, cols = np.nonzero(survivors)
             signs = np.sign(denoised)
-            assert (signs[coo.row] == signs[coo.col]).all()
+            assert (signs[rows] == signs[cols]).all()
 
     def test_zero_denoised_entries_excluded(self):
         emb = np.array([[0.0], [0.1], [0.2]])
         g = knn_edges(emb, 2)
         gw = assign_weights(g, emb, sigma=1.0)
-        budgets, survivors = surviving_edge_budgets(gw, np.array([1.0, 0.0, 1.0]), beta=0.1)
+        _, survivors = checked_survivors(gw, np.array([1.0, 0.0, 1.0]), beta=0.1)
         assert survivors[0, 1] == 0 and survivors[1, 2] == 0
         assert survivors[0, 2] == 1
 

@@ -1,8 +1,13 @@
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynglr.errors import ConfigError, SamplingError, ShapeError, TrainingError
 from dynglr.metricnet import (AdamState, MetricNet, NetConfig, Triplet, adam_step,
@@ -341,10 +346,6 @@ class TestOptimizer:
 
 
 class TestConfigValidation:
-    def test_tap_index_bound(self):
-        with pytest.raises(ConfigError):
-            NetConfig(layer_widths=(3,), embedding_dim=2, shallow_tap_index=5)
-
     def test_lr_ordering(self):
         with pytest.raises(ConfigError):
             NetConfig(layer_widths=(3,), embedding_dim=2, lr_start=0.01, lr_end=0.02)
@@ -354,7 +355,58 @@ class TestConfigValidation:
             NetConfig(layer_widths=(3,), embedding_dim=2, skip_to_layer=0)
 
 
+def write_checkpoint(path, meta, net):
+    """A checkpoint file with the given meta block and net's parameters."""
+    arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
+    arrays.update({f"w{k}": w for k, w in enumerate(net.weights)})
+    arrays.update({f"b{k}": b for k, b in enumerate(net.biases)})
+    np.savez(path, **arrays)
+
+
+def older_v2_meta(net, **retired):
+    """The version-2 meta of releases whose NetConfig also had a tap index
+    and the adaptive-moment constants."""
+    config = {**dataclasses.asdict(net.config), "shallow_tap_index": None,
+              "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8, **retired}
+    return {"version": 2, "in_dim": net.in_dim, "config": config}
+
+
+@st.composite
+def net_configs(draw):
+    widths = tuple(draw(st.lists(st.integers(1, 6), max_size=3)))
+    skip = draw(st.none() | st.integers(1, len(widths))) if widths else None
+    return NetConfig(layer_widths=widths, embedding_dim=draw(st.integers(1, 4)),
+                     skip_to_layer=skip, seed=draw(st.integers(0, 2**31 - 1)))
+
+
 class TestCheckpoint:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), net_configs())
+    def test_roundtrip_property(self, in_dim, config):
+        # perturbed parameters: a load that kept the seeded init would differ
+        net = MetricNet(in_dim, config)
+        rng = np.random.default_rng(config.seed)
+        for p in net.parameters():
+            p += rng.normal(size=p.shape)
+        x = rng.normal(size=(5, in_dim))
+        with tempfile.TemporaryDirectory() as tmp:
+            save_checkpoint(net, Path(tmp) / "net.npz")
+            write_checkpoint(Path(tmp) / "older.npz", older_v2_meta(net), net)
+            for name in ("net.npz", "older.npz"):
+                loaded = load_checkpoint(Path(tmp) / name)
+                assert loaded.config == config
+                for got, want in zip(loaded.forward_batch(x), net.forward_batch(x)):
+                    assert np.array_equal(got, want)
+
+    def test_tap_off_the_last_hidden_layer_refused(self, tmp_path):
+        net = MetricNet(3, NetConfig(layer_widths=(4, 3), embedding_dim=2))
+        write_checkpoint(tmp_path / "net.npz", older_v2_meta(net, shallow_tap_index=0), net)
+        with pytest.raises(ConfigError, match="shallow tap at layer 0"):
+            load_checkpoint(tmp_path / "net.npz")
+        # the adaptive-moment constants only shaped training
+        write_checkpoint(tmp_path / "adam.npz", older_v2_meta(net, adam_beta1=0.8), net)
+        assert load_checkpoint(tmp_path / "adam.npz").config == net.config
+
     def test_roundtrip(self, tmp_path):
         cfg = NetConfig(layer_widths=(4, 3), embedding_dim=2, seed=14, skip_to_layer=1)
         net = MetricNet(5, cfg)
@@ -382,10 +434,7 @@ class TestCheckpoint:
         meta = {"version": 1, "in_dim": 3, "layer_widths": [4], "embedding_dim": 2,
                 "shallow_tap_index": 0, "skip_to_layer": None, "lr_start": 0.02,
                 "lr_end": 0.01, "epochs": 60, "seed": 17, "adam_t": 0, "rng_state": None}
-        arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
-        arrays.update({f"w{k}": w for k, w in enumerate(net.weights)})
-        arrays.update({f"b{k}": b for k, b in enumerate(net.biases)})
-        np.savez(tmp_path / "v1.npz", **arrays)
+        write_checkpoint(tmp_path / "v1.npz", meta, net)
         loaded = load_checkpoint(tmp_path / "v1.npz")
         x = np.random.default_rng(18).normal(size=(4, 3))
         np.testing.assert_array_equal(loaded.forward_batch(x)[0], net.forward_batch(x)[0])

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -90,8 +93,7 @@ class TestAttention:
 
 class TestBatches:
     def test_batch_composition(self, blobs):
-        cfg = tiny_config()
-        batches = build_batches(blobs, cfg, seed=3)
+        batches = build_batches(blobs, seed=3)
         assert len(batches) == 16
         for batch in batches:
             assert batch.ids.size == 100
@@ -100,28 +102,24 @@ class TestBatches:
             assert (blobs.split[batch.ids[~batch.labeled]] == VAL).all()
 
     def test_deterministic_per_seed(self, blobs):
-        cfg = tiny_config()
-        a = build_batches(blobs, cfg, seed=5)
-        b = build_batches(blobs, cfg, seed=5)
+        a = build_batches(blobs, seed=5)
+        b = build_batches(blobs, seed=5)
         for x, y in zip(a, b):
             assert np.array_equal(x.ids, y.ids)
 
     def test_disjoint_when_split_large_enough(self):
         ds = blob_dataset(n=4000, seed=2)
-        cfg = tiny_config()
-        batches = build_batches(ds, cfg, seed=1)
+        batches = build_batches(ds, seed=1)
         train_slots = np.concatenate([b.ids[b.labeled] for b in batches])
         assert train_slots.size == np.unique(train_slots).size == 1280
 
     def test_replacement_fallback_logged(self, blobs, caplog):
-        cfg = tiny_config()
         with caplog.at_level("INFO"):
-            build_batches(blobs, cfg, seed=0)
+            build_batches(blobs, seed=0)
         assert "replacement" in caplog.text
 
     def test_batch_signal_zeroes_unlabeled(self, blobs):
-        cfg = tiny_config()
-        batch = build_batches(blobs, cfg, seed=2)[0]
+        batch = build_batches(blobs, seed=2)[0]
         y = batch_signal(blobs, batch)
         assert (y[~batch.labeled] == 0).all()
         assert (y[batch.labeled] != 0).all()
@@ -252,7 +250,7 @@ class TestRunVariant:
         # recounted from the edges that survived the first pass
         rec1, rec2 = state.stages[1], state.stages[2]
         assert (rec2.graph.weights.data == 1.0).all()
-        budgets, _ = surviving_edge_budgets(rec1.graph, rec1.y, state.config.beta)
+        budgets = surviving_edge_budgets(rec1.graph, rec1.y, pipeline.BETA)
         assert np.array_equal(rec2.graph.gamma, budgets)
         pred = predict(state, blobs.indices(TEST)[:20], state.config)
         assert set(np.unique(pred)) <= {-1, 1}
@@ -270,7 +268,7 @@ class TestRunVariant:
         cfg = tiny_config("G-12", seed=13)
         state = run_variant(blobs, cfg)
         split_work = blobs.split[state.work_ids]
-        phi = node_phi(state.stages[0].y, state.stages[1].y, cfg.eps1)
+        phi = node_phi(state.stages[0].y, state.stages[1].y, pipeline.EPS1)
         phi_train = phi[split_work == TRAIN]
         assert (phi_train == 0).mean() < 0.10
 
@@ -301,7 +299,7 @@ class TestChain:
         cfg = tiny_config(chain, seed=23)
         state = run_variant(blobs, cfg)
         replayed = run_chain(state, chain, blobs.features[state.work_ids],
-                             state.work_signal0, cfg)
+                             state.work_signal0)
         assert len(replayed) == len(state.stages)
         for r, rec in enumerate(replayed):
             assert np.array_equal(rec.y, state.stages[r].y)
@@ -313,7 +311,7 @@ class TestChain:
         state, cfg = trained_g12
         with pytest.raises(UsageError, match="update"):
             run_chain(state, "G-1232", blobs.features[state.work_ids],
-                      state.work_signal0, cfg)
+                      state.work_signal0)
 
 
 class TestPredict:
@@ -461,20 +459,41 @@ class TestPersistence:
         manifest = dataio.dataset_manifest(blobs, seed=0)
         pipeline.write_run_manifest(tmp_path / "m.json", cfg, manifest,
                                     extra={"test_error_rate": 1.0})
-        import json
         payload = json.loads((tmp_path / "m.json").read_text())
         assert payload["variant"] == cfg.variant
-        assert payload["thresholds"]["eps1"] == cfg.eps1
+        assert payload["thresholds"]["eps1"] == pipeline.EPS1
 
 
 class TestConfig:
+    def test_settable_fields_pinned(self):
+        # a new knob needs a deliberate edit here; the method's fixed values
+        # are module constants
+        assert tuple(f.name for f in dataclasses.fields(PipelineConfig)) == (
+            "variant", "rank_sample_k", "rank_sample_batches", "rank_coverage", "arch",
+            "seed")
+
+    def test_run_manifest_payload_pinned(self, tmp_path):
+        path = tmp_path / "m.json"
+        pipeline.write_run_manifest(path, PipelineConfig.for_dataset("spambase"),
+                                    {"id": "ds"})
+        expected = {
+            "batching": {"graphs_per_epoch": 16, "labeled_per_graph": 80,
+                         "unlabeled_per_graph": 20},
+            "dataset": {"id": "ds"},
+            "embedding_dim": 16,
+            "gamma_candidates": [2, 4, 6, 8, 10, 12, 14, 16, 18, 20],
+            "glr": {"kappa": 60.0, "mu_fraction": 0.67, "solver_tol": 1e-10},
+            "margins": {"triplet": 10.0, "weighted": 10.0},
+            "rank_sampling": {"batches": 6, "k": 480},
+            "seed": 0,
+            "thresholds": {"beta": 0.1, "eps1": 0.6, "eps2": 0.15},
+            "variant": "G-12312",
+        }
+        assert path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
     def test_rank_batch_divisibility_enforced(self):
         with pytest.raises(ConfigError):
             PipelineConfig(rank_sample_k=50, rank_sample_batches=6)
-
-    def test_batch_size_contract(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(labeled_per_graph=70, unlabeled_per_graph=20)
 
     def test_presets_cover_known_datasets(self):
         for name in ("phoneme", "magic", "spambase"):

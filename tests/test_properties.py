@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dynglr.glr import GlrParams, denoise
+from dynglr.glr import denoise
 from dynglr.graphs import (EdgePartition, assign_weights, auto_sigma, build_laplacian,
                            directed_knn, edge_distances, kernel_margin, knn_edges, nearest,
                            pairwise_sq_dists)
@@ -155,10 +155,12 @@ def test_knn_symmetric_and_keeps_budgets(points):
 @PROPERTY
 @given(point_sets(), st.floats(0.1, 5.0))
 def test_adjacency_is_masked_max_of_weights(points, sigma):
-    # small sigmas underflow far edges to 0, which leave both matrices
+    # small sigmas underflow far edges to 0, which leave both matrices; the
+    # Laplacian's adjacency is its diagonal (the degrees) minus itself
     emb, gamma = points
     g = knn_edges(emb, gamma)
-    adjacency = build_laplacian(assign_weights(g, emb, sigma)).adjacency
+    lap = build_laplacian(assign_weights(g, emb, sigma))
+    adjacency = (sp.diags(lap.diagonal()) - lap).tocsr()
     oracle = masked_max_adjacency(g.edges, emb, sigma)
     assert adjacency.nnz == oracle.nnz
     assert np.array_equal(adjacency.toarray(), oracle.toarray())
@@ -168,8 +170,8 @@ def test_adjacency_is_masked_max_of_weights(points, sigma):
 @given(point_sets(), st.floats(0.1, 5.0))
 def test_laplacian_rows_sum_to_zero_and_psd(points, sigma):
     lap = weighted_laplacian(*points, sigma)
-    dense = lap.laplacian.toarray()
-    scale = max(1.0, lap.d_max)
+    dense = lap.toarray()
+    scale = max(1.0, lap.diagonal().max())
     assert np.abs(dense.sum(axis=1)).max() <= 1e-12 * scale
     assert np.linalg.eigvalsh(dense).min() >= -1e-9 * scale
 
@@ -178,8 +180,8 @@ def test_laplacian_rows_sum_to_zero_and_psd(points, sigma):
 @given(point_sets(), st.floats(0.1, 5.0), st.data())
 def test_denoise_stays_within_input_range(points, sigma, data):
     lap = weighted_laplacian(*points, sigma)
-    y0 = data.draw(arrays(np.float64, lap.degrees.size, elements=st.floats(-1.0, 1.0)))
-    out = denoise(lap, y0, GlrParams())
+    y0 = data.draw(arrays(np.float64, lap.shape[0], elements=st.floats(-1.0, 1.0)))
+    out = denoise(lap, y0)
     # (I + mu L)^-1 is nonnegative and row-stochastic; CG stops at a
     # relative residual of 1e-10
     tol = 1e-8 * max(1.0, float(np.abs(y0).max()))
