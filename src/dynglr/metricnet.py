@@ -14,19 +14,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, SamplingError, ShapeError, TrainingError
 from .seeds import substream
-
-
-class Triplet(NamedTuple):
-    anchor: int
-    positive: int
-    negative: int
 
 
 # adaptive-moment decay rates and denominator guard
@@ -135,42 +128,25 @@ class MetricNet:
         return [np.zeros_like(p) for p in self.parameters()]
 
 
-def _as_index_arrays(triplets) -> np.ndarray:
-    arr = np.asarray([tuple(t) for t in triplets], dtype=np.int64) if not isinstance(
-        triplets, np.ndarray) else triplets.astype(np.int64, copy=False)
-    if arr.size == 0:
-        return arr.reshape(0, 3)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ShapeError("triplets must be (T, 3) index rows")
-    return arr
-
-
-def _pair_attention(attention, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    if sp.issparse(attention):
-        return np.asarray(attention[ii, jj]).ravel().astype(np.float64)
-    return np.asarray(attention)[ii, jj].astype(np.float64)
-
-
-def _triplet_core(net: MetricNet, x: np.ndarray, triplets, margin: float,
+def _triplet_core(net: MetricNet, x: np.ndarray, triplets: np.ndarray, margin: float,
                   attention) -> tuple[float, list[np.ndarray]]:
-    trips = _as_index_arrays(triplets)
+    """Embeds every row of x once, indexes the triplets into the embeddings
+    and backpropagates their summed per-row gradients in one pass."""
+    trips = np.asarray(triplets, dtype=np.int64)
+    if trips.ndim != 2 or trips.shape[1] != 3:
+        raise ShapeError(f"triplets must be a (T, 3) index array, got shape {trips.shape}")
     if trips.shape[0] == 0:
         return 0.0, net.zero_grads()
-    x = np.asarray(x, dtype=np.float64)
-    ia, ip, iq = trips[:, 0], trips[:, 1], trips[:, 2]
-    emb_a, _, cache_a = net._forward_cached(x[ia])
-    emb_p, _, cache_p = net._forward_cached(x[ip])
-    emb_n, _, cache_n = net._forward_cached(x[iq])
-    diff_ap = emb_a - emb_p
-    diff_an = emb_a - emb_n
+    ia, ip, iq = trips.T
+    emb, _, cache = net._forward_cached(np.asarray(x, dtype=np.float64))
+    diff_ap = emb[ia] - emb[ip]
+    diff_an = emb[ia] - emb[iq]
     d_ap = (diff_ap * diff_ap).sum(axis=1)
     d_an = (diff_an * diff_an).sum(axis=1)
     if attention is None:
-        pi_ap = np.ones(trips.shape[0])
-        pi_an = np.ones(trips.shape[0])
+        pi_ap = pi_an = np.ones(trips.shape[0])
     else:
-        pi_ap = _pair_attention(attention, ia, ip)
-        pi_an = _pair_attention(attention, ia, iq)
+        pi_ap, pi_an = attention[ia, ip], attention[ia, iq]
     hinge = margin - pi_an * d_an + pi_ap * d_ap
     keep = ~((pi_ap == 0.0) & (pi_an == 0.0))
     active = (hinge > 0.0) & keep
@@ -178,17 +154,19 @@ def _triplet_core(net: MetricNet, x: np.ndarray, triplets, margin: float,
     coef = active.astype(np.float64)
     g_ap = (2.0 * pi_ap * coef)[:, None] * diff_ap
     g_an = (2.0 * pi_an * coef)[:, None] * diff_an
-    grads_a = net._backward(cache_a, g_ap - g_an)
-    grads_p = net._backward(cache_p, -g_ap)
-    grads_n = net._backward(cache_n, g_an)
-    grads = [ga + gp + gn for ga, gp, gn in zip(grads_a, grads_p, grads_n)]
-    return loss, grads
+    # unbuffered adds: a row that recurs across triplets collects every term
+    d_emb = np.zeros_like(emb)
+    np.add.at(d_emb, ia, g_ap - g_an)
+    np.add.at(d_emb, ip, -g_ap)
+    np.add.at(d_emb, iq, g_an)
+    return loss, net._backward(cache, d_emb)
 
 
 def triplet_loss_E(net: MetricNet, x: np.ndarray, triplets, margin: float
                    ) -> tuple[float, list[np.ndarray]]:
     """Plain hinge triplet loss: sum max(margin - d(a,n) + d(a,p), 0).
 
+    triplets is a (T, 3) int array of (anchor, positive, negative) rows of x.
     Distances are squared Euclidean between embeddings. Empty triplet sets
     yield zero loss and zero gradients.
     """
@@ -202,11 +180,11 @@ def triplet_loss_W(net: MetricNet, x: np.ndarray, triplets, margin: float,
     """Attention-gated hinge triplet loss.
 
     The negative-pair term scales by attention[a, n] and the positive-pair
-    term by attention[a, p]; attention is a dense or sparse {0,1} matrix
-    (absent sparse entries read as 0). Triplets whose two attentions are both
-    zero contribute nothing: their hinge is a gradient-free constant that
-    would only distort reported loss magnitudes. With all-ones attention this
-    is exactly triplet_loss_E, including accumulation order.
+    term by attention[a, p]; attention is a dense {0,1} array over the rows
+    of x. Triplets whose two attentions are both zero contribute nothing:
+    their hinge is a gradient-free constant that would only distort reported
+    loss magnitudes. With all-ones attention this is exactly triplet_loss_E,
+    including accumulation order.
     """
     if margin <= 0:
         raise ConfigError("margin must be positive")
@@ -219,8 +197,9 @@ def node_attention_matrix(phi: np.ndarray) -> np.ndarray:
     return np.minimum(phi[:, None], phi[None, :])
 
 
-def sample_triplets(labels: np.ndarray, count: int, seed: int) -> list[Triplet]:
-    """Uniform anchors over labeled nodes whose class has a distinct partner.
+def sample_triplets(labels: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """(count, 3) int64 rows (anchor, positive, negative): uniform anchors over
+    labeled nodes whose class has a distinct partner.
 
     Positives are drawn from the anchor's class excluding the anchor,
     negatives from the opposite class; deterministic for a fixed seed.
@@ -238,8 +217,8 @@ def sample_triplets(labels: np.ndarray, count: int, seed: int) -> list[Triplet]:
     anchors = rng.choice(eligible, size=count) if count else np.zeros(0, dtype=np.int64)
     positives = np.zeros(count, dtype=np.int64)
     negatives = np.zeros(count, dtype=np.int64)
-    for same, other in ((pos, neg), (neg, pos)):
-        mask = np.isin(anchors, same)
+    for sign, same, other in ((1.0, pos, neg), (-1.0, neg, pos)):
+        mask = signs[anchors] == sign
         if not mask.any():
             continue
         ranks = np.searchsorted(same, anchors[mask])
@@ -247,7 +226,7 @@ def sample_triplets(labels: np.ndarray, count: int, seed: int) -> list[Triplet]:
         draw += draw >= ranks
         positives[mask] = same[draw]
         negatives[mask] = other[rng.integers(0, other.size, size=int(mask.sum()))]
-    return [Triplet(int(a), int(p), int(n)) for a, p, n in zip(anchors, positives, negatives)]
+    return np.stack([anchors, positives, negatives], axis=1)
 
 
 @dataclass

@@ -5,12 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynglr.errors import ConfigError, SamplingError, ShapeError, TrainingError
-from dynglr.metricnet import (AdamState, MetricNet, NetConfig, Triplet, adam_step,
+from dynglr.metricnet import (AdamState, MetricNet, NetConfig, adam_step,
                               load_checkpoint, lr_at, node_attention_matrix,
                               sample_triplets, save_checkpoint, train,
                               triplet_loss_E, triplet_loss_W)
@@ -146,19 +145,19 @@ class TestTripletLosses:
     def test_margin_satisfied_clamps_to_zero(self):
         # a == p, d(a, n) = 16 > margin 10
         net, x = self._fixed_embedding_net([[0.0], [0.0], [4.0]])
-        loss, grads = triplet_loss_E(net, x, [Triplet(0, 1, 2)], margin=10.0)
+        loss, grads = triplet_loss_E(net, x, np.array([[0, 1, 2]]), margin=10.0)
         assert loss == 0.0
         assert all(np.all(g == 0) for g in grads)
 
     def test_margin_violated_hinge_value(self):
         # a == p, d(a, n) = 4 -> loss 10 - 4 = 6
         net, x = self._fixed_embedding_net([[0.0], [0.0], [2.0]])
-        loss, _ = triplet_loss_E(net, x, [Triplet(0, 1, 2)], margin=10.0)
+        loss, _ = triplet_loss_E(net, x, np.array([[0, 1, 2]]), margin=10.0)
         assert loss == pytest.approx(6.0)
 
     def test_empty_triplets_zero_loss_and_grads(self):
         net, x = self._fixed_embedding_net([[0.0], [1.0]])
-        loss, grads = triplet_loss_E(net, x, [], margin=10.0)
+        loss, grads = triplet_loss_E(net, x, np.empty((0, 3), dtype=np.int64), margin=10.0)
         assert loss == 0.0
         assert all(np.all(g == 0) for g in grads)
 
@@ -166,7 +165,7 @@ class TestTripletLosses:
         rng = np.random.default_rng(5)
         net = MetricNet(4, NetConfig(layer_widths=(6, 3), embedding_dim=2, seed=6))
         x = rng.normal(size=(12, 4))
-        trips = [Triplet(*t) for t in rng.integers(0, 12, size=(20, 3))]
+        trips = rng.integers(0, 12, size=(20, 3))
         ones = np.ones((12, 12))
         loss_e, grads_e = triplet_loss_E(net, x, trips, margin=10.0)
         loss_w, grads_w = triplet_loss_W(net, x, trips, margin=10.0, attention=ones)
@@ -178,31 +177,23 @@ class TestTripletLosses:
         # pi(a,n)=0, pi(a,p)=1, a == p -> hinge is exactly the margin
         net, x = self._fixed_embedding_net([[0.0], [0.0], [5.0]])
         att = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        loss, _ = triplet_loss_W(net, x, [Triplet(0, 1, 2)], margin=10.0, attention=att)
+        loss, _ = triplet_loss_W(net, x, np.array([[0, 1, 2]]), margin=10.0, attention=att)
         assert loss == pytest.approx(10.0)
 
     def test_both_attentions_zero_drops_triplet(self):
         net, x = self._fixed_embedding_net([[0.0], [0.0], [5.0]])
         att = np.zeros((3, 3))
-        loss, grads = triplet_loss_W(net, x, [Triplet(0, 1, 2)], margin=10.0,
+        loss, grads = triplet_loss_W(net, x, np.array([[0, 1, 2]]), margin=10.0,
                                      attention=att)
         assert loss == 0.0
         assert all(np.all(g == 0) for g in grads)
-
-    def test_sparse_attention_missing_pair_reads_zero(self):
-        net, x = self._fixed_embedding_net([[0.0], [0.0], [5.0]])
-        att = sp.csr_matrix((np.array([1.0]), (np.array([0]), np.array([1]))),
-                            shape=(3, 3))
-        loss, _ = triplet_loss_W(net, x, [Triplet(0, 1, 2)], margin=10.0,
-                                 attention=att)
-        assert loss == pytest.approx(10.0)
 
     def test_losses_nonnegative_random(self):
         rng = np.random.default_rng(7)
         net = MetricNet(3, NetConfig(layer_widths=(5,), embedding_dim=2, seed=8))
         for _ in range(10):
             x = rng.normal(size=(8, 3))
-            trips = [Triplet(*t) for t in rng.integers(0, 8, size=(6, 3))]
+            trips = rng.integers(0, 8, size=(6, 3))
             loss, _ = triplet_loss_E(net, x, trips, margin=5.0)
             assert loss >= 0.0
 
@@ -222,7 +213,7 @@ class TestGradients:
         # inputs scaled so hinges stay active and away from their kink: the
         # loss is smooth there and central differences are trustworthy
         x = kink_free_inputs(net, rng, 9)
-        trips = [Triplet(*t) for t in rng.integers(0, 9, size=(5, 3))]
+        trips = rng.integers(0, 9, size=(5, 3))
         _, grads = triplet_loss_E(net, x, trips, margin=10.0)
         analytic = np.concatenate([g.ravel() for g in grads])
         fd = fd_gradient(net, lambda: triplet_loss_E(net, x, trips, margin=10.0)[0])
@@ -236,7 +227,7 @@ class TestGradients:
                                      skip_to_layer=skip))
         assert net.n_params <= 1000
         x = kink_free_inputs(net, rng, 9)
-        trips = [Triplet(*t) for t in rng.integers(0, 9, size=(6, 3))]
+        trips = rng.integers(0, 9, size=(6, 3))
         att = rng.integers(0, 2, size=(9, 9)).astype(float)
         _, grads = triplet_loss_W(net, x, trips, margin=10.0, attention=att)
         analytic = np.concatenate([g.ravel() for g in grads])
@@ -245,29 +236,114 @@ class TestGradients:
         assert rel_err(analytic, fd).max() <= 1e-4
 
 
+def three_pass_triplet_core(net, x, trips, margin, attention):
+    """Reference triplet loss: the anchor, positive and negative rows each go
+    through their own forward and backward pass, and the three gradient sets
+    are summed. Also returns the largest entry of the three sets: the
+    rounding error of that sum, in any order, scales with it."""
+    x = np.asarray(x, dtype=np.float64)
+    ia, ip, iq = trips[:, 0], trips[:, 1], trips[:, 2]
+    emb_a, _, cache_a = net._forward_cached(x[ia])
+    emb_p, _, cache_p = net._forward_cached(x[ip])
+    emb_n, _, cache_n = net._forward_cached(x[iq])
+    diff_ap = emb_a - emb_p
+    diff_an = emb_a - emb_n
+    d_ap = (diff_ap * diff_ap).sum(axis=1)
+    d_an = (diff_an * diff_an).sum(axis=1)
+    if attention is None:
+        pi_ap = np.ones(trips.shape[0])
+        pi_an = np.ones(trips.shape[0])
+    else:
+        pi_ap = attention[ia, ip]
+        pi_an = attention[ia, iq]
+    hinge = margin - pi_an * d_an + pi_ap * d_ap
+    keep = ~((pi_ap == 0.0) & (pi_an == 0.0))
+    active = (hinge > 0.0) & keep
+    loss = float(hinge[active].sum())
+    coef = active.astype(np.float64)
+    g_ap = (2.0 * pi_ap * coef)[:, None] * diff_ap
+    g_an = (2.0 * pi_an * coef)[:, None] * diff_an
+    grads_a = net._backward(cache_a, g_ap - g_an)
+    grads_p = net._backward(cache_p, -g_ap)
+    grads_n = net._backward(cache_n, g_an)
+    scale = max(float(np.abs(g).max()) for g in grads_a + grads_p + grads_n)
+    return loss, [ga + gp + gn for ga, gp, gn in zip(grads_a, grads_p, grads_n)], scale
+
+
+@st.composite
+def triplet_cases(draw, skip):
+    """(net, x, triplets, attention or None). The first two triplets share
+    their anchor, and the positive of one is the negative of the other."""
+    widths = tuple(draw(st.lists(st.integers(1, 6), min_size=1 if skip else 0, max_size=3)))
+    net = MetricNet(draw(st.integers(1, 5)), NetConfig(
+        layer_widths=widths, embedding_dim=draw(st.integers(1, 4)),
+        skip_to_layer=draw(st.integers(1, len(widths))) if skip else None,
+        seed=draw(st.integers(0, 2**31 - 1))))
+    n = draw(st.integers(3, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    x = rng.normal(size=(n, net.in_dim))
+    rows = st.integers(0, n - 1)
+    a, p, q = draw(st.lists(rows, min_size=3, max_size=3, unique=True))
+    extra = draw(st.lists(st.tuples(rows, rows, rows), max_size=10))
+    trips = np.array([(a, p, q), (a, q, p)] + extra, dtype=np.int64)
+    attention = draw(st.sampled_from([None, "ones", "binary"]))
+    if attention == "ones":
+        attention = np.ones((n, n))
+    elif attention == "binary":
+        attention = rng.integers(0, 2, size=(n, n)).astype(np.float64)
+        attention[a, q] = 0.0
+    return net, x, trips, attention
+
+
+class TestBatchTripletCore:
+    @pytest.mark.parametrize("skip", [False, True])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_three_pass_reference(self, skip, data):
+        net, x, trips, att = data.draw(triplet_cases(skip))
+        if att is None:
+            loss, grads = triplet_loss_E(net, x, trips, margin=10.0)
+        else:
+            loss, grads = triplet_loss_W(net, x, trips, margin=10.0, attention=att)
+        ref_loss, ref_grads, scale = three_pass_triplet_core(net, x, trips, 10.0, att)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+        assert len(grads) == len(ref_grads)
+        for g, ref in zip(grads, ref_grads):
+            assert g.shape == ref.shape
+            assert np.abs(g - ref).max() <= 1e-10 * scale
+
+    def test_triplets_must_be_index_rows(self):
+        net = MetricNet(2, NetConfig(layer_widths=(3,), embedding_dim=2))
+        with pytest.raises(ShapeError):
+            triplet_loss_E(net, np.zeros((4, 2)), np.array([0, 1, 2]), margin=10.0)
+
+
 class TestSampleTriplets:
     def test_singleton_negative_class(self):
         trips = sample_triplets(np.array([1.0, 1.0, -1.0]), count=20, seed=0)
-        assert all(t.negative == 2 for t in trips)
-        assert all(t.anchor in (0, 1) and t.positive in (0, 1) for t in trips)
-        assert all(t.anchor != t.positive for t in trips)
+        assert trips.shape == (20, 3) and trips.dtype == np.int64
+        anchors, positives, negatives = trips.T
+        assert np.all(negatives == 2)
+        assert np.isin(anchors, (0, 1)).all() and np.isin(positives, (0, 1)).all()
+        assert np.all(anchors != positives)
 
     def test_count_zero_empty(self):
-        assert sample_triplets(np.array([1.0, -1.0, 1.0]), 0, seed=1) == []
+        trips = sample_triplets(np.array([1.0, -1.0, 1.0]), 0, seed=1)
+        assert trips.shape == (0, 3) and trips.dtype == np.int64
 
     def test_deterministic_per_seed(self):
         labels = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 0.0])
         a = sample_triplets(labels, 15, seed=42)
         b = sample_triplets(labels, 15, seed=42)
-        assert a == b
+        np.testing.assert_array_equal(a, b)
 
     def test_labels_consistent(self):
         rng = np.random.default_rng(9)
         labels = rng.choice([-1.0, 0.0, 1.0], size=30)
         trips = sample_triplets(labels, 50, seed=3)
-        for t in trips:
-            assert labels[t.anchor] == labels[t.positive] != 0
-            assert labels[t.negative] == -labels[t.anchor]
+        for a, p, n in trips:
+            assert labels[a] == labels[p] != 0
+            assert labels[n] == -labels[a]
 
     def test_single_class_raises(self):
         with pytest.raises(SamplingError):
@@ -276,8 +352,21 @@ class TestSampleTriplets:
     def test_unlabeled_nodes_never_sampled(self):
         labels = np.array([0.0, 1.0, 1.0, -1.0, -1.0, 0.0])
         trips = sample_triplets(labels, 40, seed=4)
-        used = {i for t in trips for i in t}
+        used = set(trips.ravel().tolist())
         assert 0 not in used and 5 not in used
+
+    @pytest.mark.parametrize("labels,count,seed,expected", [
+        ([1, 1, -1, -1, 1, 0, -1, 1, 0, -1], 12, 42,
+         [(4, 7, 9), (2, 3, 4), (4, 1, 6), (0, 4, 2), (1, 7, 2), (6, 3, 1),
+          (1, 7, 3), (2, 3, 7), (3, 2, 1), (7, 4, 6), (6, 2, 7), (4, 7, 2)]),
+        # one positive node: every anchor is negative
+        ([-1, 1, -1, 0, -1, -1, 0], 8, 7,
+         [(4, 2, 1), (2, 4, 1), (4, 5, 1), (0, 2, 1), (0, 5, 1), (4, 5, 1),
+          (4, 5, 1), (2, 5, 1)]),
+    ])
+    def test_draws_pinned(self, labels, count, seed, expected):
+        trips = sample_triplets(np.array(labels, dtype=np.float64), count, seed)
+        np.testing.assert_array_equal(trips, np.array(expected, dtype=np.int64))
 
 
 class TestOptimizer:
