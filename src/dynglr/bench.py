@@ -140,17 +140,14 @@ class Report:
     def to_markdown(self) -> str:
         means = self.mean_errors()
         noises = sorted({k[2] for k in means})
-        datasets = sorted({k[0] for k in means})
+        rows = _row_order(means)
         lines = []
-        for dataset_id in datasets:
+        for dataset_id in dict.fromkeys(d for d, _ in rows):
             lines.append(f"## {dataset_id}")
             header = "| variant | " + " | ".join(f"{100 * nz:g}%" for nz in noises) + " |"
             lines.append(header)
             lines.append("|" + "---|" * (len(noises) + 1))
-            variants = [v for v in VARIANT_LADDER
-                        if any(k[:2] == (dataset_id, v) for k in means)]
-            extra = sorted({k[1] for k in means if k[0] == dataset_id} - set(variants))
-            for variant in list(variants) + extra:
+            for variant in (v for d, v in rows if d == dataset_id):
                 cells = []
                 for nz in noises:
                     val = means.get((dataset_id, variant, nz))
@@ -163,14 +160,23 @@ class Report:
         means = self.mean_errors()
         noises = sorted({k[2] for k in means})
         lines = ["dataset,variant," + ",".join(f"{nz:g}" for nz in noises)]
-        keys = sorted({(k[0], k[1]) for k in means},
-                      key=lambda kv: (kv[0], VARIANT_LADDER.index(kv[1])
-                                      if kv[1] in VARIANT_LADDER else len(VARIANT_LADDER)))
-        for dataset_id, variant in keys:
+        for dataset_id, variant in _row_order(means):
             vals = [means.get((dataset_id, variant, nz)) for nz in noises]
             cells = [f"{v:.6f}" if v is not None else "" for v in vals]
             lines.append(f"{dataset_id},{variant}," + ",".join(cells))
         return "\n".join(lines) + "\n"
+
+
+def _row_order(means: dict) -> list[tuple[str, str]]:
+    """(dataset, variant) rows of a report: datasets by name, each with its
+    ladder variants in ladder order, then any other variants by name."""
+    def key(row):
+        dataset_id, variant = row
+        if variant in VARIANT_LADDER:
+            return dataset_id, VARIANT_LADDER.index(variant), ""
+        return dataset_id, len(VARIANT_LADDER), variant
+
+    return sorted({k[:2] for k in means}, key=key)
 
 
 def cell_seed(base_seed: int, dataset_id: str, noise: float, repeat: int) -> int:
@@ -202,8 +208,8 @@ def run_cell(ds_cell: Dataset, dataset_id: str, variant: str, seed: int,
     result = {"error_rate": err, "n_test": int(test_idx.size),
               "runtime_s": time.perf_counter() - start, "state": state,
               "diag_residual_noise": "", "diag_rho": ""}
-    if state.stages and max(state.stages) >= 1:
-        final = state.stages[max(state.stages)]
+    if len(state.stages) >= 2:
+        final = state.stages[-1]
         clean_work = ds_cell.clean_labels[state.work_ids]
         train_mask = ds_cell.split[state.work_ids] == dataio.TRAIN
         result["diag_residual_noise"] = f"{residual_noise(final.y, clean_work, train_mask):.6f}"

@@ -10,6 +10,7 @@ grid results. The data directory can also come from $DYNGLR_DATA_DIR.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import bench, dataio, graphs, pipeline
 from .dataio import NoiseSpec
-from .errors import DynglrError
+from .errors import ConfigError, DynglrError
 
 
 def _cmd_prepare(args) -> int:
@@ -44,19 +45,15 @@ def _load_for_run(args):
 
 def _cmd_train(args) -> int:
     ds, source, spec = _load_for_run(args)
-    cfg = pipeline.PipelineConfig.for_dataset(args.dataset, variant=args.variant,
-                                              seed=args.seed)
-    state = pipeline.run_variant(ds, cfg)
-    test_idx = ds.indices(dataio.TEST)
-    pred = pipeline.predict(state, test_idx, cfg)
-    err = bench.error_rate(pred, ds.clean_labels[test_idx])
+    result = bench.run_cell(ds, args.dataset, args.variant, args.seed)
+    state, err = result["state"], result["error_rate"]
     run_dir = Path(args.out)
     pipeline.save_state(state, run_dir)
     manifest = dataio.dataset_manifest(ds, noise=spec, seed=args.seed)
     manifest["source"] = source
     manifest["dataset_id"] = args.dataset
     losses = {stage: vals[-1] for stage, vals in state.stage_losses.items()}
-    pipeline.write_run_manifest(run_dir / "manifest.json", cfg, manifest,
+    pipeline.write_run_manifest(run_dir / "manifest.json", state.config, manifest,
                                 extra={"test_error_rate": err,
                                        "final_stage_losses": losses,
                                        "desk_scale": args.desk_scale,
@@ -97,16 +94,18 @@ def _cmd_eval(args) -> int:
 
 def _cmd_ablate(args) -> int:
     grid_spec = json.loads(Path(args.grid).read_text())
-    grid = bench.ExperimentGrid(
-        datasets=tuple(grid_spec.get("datasets", ["spambase"])),
-        noise_levels=tuple(grid_spec.get("noise_levels", bench.NOISE_LEVELS)),
-        repeats=int(grid_spec.get("repeats", 20)),
-        variants=tuple(grid_spec.get("variants", pipeline.VARIANT_LADDER)),
-        base_seed=int(grid_spec.get("base_seed", 0)),
-        data_dir=grid_spec.get("data_dir") or args.data_dir,
-        desk_scale=bool(grid_spec.get("desk_scale", False)),
-    )
-    report = bench.run_grid(grid, args.out, grid_spec.get("config_overrides"))
+    overrides = grid_spec.pop("config_overrides", None)
+    allowed = [f.name for f in dataclasses.fields(bench.ExperimentGrid)]
+    unknown = sorted(set(grid_spec) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown grid keys {unknown}; allowed: "
+                          f"{allowed + ['config_overrides']}")
+    for key in ("repeats", "base_seed"):
+        if type(grid_spec.get(key, 0)) is not int:
+            raise ConfigError(f"grid key {key!r} must be an integer, not {grid_spec[key]!r}")
+    grid_spec["data_dir"] = grid_spec.get("data_dir") or args.data_dir
+    grid = bench.ExperimentGrid(**grid_spec)
+    report = bench.run_grid(grid, args.out, overrides)
     failed = [r for r in report.rows if r["status"] != "ok"]
     print(f"grid complete: {len(report.rows)} rows, {len(failed)} failed -> {args.out}")
     return 0 if not failed else 1
@@ -114,7 +113,7 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     _, _, _, state = _reload_run(args.run)
-    rec = state.stages[max(state.stages)]
+    rec = state.stages[-1]
     eigvals, mags = graphs.gft_spectrum(rec.graph.laplacian, rec.y)
     graphs.dump_spectrum(eigvals, mags, args.out)
     print(f"wrote {eigvals.size} spectral lines -> {args.out}")

@@ -189,11 +189,6 @@ def auto_sigma(embeddings: np.ndarray, part: EdgePartition) -> float:
     return float(np.sqrt((w_q**2 - w_p**2) / (2.0 * np.log(w_q**2 / w_p**2))))
 
 
-def kernel_margin(sigma: float, w_p: float, w_q: float) -> float:
-    """The objective auto_sigma maximizes, exposed for grid-search checks."""
-    return float(np.exp(-(w_p**2) / (2 * sigma**2)) - np.exp(-(w_q**2) / (2 * sigma**2)))
-
-
 def assign_weights(g: Graph, embeddings: np.ndarray, sigma: float) -> Graph:
     """Gaussian-kernel weights on the existing edge set. Edges whose kernel
     value underflows to exactly 0 leave the graph."""

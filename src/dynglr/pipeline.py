@@ -173,45 +173,26 @@ def node_phi(y_prev: np.ndarray, y_cur: np.ndarray, eps: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # batches
 
-@dataclass(frozen=True)
-class Batch:
-    ids: np.ndarray
-    labeled: np.ndarray
-
-
-def build_batches(ds: Dataset, seed: int) -> list[Batch]:
-    """16 batch graphs of 80 train + 20 val nodes, disjoint within the epoch.
+def build_batches(split: np.ndarray, seed: int) -> list[np.ndarray]:
+    """16 batch graphs of working-set positions, 80 train then 20 val,
+    disjoint within the epoch; split is the working set's split array.
 
     If a split cannot cover the epoch without reuse, nodes are drawn with
     replacement (logged once per call).
     """
     rng = substream(seed, "batches")
     pools = []
-    for idx, per_graph in ((ds.indices(TRAIN), LABELED_PER_GRAPH),
-                           (ds.indices(VAL), UNLABELED_PER_GRAPH)):
+    for code, per_graph in ((TRAIN, LABELED_PER_GRAPH), (VAL, UNLABELED_PER_GRAPH)):
+        pos = np.flatnonzero(split == code)
         need = GRAPHS_PER_EPOCH * per_graph
-        if idx.size >= need:
-            pool = rng.choice(idx, size=need, replace=False)
-        else:
+        if pos.size < need:
             logger.info("split of %d cannot fill %d slots; sampling with replacement",
-                        idx.size, need)
-            pool = rng.choice(idx, size=need, replace=True)
-        pools.append(pool)
-    batches = []
-    for k in range(GRAPHS_PER_EPOCH):
-        tr = pools[0][k * LABELED_PER_GRAPH:(k + 1) * LABELED_PER_GRAPH]
-        va = pools[1][k * UNLABELED_PER_GRAPH:(k + 1) * UNLABELED_PER_GRAPH]
-        ids = np.concatenate([tr, va])
-        labeled = np.zeros(ids.size, dtype=bool)
-        labeled[: tr.size] = True
-        batches.append(Batch(ids=ids, labeled=labeled))
-    return batches
-
-
-def batch_signal(ds: Dataset, batch: Batch) -> np.ndarray:
-    y = ds.noisy_labels[batch.ids].copy()
-    y[~batch.labeled] = 0.0
-    return y
+                        pos.size, need)
+        pools.append(rng.choice(pos, size=need, replace=pos.size < need))
+    train, val = pools
+    return [np.concatenate([train[k * LABELED_PER_GRAPH:(k + 1) * LABELED_PER_GRAPH],
+                            val[k * UNLABELED_PER_GRAPH:(k + 1) * UNLABELED_PER_GRAPH]])
+            for k in range(GRAPHS_PER_EPOCH)]
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +200,10 @@ def batch_signal(ds: Dataset, batch: Batch) -> np.ndarray:
 
 @dataclass
 class StageRecord:
-    """A graph of the chain, the signal on it, and the embeddings that last
-    built or weighted it."""
+    """A graph of the chain and the signal on it."""
 
     graph: Graph
     y: np.ndarray
-    embeddings: np.ndarray | None = None
 
 
 @dataclass
@@ -235,7 +214,7 @@ class PipelineState:
     work_pos: np.ndarray
     nets: dict = field(default_factory=dict)
     gamma0: int | None = None
-    stages: dict = field(default_factory=dict)
+    stages: list = field(default_factory=list)
     stage_losses: dict = field(default_factory=dict)
     trained_chain: str | None = None
 
@@ -293,9 +272,10 @@ def grid_search_gamma(embeddings: np.ndarray, train_pos: np.ndarray,
 def _train_net(state: PipelineState, stage: str, net: MetricNet, loss_of_batch) -> None:
     """Fit net on fresh batch graphs each epoch and store it under stage."""
     cfg = state.config
+    split = state.dataset.split[state.work_ids]
 
     def batches(epoch):
-        return build_batches(state.dataset, substream_seed(cfg.seed, stage, "epoch", epoch))
+        return build_batches(split, substream_seed(cfg.seed, stage, "epoch", epoch))
 
     state.stage_losses[stage] = train(net, batches, loss_of_batch, stage)
     state.nets[stage] = net
@@ -317,12 +297,13 @@ def run_stage_gnet(state: PipelineState, inputs: np.ndarray) -> MetricNet:
     embedding of the working-set inputs."""
     cfg, ds = state.config, state.dataset
     net = MetricNet(inputs.shape[1], cfg.net_config("embed"))
+    y0 = state.work_signal0
 
-    def loss_of_batch(batch, epoch, b_idx):
-        trips = _triplets_or_skip(batch_signal(ds, batch), cfg, "embed", epoch, b_idx)
+    def loss_of_batch(pos, epoch, b_idx):
+        trips = _triplets_or_skip(y0[pos], cfg, "embed", epoch, b_idx)
         if trips is None:
             return None
-        return triplet_loss_E(net, ds.features[batch.ids], trips, MARGIN_E)
+        return triplet_loss_E(net, inputs[pos], trips, MARGIN_E)
 
     _train_net(state, "embed", net, loss_of_batch)
     emb_work, _ = net.forward_batch(inputs)
@@ -346,8 +327,7 @@ def run_stage_wnet(state: PipelineState, r: int, inputs: np.ndarray,
     stage = f"weight{r}"
     net = MetricNet(inputs.shape[1], cfg.net_config(stage))
 
-    def loss_of_batch(batch, epoch, b_idx):
-        pos = state.positions(batch.ids)
+    def loss_of_batch(pos, epoch, b_idx):
         x_in, y_b = inputs[pos], y_prev[pos]
         g_b = knn_edges(embeddings[pos], gamma[pos])
         part = partition_edges(g_b, y_b)
@@ -411,8 +391,7 @@ def run_stage_unet(state: PipelineState, inputs: np.ndarray, y: np.ndarray,
     cfg = state.config
     net = MetricNet(inputs.shape[1], cfg.net_config("update"))
 
-    def loss_of_batch(batch, epoch, b_idx):
-        pos = state.positions(batch.ids)
+    def loss_of_batch(pos, epoch, b_idx):
         att = node_attention_matrix(phi[pos])
         trips = _triplets_or_skip(y[pos], cfg, "update", epoch, b_idx)
         if trips is None:
@@ -441,7 +420,7 @@ def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.nda
     for step in CHAIN_STEPS[chain]:
         if step == "denoise":
             y_prev, y = y, denoise(graph.laplacian, y)
-            records.append(StageRecord(graph, y, emb))
+            records.append(StageRecord(graph, y))
             continue
         if step == "embed":
             x = features
@@ -461,7 +440,7 @@ def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.nda
         emb, tap = state.nets[step].forward_batch(x)
         if step == "embed":
             graph, shallow = knn_edges(emb, state.gamma0), tap
-            records.append(StageRecord(graph, y, emb))
+            records.append(StageRecord(graph, y))
         elif step == "update":
             graph, shallow = graph_update(graph, y, emb, BETA), tap
         else:
@@ -469,10 +448,10 @@ def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.nda
     return records
 
 
-def _work_stages(state: PipelineState, chain: str, train_missing: bool = False) -> dict:
-    features = state.dataset.features[state.work_ids]
-    records = run_chain(state, chain, features, state.work_signal0, train_missing)
-    return dict(enumerate(records))
+def _work_stages(state: PipelineState, chain: str, train_missing: bool = False
+                 ) -> list[StageRecord]:
+    return run_chain(state, chain, state.dataset.features[state.work_ids],
+                     state.work_signal0, train_missing)
 
 
 def run_variant(ds: Dataset, cfg: PipelineConfig) -> PipelineState:
@@ -520,7 +499,7 @@ def _reference_sets(state: PipelineState, cfg: PipelineConfig, chain: str,
                     sampling: bool) -> list[np.ndarray]:
     ds = state.dataset
     if sampling:
-        top = rank_sampling(ds, state, cfg.rank_sample_k, cfg)
+        top = rank_sampling(state, cfg.rank_sample_k, cfg)
         rng = substream(cfg.seed, "predict", "rank-batches")
         return _stratified_batches(top, ds.noisy_labels[top], cfg.rank_sample_batches, rng)
     if chain == "DML-KNN":
@@ -593,7 +572,7 @@ def predict(state: PipelineState, test_indices, cfg: PipelineConfig | None = Non
 # ---------------------------------------------------------------------------
 # rank sampling
 
-def rank_sampling(ds: Dataset, state: PipelineState, k: int | None = None,
+def rank_sampling(state: PipelineState, k: int | None = None,
                   cfg: PipelineConfig | None = None) -> np.ndarray:
     """Top-k trusted training nodes by rank-fused accuracy and stability.
 
@@ -603,7 +582,7 @@ def rank_sampling(ds: Dataset, state: PipelineState, k: int | None = None,
     denoising passes. Equal-weight rank fusion, deterministic per seed; for
     the baseline without recorded signals, accuracy alone ranks.
     """
-    cfg = cfg or state.config
+    cfg, ds = cfg or state.config, state.dataset
     if state.trained_chain is None:
         raise UsageError("rank sampling needs a trained pipeline")
     chain, _ = parse_variant(cfg.variant)
@@ -622,26 +601,21 @@ def rank_sampling(ds: Dataset, state: PipelineState, k: int | None = None,
     rounds = max(1, math.ceil(cfg.rank_coverage * m / LABELED_PER_GRAPH))
     acc_sum = np.zeros(m)
     acc_cnt = np.zeros(m)
-    train_rank = np.full(ds.n_nodes, -1, dtype=np.int64)
-    train_rank[train_ids] = np.arange(m)
     for rnd in range(rounds):
         rng = substream(cfg.seed, "rank", rnd)
         refs = _stratified_train_sample(ds, LABELED_PER_GRAPH, rng)
         signal, _ = _transduce(state, chain, refs, val_ids)
         acc = float(np.mean(np.where(signal >= 0, 1.0, -1.0) == val_labels))
-        members = train_rank[refs]
+        members = np.searchsorted(train_ids, refs)
         acc_sum[members] += acc
         acc_cnt[members] += 1
     seen = acc_cnt > 0
     acc_score = np.full(m, acc_sum[seen].sum() / acc_cnt[seen].sum() if seen.any() else 0.0)
     acc_score[seen] = acc_sum[seen] / acc_cnt[seen]
 
-    recorded = sorted(state.stages)
-    if len(recorded) >= 2:
-        last, prev = recorded[-1], recorded[-2]
-        delta = np.abs(state.stages[last].y - state.stages[prev].y)
-        train_pos_work = state.positions(train_ids)
-        instability = delta[train_pos_work]
+    if len(state.stages) >= 2:
+        delta = np.abs(state.stages[-1].y - state.stages[-2].y)
+        instability = delta[state.positions(train_ids)]
         rank_acc = _ordinal_rank(-acc_score)
         rank_stab = _ordinal_rank(instability)
         fused = rank_acc + rank_stab

@@ -20,6 +20,12 @@ def tiny_config(variant="G-12312", seed=0, **overrides):
     return PipelineConfig(**defaults)
 
 
+def kernel_margin(sigma: float, w_p: float, w_q: float) -> float:
+    """The objective auto_sigma maximizes: the gap between the Gaussian kernel
+    weights at the mean same-label (w_p) and opposite-label (w_q) distances."""
+    return float(np.exp(-(w_p**2) / (2 * sigma**2)) - np.exp(-(w_q**2) / (2 * sigma**2)))
+
+
 def blob_dataset(n=300, dim=4, separation=4.0, seed=0, noise_rate=0.0):
     rng = np.random.default_rng(seed)
     half = n // 2

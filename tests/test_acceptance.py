@@ -24,10 +24,10 @@ from dynglr.bench import (ExperimentGrid, cell_seed, error_rate, load_dataset,
 from dynglr.dataio import NoiseSpec, TEST, TRAIN
 from dynglr.glr import SOLVER_TOL, _conjugate_gradient, denoise, mu_max
 from dynglr.graphs import (EdgePartition, assign_weights, auto_sigma,
-                           build_laplacian, gft_spectrum, kernel_margin,
-                           knn_edges)
+                           build_laplacian, gft_spectrum, knn_edges)
 from dynglr.metricnet import MetricNet, NetConfig, triplet_loss_E, triplet_loss_W
 from dynglr.pipeline import PipelineConfig, predict, rank_sampling, run_variant
+from conftest import kernel_margin
 from test_metricnet import fd_gradient, kink_free_inputs, rel_err
 
 BASE_SEED = 2026
@@ -265,7 +265,7 @@ def test_criterion_7_denoising_trend(spambase_runs):
         train_m = ds25.split[state.work_ids] == TRAIN
         residuals.append(residual_noise(state.stages[1].y, clean_w, train_m))
         cfg_rank = dataclasses.replace(run["cfg25"], variant="G-12s")
-        top = rank_sampling(ds25, state, cfg_rank.rank_sample_k, cfg_rank)
+        top = rank_sampling(state, cfg_rank.rank_sample_k, cfg_rank)
         top_mask = np.zeros(state.work_ids.size, dtype=bool)
         top_mask[state.positions(top)] = True
         residuals_top.append(residual_noise(state.stages[1].y, clean_w, top_mask))

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -274,3 +280,35 @@ class TestReport:
         lines = text.splitlines()
         assert lines[0].startswith("dataset,variant,")
         assert any("G-12" in ln for ln in lines)
+
+    def test_off_ladder_variants_follow_ladder_by_name(self):
+        # parse_variant accepts variants off the ladder, such as "G-2s"
+        variants = ("G-1232s", "G-2s", "G-12", "G-2", "G-12312s", "DML-KNN-s")
+        report = Report(rows=[{"dataset": d, "noise": "0.25", "repeat": "0", "variant": v,
+                               "status": "ok", "error_rate": "5.0"}
+                              for d in ("toy", "alpha") for v in variants])
+        order = ["DML-KNN-s", "G-2", "G-12", "G-12312s", "G-1232s", "G-2s"]
+        csv_rows = [ln.split(",")[:2] for ln in report.to_csv().splitlines()[1:]]
+        assert csv_rows == [["alpha", v] for v in order] + [["toy", v] for v in order]
+        md_variants = [ln.split(" | ")[0].removeprefix("| ")
+                       for ln in report.to_markdown().splitlines()
+                       if ln.startswith("| ") and not ln.startswith("| variant")]
+        assert md_variants == order + order
+
+    def test_rendering_independent_of_hash_seed(self):
+        # two off-ladder variants once came out in string-hash order
+        rows = [{"dataset": "toy", "noise": "0.25", "repeat": "0", "variant": v,
+                 "status": "ok", "error_rate": "5.0"} for v in ("G-2s", "G-1232s")]
+        script = ("import json, sys\n"
+                  "from dynglr.bench import Report\n"
+                  "report = Report(rows=json.loads(sys.argv[1]))\n"
+                  "print(report.to_csv())\n"
+                  "print(report.to_markdown())\n")
+        src = str(Path(bench.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            outputs.append(subprocess.run([sys.executable, "-c", script, json.dumps(rows)],
+                                          env=env, capture_output=True, text=True,
+                                          check=True).stdout)
+        assert outputs[0] == outputs[1]

@@ -122,3 +122,39 @@ class TestAblateReport:
         assert ("settable: ['rank_sample_k', 'rank_sample_batches', 'rank_coverage', "
                 "'arch']") in err
         assert not results.exists()
+
+    def test_unknown_grid_key_rejected_before_any_cell(self, tmp_path, capsys):
+        # "repeat" and "variant" misspell repeats and variants; ignored, they
+        # would leave a listed dataset to 20 repeats of the whole ladder
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps({"datasets": [], "repeat": 1, "variant": ["G-2"]}))
+        results = tmp_path / "results.csv"
+        rc = main(["ablate", "--grid", str(grid_file), "--out", str(results)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown grid keys ['repeat', 'variant']" in err
+        assert ("allowed: ['datasets', 'noise_levels', 'repeats', 'variants', 'base_seed', "
+                "'data_dir', 'desk_scale', 'config_overrides']") in err
+        assert not results.exists()
+
+    @pytest.mark.parametrize("key,value", [("repeats", "2"), ("repeats", 1.5),
+                                           ("base_seed", True)])
+    def test_non_integer_count_rejected(self, tmp_path, capsys, key, value):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps({"datasets": [], key: value}))
+        rc = main(["ablate", "--grid", str(grid_file), "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert f"grid key {key!r} must be an integer" in capsys.readouterr().err
+
+    def test_data_dir_flag_used_when_grid_names_none(self, toy_data_dir, tmp_path, capsys):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps({
+            "datasets": ["toy"], "noise_levels": [0.0], "repeats": 1,
+            "variants": ["DML-KNN"], "config_overrides": {"rank_coverage": 1.0},
+        }))
+        results = tmp_path / "results.csv"
+        rc = main(["ablate", "--grid", str(grid_file), "--out", str(results),
+                   "--data-dir", str(toy_data_dir)])
+        # "toy" has no synthetic stand-in, so the cell passes only on the CSV
+        assert rc == 0
+        assert "1 rows, 0 failed" in capsys.readouterr().out

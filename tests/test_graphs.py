@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import kernel_margin
 from dynglr import graphs
 from dynglr.errors import ValidationError
 from dynglr.graphs import (EdgePartition, assign_weights, auto_sigma,
                            build_laplacian, directed_knn, gft_spectrum,
-                           graph_update, kernel_margin, knn_edges,
+                           graph_update, knn_edges,
                            partition_edges, surviving_edge_budgets)
 
 

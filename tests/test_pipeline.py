@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import blob_dataset, tiny_config
 from dynglr import dataio, pipeline
@@ -11,11 +13,11 @@ from dynglr.errors import ConfigError, SamplingError, TrainingError, UsageError
 from dynglr.graphs import (assign_weights, knn_edges, pairwise_sq_dists,
                            surviving_edge_budgets)
 from dynglr.metricnet import node_attention_matrix
-from dynglr.pipeline import (PipelineConfig, PipelineState, batch_signal,
-                             build_batches, grid_search_gamma, load_state,
-                             node_phi, parse_variant, predict, rank_sampling,
-                             run_chain, run_variant, save_state, unet_inputs,
-                             _ordinal_rank)
+from dynglr.pipeline import (PipelineConfig, PipelineState, build_batches,
+                             grid_search_gamma, load_state, node_phi, parse_variant,
+                             predict, rank_sampling, run_chain, run_variant, save_state,
+                             unet_inputs, _ordinal_rank)
+from dynglr.seeds import substream
 
 
 def attention(y_prev_i, y_cur_i, y_prev_j, y_cur_j, eps: float) -> int:
@@ -46,6 +48,47 @@ def knn_vote_oracle(emb_refs, labels_refs, emb_targets, gamma):
         dists = sorted((float(np.sum((e - r) ** 2)), j) for j, r in enumerate(emb_refs))
         votes.append(sum(labels_refs[j] for _, j in dists[:gamma]))
     return np.array(votes)
+
+
+def id_batches_oracle(ds, seed):
+    """Batches as (dataset ids, labeled mask) drawn from the dataset's id
+    pools, the form the pipeline drew before batches were working-set
+    positions."""
+    rng = substream(seed, "batches")
+    pools = []
+    for idx, per_graph in ((ds.indices(TRAIN), pipeline.LABELED_PER_GRAPH),
+                           (ds.indices(VAL), pipeline.UNLABELED_PER_GRAPH)):
+        need = pipeline.GRAPHS_PER_EPOCH * per_graph
+        pools.append(rng.choice(idx, size=need, replace=idx.size < need))
+    batches = []
+    for k in range(pipeline.GRAPHS_PER_EPOCH):
+        tr = pools[0][k * pipeline.LABELED_PER_GRAPH:(k + 1) * pipeline.LABELED_PER_GRAPH]
+        va = pools[1][k * pipeline.UNLABELED_PER_GRAPH:(k + 1) * pipeline.UNLABELED_PER_GRAPH]
+        labeled = np.zeros(tr.size + va.size, dtype=bool)
+        labeled[:tr.size] = True
+        batches.append((np.concatenate([tr, va]), labeled))
+    return batches
+
+
+def id_signal_oracle(ds, ids, labeled):
+    """A batch's initial signal: noisy labels, 0 on its unlabeled nodes."""
+    y = ds.noisy_labels[ids].copy()
+    y[~labeled] = 0.0
+    return y
+
+
+def layout_dataset(n_train, n_val, n_test, seed):
+    """A dataset whose split interleaves the three sets in a seeded order."""
+    rng = np.random.default_rng(seed)
+    split = rng.permutation(np.repeat(np.array([TRAIN, VAL, TEST], dtype=np.int8),
+                                      [n_train, n_val, n_test]))
+    labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=split.size)
+    return dataio.Dataset(features=rng.normal(size=(split.size, 2)), clean_labels=labels,
+                          noisy_labels=labels.astype(np.float64), split=split)
+
+
+def work_split(ds):
+    return ds.split[ds.split != TEST]
 
 
 def pair_attention(y_prev, y_cur, eps):
@@ -92,37 +135,51 @@ class TestAttention:
 
 
 class TestBatches:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n_train=st.integers(1, 1500), n_val=st.integers(1, 400),
+           n_test=st.integers(0, 50), layout_seed=st.integers(0, 2**16),
+           seed=st.integers(0, 2**16))
+    # both pools fill an epoch; only the train pool does; neither does
+    @example(n_train=1300, n_val=330, n_test=20, layout_seed=1, seed=2)
+    @example(n_train=1280, n_val=100, n_test=0, layout_seed=3, seed=4)
+    @example(n_train=90, n_val=5, n_test=7, layout_seed=5, seed=6)
+    def test_matches_id_oracle(self, n_train, n_val, n_test, layout_seed, seed):
+        ds = layout_dataset(n_train, n_val, n_test, layout_seed)
+        state = PipelineState.fresh(ds, tiny_config())
+        batches = build_batches(work_split(ds), seed)
+        oracle = id_batches_oracle(ds, seed)
+        assert len(batches) == len(oracle) == 16
+        for pos, (ids, labeled) in zip(batches, oracle):
+            np.testing.assert_array_equal(state.work_ids[pos], ids)
+            signal = id_signal_oracle(ds, ids, labeled)
+            np.testing.assert_array_equal(state.work_signal0[pos], signal)
+            assert (signal[~labeled] == 0).all() and (signal[labeled] != 0).all()
+
     def test_batch_composition(self, blobs):
-        batches = build_batches(blobs, seed=3)
+        split = work_split(blobs)
+        batches = build_batches(split, seed=3)
         assert len(batches) == 16
-        for batch in batches:
-            assert batch.ids.size == 100
-            assert batch.labeled.sum() == 80
-            assert (blobs.split[batch.ids[batch.labeled]] == TRAIN).all()
-            assert (blobs.split[batch.ids[~batch.labeled]] == VAL).all()
+        for pos in batches:
+            assert pos.size == 100
+            assert (split[pos[:80]] == TRAIN).all()
+            assert (split[pos[80:]] == VAL).all()
 
     def test_deterministic_per_seed(self, blobs):
-        a = build_batches(blobs, seed=5)
-        b = build_batches(blobs, seed=5)
+        a = build_batches(work_split(blobs), seed=5)
+        b = build_batches(work_split(blobs), seed=5)
         for x, y in zip(a, b):
-            assert np.array_equal(x.ids, y.ids)
+            assert np.array_equal(x, y)
 
     def test_disjoint_when_split_large_enough(self):
         ds = blob_dataset(n=4000, seed=2)
-        batches = build_batches(ds, seed=1)
-        train_slots = np.concatenate([b.ids[b.labeled] for b in batches])
+        batches = build_batches(work_split(ds), seed=1)
+        train_slots = np.concatenate([pos[:80] for pos in batches])
         assert train_slots.size == np.unique(train_slots).size == 1280
 
     def test_replacement_fallback_logged(self, blobs, caplog):
         with caplog.at_level("INFO"):
-            build_batches(blobs, seed=0)
+            build_batches(work_split(blobs), seed=0)
         assert "replacement" in caplog.text
-
-    def test_batch_signal_zeroes_unlabeled(self, blobs):
-        batch = build_batches(blobs, seed=2)[0]
-        y = batch_signal(blobs, batch)
-        assert (y[~batch.labeled] == 0).all()
-        assert (y[batch.labeled] != 0).all()
 
 
 class TestGammaGrid:
@@ -216,7 +273,7 @@ def trained_g12(blobs):
 class TestRunVariant:
     def test_full_chain_records_three_iterations(self, trained_full):
         state, _ = trained_full
-        assert sorted(state.stages) == [0, 1, 2]
+        assert len(state.stages) == 3
         assert set(state.nets) == {"embed", "weight1", "update", "weight2"}
         assert state.trained_chain == "G-12312"
 
@@ -240,12 +297,14 @@ class TestRunVariant:
         b = run_variant(blobs, tiny_config("G-12", seed=9))
         assert a.gamma0 == b.gamma0
         assert (a.stages[0].graph.edges != b.stages[0].graph.edges).nnz == 0
-        np.testing.assert_array_equal(a.stages[0].embeddings, b.stages[0].embeddings)
+        for pa, pb in zip(a.nets["embed"].parameters(), b.nets["embed"].parameters(),
+                          strict=True):
+            np.testing.assert_array_equal(pa, pb)
 
     def test_g1232_second_pass_on_unweighted_updated_graph(self, blobs):
         state = run_variant(blobs, tiny_config("G-1232", seed=21))
         assert set(state.nets) == {"embed", "weight1", "update"}
-        assert sorted(state.stages) == [0, 1, 2]
+        assert len(state.stages) == 3
         # the updated graph enters the second pass unweighted, with budgets
         # recounted from the edges that survived the first pass
         rec1, rec2 = state.stages[1], state.stages[2]
@@ -258,7 +317,7 @@ class TestRunVariant:
     def test_g2_skips_weighting_nets(self, blobs):
         state = run_variant(blobs, tiny_config("G-2", seed=11))
         assert set(state.nets) == {"embed"}
-        assert sorted(state.stages) == [0, 1]
+        assert len(state.stages) == 2
         # unweighted: every stored weight is exactly 1
         assert (state.stages[1].graph.weights.data == 1.0).all()
 
@@ -414,12 +473,12 @@ class TestRankSampling:
     def test_clamp_rule(self, blobs, trained_g12):
         state, cfg = trained_g12
         # train size 120: k > M -> largest multiple of 6 at or below 72
-        selected = rank_sampling(blobs, state, k=500, cfg=cfg)
+        selected = rank_sampling(state, k=500, cfg=cfg)
         assert selected.size == 72
 
     def test_returns_sorted_train_subset(self, blobs, trained_g12):
         state, cfg = trained_g12
-        selected = rank_sampling(blobs, state, k=48, cfg=cfg)
+        selected = rank_sampling(state, k=48, cfg=cfg)
         assert selected.size == 48
         assert np.array_equal(selected, np.sort(selected))
         assert np.isin(selected, blobs.indices(TRAIN)).all()
@@ -429,12 +488,12 @@ class TestRankSampling:
         # 120 train nodes: 0.6 * 120 = 72 holds no batch of 80 references
         cfg = tiny_config("G-12s", seed=7, rank_sample_k=160, rank_sample_batches=80)
         with pytest.raises(SamplingError, match="fewer than"):
-            rank_sampling(blobs, state, cfg=cfg)
+            rank_sampling(state, cfg=cfg)
 
     def test_deterministic(self, blobs, trained_g12):
         state, cfg = trained_g12
-        a = rank_sampling(blobs, state, k=24, cfg=cfg)
-        b = rank_sampling(blobs, state, k=24, cfg=cfg)
+        a = rank_sampling(state, k=24, cfg=cfg)
+        b = rank_sampling(state, k=24, cfg=cfg)
         assert np.array_equal(a, b)
 
 
@@ -451,7 +510,7 @@ class TestPersistence:
         reloaded = load_state(tmp_path / "run", blobs, cfg)
         after = predict(reloaded, test_idx, cfg)
         assert np.array_equal(before, after)
-        for r, rec in state.stages.items():
+        for r, rec in enumerate(state.stages):
             assert np.array_equal(reloaded.stages[r].y, rec.y)
 
     def test_run_manifest_written(self, trained_full, blobs, tmp_path):

@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import kernel_margin
 from dynglr.glr import denoise
 from dynglr.graphs import (EdgePartition, assign_weights, auto_sigma, build_laplacian,
-                           directed_knn, edge_distances, kernel_margin, knn_edges, nearest,
+                           directed_knn, edge_distances, knn_edges, nearest,
                            pairwise_sq_dists)
 
 # fixed example sequence, so a failure reproduces on every run
