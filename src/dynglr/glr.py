@@ -39,7 +39,7 @@ def mu_max(kappa: float, d_max: float) -> float:
     return (kappa - 1.0) / (2.0 * d_max)
 
 
-def _conjugate_gradient(system: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
+def _conjugate_gradient(system: np.ndarray | sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
                         tol: float, max_iter: int,
                         residual_log: list | None = None) -> tuple[np.ndarray, bool]:
     b_norm = float(np.linalg.norm(b))
@@ -64,12 +64,22 @@ def _conjugate_gradient(system: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
     return x, math.sqrt(rr) <= tol * b_norm
 
 
-def denoise(laplacian: sp.csr_matrix, y_prev: np.ndarray, mu: float | None = None,
+def _system(laplacian: np.ndarray | sp.csr_matrix, mu: float) -> np.ndarray | sp.csr_matrix:
+    """I + mu L in the backing of L, a dense array or a csr matrix."""
+    if isinstance(laplacian, np.ndarray):
+        system = mu * laplacian
+        system[np.diag_indices(laplacian.shape[0])] += 1.0
+        return system
+    return (sp.identity(laplacian.shape[0], format="csr") + mu * laplacian).tocsr()
+
+
+def denoise(laplacian: np.ndarray | sp.csr_matrix, y_prev: np.ndarray, mu: float | None = None,
             residual_log: list | None = None) -> np.ndarray:
     """Solve (I + mu L) y = y_prev with mu = MU_FRACTION * mu_max(KAPPA, d_max).
 
-    d_max is the largest diagonal entry of L, the largest degree. An
-    explicit nonnegative mu overrides the derived one (mu = 0 is the
+    L is a dense array or a csr matrix, and CG runs on I + mu L in the same
+    backing. d_max is the largest diagonal entry of L, the largest degree.
+    An explicit nonnegative mu overrides the derived one (mu = 0 is the
     identity). Edgeless graphs short-circuit to the identity. If CG fails to
     reach SOLVER_TOL within MAX_ITER_FACTOR * N iterations, falls back to a
     dense direct solve with a warning, or raises SolverError above
@@ -87,7 +97,7 @@ def denoise(laplacian: sp.csr_matrix, y_prev: np.ndarray, mu: float | None = Non
     n = y_prev.shape[0]
     if mu is None:
         mu = MU_FRACTION * mu_max(KAPPA, d_max)
-    system = (sp.identity(n, format="csr") + mu * laplacian).tocsr()
+    system = _system(laplacian, mu)
     iters = MAX_ITER_FACTOR * n
     x, converged = _conjugate_gradient(system, y_prev, y_prev, SOLVER_TOL, iters,
                                        residual_log)
@@ -98,6 +108,7 @@ def denoise(laplacian: sp.csr_matrix, y_prev: np.ndarray, mu: float | None = Non
                 f"CG did not converge on N={n} nodes in {iters} iterations (relative "
                 f"residual {residual:.3g}); a dense fallback needs N <= {DENSE_NODE_GUARD}")
         logger.warning("CG did not converge in %d iterations; dense fallback", iters)
-        x = np.linalg.solve(system.toarray(), y_prev)
+        x = np.linalg.solve(system if isinstance(system, np.ndarray) else system.toarray(),
+                            y_prev)
     return x
 

@@ -1,4 +1,4 @@
-"""Sparse KNN graphs over embedding spaces.
+"""KNN graphs over embedding spaces.
 
 Construction keeps, for node i, its gamma_i nearest neighbors by squared
 Euclidean distance and symmetrizes with an OR rule; edge weights come from a
@@ -10,6 +10,11 @@ symmetric weight matrix whose support is its edge set. The combinatorial
 Laplacian L = D - A feeds the signal-restoration solver, and the update rule
 recounts per-node degree budgets from edges that stayed reliable after
 denoising.
+
+A graph of at most DENSE_BACKING_MAX nodes (the per-batch and frozen-chain
+graphs) keeps its weights in a dense (n, n) array; a larger one (a train+val
+working set) in a csr matrix. knn_edges picks the backing by node count,
+and every later function follows the type of Graph.weights.
 """
 
 from __future__ import annotations
@@ -30,16 +35,50 @@ _DIST_CHUNK = 512
 # largest graph for which a dense (N, N) matrix is formed: the spectrum's
 # eigendecomposition and the GLR solver's direct fallback
 DENSE_NODE_GUARD = 4000
+# largest graph whose weights are a dense (n, n) array instead of a csr
+# matrix. Batch graphs have 100 nodes and frozen-chain graphs 100-120; at
+# that size scipy's per-call overhead outweighs the arithmetic. One chain of
+# KNN build, weights, denoise, update-net inputs, update and denoise (16-dim
+# embeddings, gamma 10, BLAS on 1 thread, medians of three probes) took
+# dense 2.7 vs csr 3.9 ms at 100 nodes and 4.5 vs 4.7 ms at 150; the two
+# were even at 200 (6.5 ms each), and dense lost at 250 and 300 nodes
+# (16.0 vs 12.5 ms at 300).
+DENSE_BACKING_MAX = 150
+
+
+def _nonzeros(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the weight entries of either backing, in
+    row-major order: a dense array's nonzeros, a csr matrix's stored
+    entries."""
+    if isinstance(w, np.ndarray):
+        # a flat search of a boolean mask: np.nonzero on the 2-D array, or
+        # on the floats themselves, is several times slower
+        flat = np.flatnonzero(w != 0)
+        rows, cols = np.divmod(flat, w.shape[1])
+        return rows, cols, w.ravel()[flat]
+    if not w.has_sorted_indices:
+        w = w.sorted_indices()
+    rows = np.repeat(np.arange(w.shape[0], dtype=w.indices.dtype), np.diff(w.indptr))
+    return rows, w.indices, w.data
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph: a symmetric csr weight matrix (unit weights before
-    any kernel is assigned) whose nonzeros are the edges, and per-node
-    neighbor budgets."""
+    """Undirected graph: a symmetric weight matrix (unit weights before any
+    kernel is assigned) whose nonzeros are the edges, and per-node neighbor
+    budgets. The weights are a square float ndarray or a csr matrix."""
 
-    weights: sp.csr_matrix
+    weights: np.ndarray | sp.csr_matrix
     gamma: np.ndarray
+
+    def __post_init__(self):
+        w = self.weights
+        dense = (isinstance(w, np.ndarray) and w.ndim == 2 and w.shape[0] == w.shape[1]
+                 and w.dtype.kind == "f")
+        if not (dense or (sp.issparse(w) and w.format == "csr")):
+            raise ValidationError(
+                "graph weights must be a csr matrix or a square 2-D float ndarray, got "
+                f"{type(w).__name__} {getattr(w, 'dtype', '')} {getattr(w, 'shape', '')}")
 
     @property
     def n_nodes(self) -> int:
@@ -47,22 +86,23 @@ class Graph:
 
     @property
     def edges(self) -> sp.csr_matrix:
-        """The int8 edge pattern of the weights."""
-        w = self.weights
-        return sp.csr_matrix((np.ones(w.nnz, dtype=np.int8), w.indices, w.indptr),
-                             shape=w.shape)
+        """The int8 edge pattern of the weights, a csr matrix for either
+        backing."""
+        rows, cols, _ = _nonzeros(self.weights)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=self.n_nodes))))
+        return sp.csr_matrix((np.ones(cols.size, dtype=np.int8), cols, indptr),
+                             shape=self.weights.shape)
 
     @property
     def edge_pairs(self) -> np.ndarray:
         """Upper-triangle (i, j) pairs, i < j, one row per undirected edge,
         in row-major order."""
-        w = self.weights
-        rows = np.repeat(np.arange(w.shape[0], dtype=w.indices.dtype), np.diff(w.indptr))
-        upper = w.indices > rows
-        return np.column_stack([rows[upper], w.indices[upper]])
+        rows, cols, _ = _nonzeros(self.weights)
+        upper = cols > rows
+        return np.column_stack([rows[upper], cols[upper]])
 
     @cached_property
-    def laplacian(self) -> sp.csr_matrix:
+    def laplacian(self) -> np.ndarray | sp.csr_matrix:
         """Built on first use: most frozen-chain graphs are reweighted
         before any denoising pass needs their Laplacian."""
         return build_laplacian(self)
@@ -131,15 +171,21 @@ def directed_knn(embeddings: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]
 
 
 def knn_edges(embeddings: np.ndarray, gamma) -> Graph:
-    """Symmetric KNN graph: e_ij = 1 iff j in i's gamma_i nearest or vice versa."""
+    """Symmetric KNN graph: e_ij = 1 iff j in i's gamma_i nearest or vice
+    versa. Dense weights up to DENSE_BACKING_MAX nodes, csr above."""
     rows, cols = directed_knn(embeddings, gamma)
     n = embeddings.shape[0]
-    # each undirected edge once per direction, in row-major order (a sort and
-    # a neighbour compare: np.unique is ten times slower on 100-node graphs)
-    keys = np.sort(np.concatenate([rows * n + cols, cols * n + rows]))
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    weights = sp.csr_matrix((np.ones(keys.size), keys % n, indptr), shape=(n, n))
+    if n <= DENSE_BACKING_MAX:
+        weights = np.zeros((n, n))
+        weights[rows, cols] = 1.0
+        weights[cols, rows] = 1.0
+    else:
+        # each undirected edge once per direction, in row-major order (a sort
+        # and a neighbour compare: np.unique is ten times slower)
+        keys = np.sort(np.concatenate([rows * n + cols, cols * n + rows]))
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        weights = sp.csr_matrix((np.ones(keys.size), keys % n, indptr), shape=(n, n))
     gamma_vec = np.broadcast_to(np.asarray(gamma, dtype=np.int64), (n,)).copy()
     return Graph(weights=weights, gamma=gamma_vec)
 
@@ -194,20 +240,31 @@ def assign_weights(g: Graph, embeddings: np.ndarray, sigma: float) -> Graph:
     value underflows to exactly 0 leave the graph."""
     if sigma <= 0:
         raise ValidationError("sigma must be positive")
-    weights = g.weights.copy()
-    rows = np.repeat(np.arange(g.n_nodes), np.diff(weights.indptr))
-    diff = embeddings[rows] - embeddings[weights.indices]
+    w = g.weights
+    rows, cols, _ = _nonzeros(w)
+    diff = embeddings[rows] - embeddings[cols]
     sq = (diff * diff).sum(axis=1)
-    weights.data = np.exp(-sq / (2.0 * sigma**2))
-    weights.eliminate_zeros()
+    values = np.exp(-sq / (2.0 * sigma**2))
+    if isinstance(w, np.ndarray):
+        weights = np.zeros_like(w)
+        weights[rows, cols] = values
+    else:
+        weights = sp.csr_matrix((values, cols, w.indptr), shape=w.shape, copy=True)
+        weights.eliminate_zeros()
     return Graph(weights=weights, gamma=g.gamma)
 
 
-def build_laplacian(g: Graph) -> sp.csr_matrix:
-    """L = D - A, with the symmetric weight matrix as A. The diagonal of L
-    holds the degrees, since A has no self-loops."""
-    degrees = np.asarray(g.weights.sum(axis=1)).ravel()
-    return (sp.diags(degrees) - g.weights).tocsr()
+def build_laplacian(g: Graph) -> np.ndarray | sp.csr_matrix:
+    """L = D - A, with the symmetric weight matrix as A, in the graph's
+    backing. The diagonal of L holds the degrees, since A has no
+    self-loops."""
+    w = g.weights
+    if isinstance(w, np.ndarray):
+        lap = -w
+        np.fill_diagonal(lap, w.sum(axis=1))
+        return lap
+    degrees = np.asarray(w.sum(axis=1)).ravel()
+    return (sp.diags(degrees) - w).tocsr()
 
 
 def surviving_edge_budgets(g: Graph, denoised: np.ndarray, beta: float) -> np.ndarray:
@@ -218,12 +275,11 @@ def surviving_edge_budgets(g: Graph, denoised: np.ndarray, beta: float) -> np.nd
     are edges touching an exactly-zero (unlabeled) value. Budgets are floored
     at 1 (logged).
     """
-    w = g.weights
-    rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
+    rows, cols, values = _nonzeros(g.weights)
     si = np.sign(denoised[rows])
-    sj = np.sign(denoised[w.indices])
-    survive = (si != 0) & (sj != 0) & (si == sj) & (w.data > beta)
-    budgets = np.bincount(rows[survive], minlength=w.shape[0]).astype(np.int64)
+    sj = np.sign(denoised[cols])
+    survive = (si != 0) & (sj != 0) & (si == sj) & (values > beta)
+    budgets = np.bincount(rows[survive], minlength=g.n_nodes).astype(np.int64)
     floored = budgets < 1
     if floored.any():
         logger.info("floored %d node budgets to 1", int(floored.sum()))
@@ -241,7 +297,7 @@ def graph_update(g: Graph, denoised: np.ndarray, embeddings_new: np.ndarray,
     return knn_edges(embeddings_new, surviving_edge_budgets(g, denoised, beta))
 
 
-def gft_spectrum(laplacian: sp.csr_matrix, signal: np.ndarray
+def gft_spectrum(laplacian: np.ndarray | sp.csr_matrix, signal: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of L (ascending) and |projection| of the signal on each mode.
 
@@ -253,7 +309,8 @@ def gft_spectrum(laplacian: sp.csr_matrix, signal: np.ndarray
         raise ValidationError(
             f"spectrum needs a dense eigendecomposition; N={n} exceeds the "
             f"{DENSE_NODE_GUARD}-node guard - subsample the graph first")
-    eigvals, eigvecs = np.linalg.eigh(laplacian.toarray())
+    dense = laplacian if isinstance(laplacian, np.ndarray) else laplacian.toarray()
+    eigvals, eigvecs = np.linalg.eigh(dense)
     coefs = eigvecs.T @ np.asarray(signal, dtype=np.float64)
     return eigvals, np.abs(coefs)
 

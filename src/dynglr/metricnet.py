@@ -154,11 +154,13 @@ def _triplet_core(net: MetricNet, x: np.ndarray, triplets: np.ndarray, margin: f
     coef = active.astype(np.float64)
     g_ap = (2.0 * pi_ap * coef)[:, None] * diff_ap
     g_an = (2.0 * pi_an * coef)[:, None] * diff_an
-    # unbuffered adds: a row that recurs across triplets collects every term
-    d_emb = np.zeros_like(emb)
-    np.add.at(d_emb, ia, g_ap - g_an)
-    np.add.at(d_emb, ip, -g_ap)
-    np.add.at(d_emb, iq, g_an)
+    # one scatter-add over (row, column) keys: a row that recurs across
+    # triplets collects every term, anchor terms first, then positive, then
+    # negative ones, each in triplet order
+    dim = emb.shape[1]
+    keys = (np.concatenate([ia, ip, iq])[:, None] * dim + np.arange(dim)).ravel()
+    terms = np.concatenate([g_ap - g_an, -g_ap, g_an]).ravel()
+    d_emb = np.bincount(keys, weights=terms, minlength=emb.size).reshape(emb.shape)
     return loss, net._backward(cache, d_emb)
 
 

@@ -40,8 +40,8 @@ from . import dataio, glr
 from .dataio import TRAIN, VAL, Dataset
 from .errors import ConfigError, SamplingError, UsageError
 from .glr import denoise
-from .graphs import (Graph, assign_weights, auto_sigma, graph_update, knn_edges, nearest,
-                     pairwise_sq_dists, partition_edges)
+from .graphs import (Graph, _nonzeros, assign_weights, auto_sigma, graph_update, knn_edges,
+                     nearest, pairwise_sq_dists, partition_edges)
 from .metricnet import (MetricNet, NetConfig, load_checkpoint, node_attention_matrix,
                         sample_triplets, save_checkpoint, train, triplet_loss_E,
                         triplet_loss_W)
@@ -346,7 +346,7 @@ def run_stage_wnet(state: PipelineState, r: int, inputs: np.ndarray,
     return net
 
 
-def unet_inputs(features: np.ndarray, y: np.ndarray, weights: sp.csr_matrix,
+def unet_inputs(features: np.ndarray, y: np.ndarray, weights: np.ndarray | sp.csr_matrix,
                 k: int) -> np.ndarray:
     """Per-node update-net encoding: raw features, the two-slot label encoding
     of the denoised value, and its differences to the k largest-weight
@@ -361,20 +361,19 @@ def unet_inputs(features: np.ndarray, y: np.ndarray, weights: sp.csr_matrix,
     posv = y > 0
     enc[posv, 0] = y[posv]
     enc[~posv, 1] = y[~posv]
-    if not weights.has_sorted_indices:
-        weights = weights.sorted_indices()
-    counts = np.diff(weights.indptr)
+    rows, cols, values = _nonzeros(weights)
+    counts = np.bincount(rows, minlength=m)
+    starts = np.cumsum(counts) - counts
     # each node's negated weights in one row, padded with +inf: a stable sort
     # along the rows ranks its neighbors, equal weights in column order
     key = np.full((m, max(int(counts.max(initial=0)), 1)), np.inf)
-    key[np.repeat(np.arange(m), counts),
-        np.arange(weights.nnz) - np.repeat(weights.indptr[:-1], counts)] = -weights.data
+    key[rows, np.arange(rows.size) - starts[rows]] = -values
     ranked = np.argsort(key, axis=1, kind="stable")
     # slot s of a node holds its (s mod count)-th heaviest neighbor
     slot = np.take_along_axis(ranked, np.arange(k) % np.maximum(counts, 1)[:, None], axis=1)
     neighbor_ids = np.repeat(np.arange(m)[:, None], k, axis=1)
     linked = counts > 0
-    neighbor_ids[linked] = weights.indices[(weights.indptr[:-1, None] + slot)[linked]]
+    neighbor_ids[linked] = cols[(starts[:, None] + slot)[linked]]
     padded = int((counts < k).sum())
     if padded:
         logger.info("padded neighbor lists for %d nodes with fewer than %d neighbors",

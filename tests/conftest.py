@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dynglr import dataio
 from dynglr.pipeline import ArchPreset, PipelineConfig
@@ -18,6 +19,13 @@ def tiny_config(variant="G-12312", seed=0, **overrides):
                     rank_sample_batches=6, rank_coverage=1.0)
     defaults.update(overrides)
     return PipelineConfig(**defaults)
+
+
+def dense(m) -> np.ndarray:
+    """A weight matrix, Laplacian or system of either backing (a dense array
+    for graphs of at most graphs.DENSE_BACKING_MAX nodes, csr above) as a
+    dense array."""
+    return m.toarray() if sp.issparse(m) else np.asarray(m)
 
 
 def kernel_margin(sigma: float, w_p: float, w_q: float) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import kernel_margin
+from conftest import dense, kernel_margin
 from dynglr import graphs
 from dynglr.errors import ValidationError
 from dynglr.graphs import (EdgePartition, assign_weights, auto_sigma,
@@ -87,6 +87,13 @@ class TestKnnEdges:
     def test_rejects_zero_gamma(self):
         with pytest.raises(ValidationError):
             knn_edges(np.zeros((4, 1)), 0)
+
+    @pytest.mark.parametrize("weights", [
+        np.ones((3, 4)), np.ones(3), np.ones((3, 3), dtype=np.int64),
+        [[0.0, 1.0], [1.0, 0.0]], sp.coo_matrix(np.eye(3)), np.ones((2, 2, 2))])
+    def test_graph_refuses_unknown_backing(self, weights):
+        with pytest.raises(ValidationError, match="csr matrix or a square 2-D float"):
+            graphs.Graph(weights=weights, gamma=np.ones(3, dtype=np.int64))
 
 
 class TestPartition:
@@ -188,16 +195,17 @@ class TestWeights:
         emb = rng.normal(size=(15, 2))
         g = knn_edges(emb, 2)
         gw = assign_weights(g, emb, sigma=1.0)
-        assert (gw.weights.astype(bool) != g.edges.astype(bool)).nnz == 0
-        assert gw.weights.data.min() > 0
-        assert gw.weights.data.max() <= 1.0
+        on_edges = dense(g.edges) != 0
+        assert np.array_equal(dense(gw.weights) != 0, on_edges)
+        assert dense(gw.weights)[on_edges].min() > 0
+        assert dense(gw.weights)[on_edges].max() <= 1.0
 
 
 class TestLaplacian:
     def test_two_node_unit_weight(self):
         g = knn_edges(np.array([[0.0], [1.0]]), 1)
         lap = build_laplacian(g)
-        np.testing.assert_allclose(lap.toarray(), [[1.0, -1.0], [-1.0, 1.0]])
+        np.testing.assert_allclose(dense(lap), [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_edgeless_graph_zero_laplacian(self):
         g = graphs.Graph(weights=sp.csr_matrix((3, 3)), gamma=np.ones(3, dtype=np.int64))
@@ -210,7 +218,7 @@ class TestLaplacian:
         emb = rng.normal(size=(25, 3))
         g = assign_weights(knn_edges(emb, 4), emb, sigma=1.0)
         lap = build_laplacian(g)
-        adjacency = g.weights.toarray()
+        adjacency = dense(g.weights)
         for _ in range(5):
             x = rng.normal(size=25)
             direct = 0.5 * np.sum(adjacency * (x[:, None] - x[None, :]) ** 2)
@@ -231,7 +239,7 @@ class TestLaplacian:
             emb = rng.normal(size=(30, 2))
             g = assign_weights(knn_edges(emb, 3), emb, sigma=1.0)
             lap = build_laplacian(g)
-            eigvals = np.linalg.eigvalsh(lap.toarray())
+            eigvals = np.linalg.eigvalsh(dense(lap))
             assert eigvals.min() >= -1e-8
 
 
@@ -239,7 +247,7 @@ def survivor_mask(g, denoised, beta):
     """Dense oracle of the surviving edges: both endpoints carry the same
     nonzero sign and the weight exceeds beta."""
     s = np.sign(denoised)
-    return (g.weights.toarray() > beta) & (s[:, None] == s[None, :]) & (s[:, None] != 0)
+    return (dense(g.weights) > beta) & (s[:, None] == s[None, :]) & (s[:, None] != 0)
 
 
 def checked_survivors(g, denoised, beta):

@@ -270,6 +270,32 @@ def three_pass_triplet_core(net, x, trips, margin, attention):
     return loss, [ga + gp + gn for ga, gp, gn in zip(grads_a, grads_p, grads_n)], scale
 
 
+def add_at_triplet_core(net, x, trips, margin, attention):
+    """Reference scatter of the batch-embedding triplet loss: one forward,
+    the per-row gradients summed by three unbuffered np.add.at passes
+    (anchor, positive, then negative terms), one backward."""
+    ia, ip, iq = trips.T
+    emb, _, cache = net._forward_cached(np.asarray(x, dtype=np.float64))
+    diff_ap = emb[ia] - emb[ip]
+    diff_an = emb[ia] - emb[iq]
+    d_ap = (diff_ap * diff_ap).sum(axis=1)
+    d_an = (diff_an * diff_an).sum(axis=1)
+    if attention is None:
+        pi_ap = pi_an = np.ones(trips.shape[0])
+    else:
+        pi_ap, pi_an = attention[ia, ip], attention[ia, iq]
+    hinge = margin - pi_an * d_an + pi_ap * d_ap
+    active = (hinge > 0.0) & ~((pi_ap == 0.0) & (pi_an == 0.0))
+    coef = active.astype(np.float64)
+    g_ap = (2.0 * pi_ap * coef)[:, None] * diff_ap
+    g_an = (2.0 * pi_an * coef)[:, None] * diff_an
+    d_emb = np.zeros_like(emb)
+    np.add.at(d_emb, ia, g_ap - g_an)
+    np.add.at(d_emb, ip, -g_ap)
+    np.add.at(d_emb, iq, g_an)
+    return float(hinge[active].sum()), net._backward(cache, d_emb)
+
+
 @st.composite
 def triplet_cases(draw, skip):
     """(net, x, triplets, attention or None). The first two triplets share
@@ -311,6 +337,21 @@ class TestBatchTripletCore:
         for g, ref in zip(grads, ref_grads):
             assert g.shape == ref.shape
             assert np.abs(g - ref).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_bit_equal_to_add_at_scatter(self, skip, data):
+        net, x, trips, att = data.draw(triplet_cases(skip))
+        if att is None:
+            loss, grads = triplet_loss_E(net, x, trips, margin=10.0)
+        else:
+            loss, grads = triplet_loss_W(net, x, trips, margin=10.0, attention=att)
+        ref_loss, ref_grads = add_at_triplet_core(net, x, trips, 10.0, att)
+        assert loss == ref_loss
+        for g, ref in zip(grads, ref_grads, strict=True):
+            assert np.array_equal(g, ref)
+            assert np.array_equal(np.signbit(g), np.signbit(ref))
 
     def test_triplets_must_be_index_rows(self):
         net = MetricNet(2, NetConfig(layer_widths=(3,), embedding_dim=2))

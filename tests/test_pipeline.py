@@ -3,10 +3,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import blob_dataset, tiny_config
+from conftest import blob_dataset, dense, tiny_config
 from dynglr import dataio, pipeline
 from dynglr.dataio import TRAIN, VAL, TEST
 from dynglr.errors import ConfigError, SamplingError, TrainingError, UsageError
@@ -31,12 +32,11 @@ def loop_neighbor_ids(weights, k):
     """Row-by-row oracle of unet_inputs' neighbor lists: the k heaviest
     neighbors (equal weights in column order), a shorter list repeated
     cyclically, an isolated node repeated itself."""
-    adj = weights.tocsr()
-    adj.sort_indices()
+    adj = dense(weights)
     ids = np.empty((adj.shape[0], k), dtype=np.int64)
     for i in range(adj.shape[0]):
-        row = slice(adj.indptr[i], adj.indptr[i + 1])
-        chosen = adj.indices[row][np.argsort(-adj.data[row], kind="stable")[:k]]
+        cols = np.flatnonzero(adj[i])
+        chosen = cols[np.argsort(-adj[i, cols], kind="stable")[:k]]
         ids[i] = np.resize(chosen if chosen.size else np.array([i]), k)
     return ids
 
@@ -239,23 +239,23 @@ class TestUnetInputs:
         rng = np.random.default_rng(31)
         n = 12
         emb = rng.normal(size=(n, 2))
-        w = assign_weights(knn_edges(emb, 2), emb, 1.0).weights.tolil()
+        w = dense(assign_weights(knn_edges(emb, 2), emb, 1.0).weights).copy()
         w[1, 2] = w[2, 1] = w[1, 3] = w[3, 1] = 0.5  # a tie, broken by column
-        for j in list(w.rows[0]):  # node 0 isolated
-            w[0, j] = w[j, 0] = 0.0
-        w = w.tocsr()
-        w.eliminate_zeros()
-        counts = np.diff(w.indptr)
+        w[0, :] = w[:, 0] = 0.0  # node 0 isolated
+        counts = (w != 0).sum(axis=1)
         assert counts[0] == 0 and ((counts > 0) & (counts < k)).any()
         feats = rng.normal(size=(n, 3))
         y = rng.uniform(-1, 1, n)  # distinct values: each encoding names its node
-        with caplog.at_level("INFO"):
-            out = unet_inputs(feats, y, w, k)
         oracle = loop_neighbor_ids(w, k)
-        enc = out[:, 3:5]
-        np.testing.assert_array_equal(out[:, :3], feats)
-        np.testing.assert_array_equal(out[:, 5:].reshape(n, k, 2), enc[oracle] - enc[:, None])
-        assert f"padded neighbor lists for {int((counts < k).sum())} nodes" in caplog.text
+        for weights in (w, sp.csr_matrix(w)):  # both backings
+            caplog.clear()
+            with caplog.at_level("INFO"):
+                out = unet_inputs(feats, y, weights, k)
+            enc = out[:, 3:5]
+            np.testing.assert_array_equal(out[:, :3], feats)
+            np.testing.assert_array_equal(out[:, 5:].reshape(n, k, 2),
+                                          enc[oracle] - enc[:, None])
+            assert f"padded neighbor lists for {int((counts < k).sum())} nodes" in caplog.text
 
 
 @pytest.fixture(scope="module")

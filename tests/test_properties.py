@@ -1,18 +1,24 @@
 """Property tests of the graph layer every chain step builds on: the
 neighbour-selection kernel and the KNN rule, the kernel scale, the
-Laplacian, and the GLR denoiser."""
+Laplacian, the GLR denoiser, and the agreement of the dense and csr
+backings."""
+
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import kernel_margin
+from conftest import dense, kernel_margin
+from dynglr import graphs
 from dynglr.glr import denoise
 from dynglr.graphs import (EdgePartition, assign_weights, auto_sigma, build_laplacian,
                            directed_knn, edge_distances, knn_edges, nearest,
-                           pairwise_sq_dists)
+                           pairwise_sq_dists, surviving_edge_budgets)
+from dynglr.pipeline import unet_inputs
 
 # fixed example sequence, so a failure reproduces on every run
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -67,6 +73,14 @@ def loop_directed_knn(emb, gamma):
     return np.concatenate(rows), np.concatenate(cols)
 
 
+@contextmanager
+def backing(kind):
+    """knn_edges builds every graph in the named backing: "csr" or "dense"."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "DENSE_BACKING_MAX", 0 if kind == "csr" else 10**6)
+        yield
+
+
 def weighted_laplacian(emb, gamma, sigma):
     return build_laplacian(assign_weights(knn_edges(emb, gamma), emb, sigma))
 
@@ -106,13 +120,15 @@ def test_directed_knn_matches_row_loop(points):
 @given(tied_point_sets())
 def test_knn_edges_match_sparse_constructions(points):
     """The OR-symmetric csr and its upper-triangle pairs equal the scipy
-    constructions they replaced, arrays and dtypes alike."""
+    constructions they replaced, arrays and dtypes alike; the dense backing
+    holds the same matrix and pairs."""
     emb, gamma = points
     n = emb.shape[0]
     rows, cols = loop_directed_knn(emb, gamma)
     selected = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
     expected = selected.maximum(selected.T).tocsr().astype(np.float64)
-    g = knn_edges(emb, gamma)
+    with backing("csr"):
+        g = knn_edges(emb, gamma)
     for name in ("indices", "indptr", "data"):
         got, want = getattr(g.weights, name), getattr(expected, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
@@ -120,6 +136,11 @@ def test_knn_edges_match_sparse_constructions(points):
     expected_pairs = np.column_stack([coo.row, coo.col])
     assert g.edge_pairs.dtype == expected_pairs.dtype
     assert np.array_equal(g.edge_pairs, expected_pairs)
+    with backing("dense"):
+        g_dense = knn_edges(emb, gamma)
+    assert g_dense.weights.dtype == np.float64
+    assert np.array_equal(g_dense.weights, expected.toarray())
+    assert np.array_equal(g_dense.edge_pairs, expected_pairs)
 
 
 @PROPERTY
@@ -160,21 +181,20 @@ def test_adjacency_is_masked_max_of_weights(points, sigma):
     # Laplacian's adjacency is its diagonal (the degrees) minus itself
     emb, gamma = points
     g = knn_edges(emb, gamma)
-    lap = build_laplacian(assign_weights(g, emb, sigma))
-    adjacency = (sp.diags(lap.diagonal()) - lap).tocsr()
+    lap = dense(build_laplacian(assign_weights(g, emb, sigma)))
+    adjacency = np.diag(lap.diagonal()) - lap
     oracle = masked_max_adjacency(g.edges, emb, sigma)
-    assert adjacency.nnz == oracle.nnz
-    assert np.array_equal(adjacency.toarray(), oracle.toarray())
+    assert np.count_nonzero(adjacency) == oracle.nnz
+    assert np.array_equal(adjacency, oracle.toarray())
 
 
 @PROPERTY
 @given(point_sets(), st.floats(0.1, 5.0))
 def test_laplacian_rows_sum_to_zero_and_psd(points, sigma):
-    lap = weighted_laplacian(*points, sigma)
-    dense = lap.toarray()
+    lap = dense(weighted_laplacian(*points, sigma))
     scale = max(1.0, lap.diagonal().max())
-    assert np.abs(dense.sum(axis=1)).max() <= 1e-12 * scale
-    assert np.linalg.eigvalsh(dense).min() >= -1e-9 * scale
+    assert np.abs(lap.sum(axis=1)).max() <= 1e-12 * scale
+    assert np.linalg.eigvalsh(lap).min() >= -1e-9 * scale
 
 
 @PROPERTY
@@ -188,3 +208,41 @@ def test_denoise_stays_within_input_range(points, sigma, data):
     tol = 1e-8 * max(1.0, float(np.abs(y0).max()))
     assert out.min() >= y0.min() - tol
     assert out.max() <= y0.max() + tol
+
+
+@PROPERTY
+@given(point_sets(), st.floats(0.1, 5.0), st.floats(0.0, 1.0), st.integers(1, 6),
+       st.data())
+def test_dense_and_csr_backings_agree(points, sigma, beta, k, data):
+    """Every graph function gives the same result on either backing: equal
+    edges, bit-equal kernel weights (underflowed edges leave both), equal
+    budgets and update-net inputs; the Laplacians and the denoised signals
+    differ only by summation order."""
+    emb, gamma = points
+    y0 = data.draw(arrays(np.float64, emb.shape[0], elements=st.floats(-1.0, 1.0)))
+    with backing("csr"):
+        g_c = knn_edges(emb, gamma)
+    with backing("dense"):
+        g_d = knn_edges(emb, gamma)
+    assert sp.issparse(g_c.weights) and isinstance(g_d.weights, np.ndarray)
+    assert np.array_equal(g_c.edge_pairs, g_d.edge_pairs)
+    # every later function follows the backing of the graph it is given
+    gw_c, gw_d = assign_weights(g_c, emb, sigma), assign_weights(g_d, emb, sigma)
+    assert np.array_equal(gw_c.edge_pairs, gw_d.edge_pairs)
+    assert np.array_equal(dense(gw_c.weights), gw_d.weights)
+    lap_c, lap_d = build_laplacian(gw_c), build_laplacian(gw_d)
+    assert np.abs(lap_d - dense(lap_c)).max() <= 1e-14 * lap_c.diagonal().max(initial=0.0)
+    y_c, y_d = denoise(lap_c, y0), denoise(lap_d, y0)
+    assert np.linalg.norm(y_d - y_c) <= 1e-10 * np.linalg.norm(y_c)
+    for y in (y0, y_c):
+        assert np.array_equal(surviving_edge_budgets(gw_c, y, beta),
+                              surviving_edge_budgets(gw_d, y, beta))
+        assert np.array_equal(unet_inputs(emb, y, gw_c.weights, k),
+                              unet_inputs(emb, y, gw_d.weights, k))
+
+
+def test_backing_switches_above_dense_backing_max():
+    rng = np.random.default_rng(0)
+    n = graphs.DENSE_BACKING_MAX
+    assert isinstance(knn_edges(rng.normal(size=(n, 3)), 5).weights, np.ndarray)
+    assert sp.issparse(knn_edges(rng.normal(size=(n + 1, 3)), 5).weights)
