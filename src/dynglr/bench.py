@@ -49,11 +49,11 @@ def error_rate(pred: np.ndarray, truth: np.ndarray) -> float:
 def mean_edge_weight_proportion(g: Graph, labels_clean: np.ndarray) -> float:
     """Total weight on opposite-label edges over the count of positive-weight
     edges; a graph-cleanliness diagnostic (clean labels, evaluation only)."""
-    pairs = g.edge_pairs
-    if pairs.shape[0] == 0:
+    upper = g.cols > g.rows
+    if not upper.any():
         return 0.0
-    w = np.asarray(g.weights[pairs[:, 0], pairs[:, 1]]).ravel()
-    opposite = labels_clean[pairs[:, 0]] != labels_clean[pairs[:, 1]]
+    w = g.weights[upper]
+    opposite = labels_clean[g.rows[upper]] != labels_clean[g.cols[upper]]
     positive = w > 0
     if not positive.any():
         return 0.0

@@ -5,16 +5,15 @@ Euclidean distance and symmetrizes with an OR rule; edge weights come from a
 Gaussian kernel whose scale maximizes the gap between mean same-label and
 mean opposite-label edge weights. The paper's adjacency
 a_ij = max(w_ij e_ij, w_ji e_ji) is the weight matrix itself, because the edge
-set is symmetric and the kernel gives w_ij = w_ji, so a graph is one
-symmetric weight matrix whose support is its edge set. The combinatorial
-Laplacian L = D - A feeds the signal-restoration solver, and the update rule
-recounts per-node degree budgets from edges that stayed reliable after
-denoising.
+set is symmetric and the kernel gives w_ij = w_ji. A graph is therefore the
+edge list of one symmetric weight matrix: its nonzero entries in row-major
+order, each edge once per direction. The combinatorial Laplacian L = D - A
+feeds the signal-restoration solver, and the update rule recounts per-node
+degree budgets from edges that stayed reliable after denoising.
 
-A graph of at most DENSE_BACKING_MAX nodes (the per-batch and frozen-chain
-graphs) keeps its weights in a dense (n, n) array; a larger one (a train+val
-working set) in a csr matrix. knn_edges picks the backing by node count,
-and every later function follows the type of Graph.weights.
+Only the Laplacian is a matrix. build_laplacian forms it as a dense (n, n)
+array for graphs of at most DENSE_BACKING_MAX nodes (the per-batch and
+frozen-chain graphs) and as a csr matrix above (a train+val working set).
 """
 
 from __future__ import annotations
@@ -35,71 +34,56 @@ _DIST_CHUNK = 512
 # largest graph for which a dense (N, N) matrix is formed: the spectrum's
 # eigendecomposition and the GLR solver's direct fallback
 DENSE_NODE_GUARD = 4000
-# largest graph whose weights are a dense (n, n) array instead of a csr
+# largest graph whose Laplacian is a dense (n, n) array instead of a csr
 # matrix. Batch graphs have 100 nodes and frozen-chain graphs 100-120; at
-# that size scipy's per-call overhead outweighs the arithmetic. One chain of
-# KNN build, weights, denoise, update-net inputs, update and denoise (16-dim
-# embeddings, gamma 10, BLAS on 1 thread, medians of three probes) took
-# dense 2.7 vs csr 3.9 ms at 100 nodes and 4.5 vs 4.7 ms at 150; the two
-# were even at 200 (6.5 ms each), and dense lost at 250 and 300 nodes
-# (16.0 vs 12.5 ms at 300).
+# that size scipy's per-call overhead outweighs the arithmetic. One Laplacian
+# build and denoise (16-dim embeddings, gamma 10, BLAS on 1 thread, medians
+# of three probes) took dense 0.25 vs csr 0.97 ms at 100 nodes, 0.49 vs 1.03
+# at 150, 0.63 vs 1.11 at 200 and 1.07 vs 1.20 at 250; the two were even at
+# 300 (1.57 ms). No workload graph has between 150 and 2,760 nodes.
 DENSE_BACKING_MAX = 150
-
-
-def _nonzeros(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, values) of the weight entries of either backing, in
-    row-major order: a dense array's nonzeros, a csr matrix's stored
-    entries."""
-    if isinstance(w, np.ndarray):
-        # a flat search of a boolean mask: np.nonzero on the 2-D array, or
-        # on the floats themselves, is several times slower
-        flat = np.flatnonzero(w != 0)
-        rows, cols = np.divmod(flat, w.shape[1])
-        return rows, cols, w.ravel()[flat]
-    if not w.has_sorted_indices:
-        w = w.sorted_indices()
-    rows = np.repeat(np.arange(w.shape[0], dtype=w.indices.dtype), np.diff(w.indptr))
-    return rows, w.indices, w.data
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph: a symmetric weight matrix (unit weights before any
-    kernel is assigned) whose nonzeros are the edges, and per-node neighbor
-    budgets. The weights are a square float ndarray or a csr matrix."""
+    """Undirected graph: the nonzero entries of its symmetric weight matrix
+    (unit weights before any kernel is assigned) in row-major order, each
+    edge once per direction, and per-node neighbor budgets."""
 
-    weights: np.ndarray | sp.csr_matrix
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
     gamma: np.ndarray
 
     def __post_init__(self):
-        w = self.weights
-        dense = (isinstance(w, np.ndarray) and w.ndim == 2 and w.shape[0] == w.shape[1]
-                 and w.dtype.kind == "f")
-        if not (dense or (sp.issparse(w) and w.format == "csr")):
+        rows, cols, weights = self.rows, self.cols, self.weights
+        if not (rows.ndim == 1 and rows.shape == cols.shape == weights.shape
+                and self.gamma.ndim == 1):
             raise ValidationError(
-                "graph weights must be a csr matrix or a square 2-D float ndarray, got "
-                f"{type(w).__name__} {getattr(w, 'dtype', '')} {getattr(w, 'shape', '')}")
+                "a graph needs equal-length 1-D rows, cols and weights and a 1-D gamma, got "
+                f"shapes {rows.shape}, {cols.shape}, {weights.shape} and {self.gamma.shape}")
 
     @property
     def n_nodes(self) -> int:
-        return self.weights.shape[0]
+        return self.gamma.shape[0]
+
+    def _csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The (n, n) csr matrix with data on the graph's entries."""
+        counts = np.bincount(self.rows, minlength=self.n_nodes)
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        return sp.csr_matrix((data, self.cols, indptr), shape=(self.n_nodes, self.n_nodes))
 
     @property
     def edges(self) -> sp.csr_matrix:
-        """The int8 edge pattern of the weights, a csr matrix for either
-        backing."""
-        rows, cols, _ = _nonzeros(self.weights)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=self.n_nodes))))
-        return sp.csr_matrix((np.ones(cols.size, dtype=np.int8), cols, indptr),
-                             shape=self.weights.shape)
+        """The int8 edge pattern as a csr matrix."""
+        return self._csr(np.ones(self.cols.size, dtype=np.int8))
 
     @property
     def edge_pairs(self) -> np.ndarray:
         """Upper-triangle (i, j) pairs, i < j, one row per undirected edge,
         in row-major order."""
-        rows, cols, _ = _nonzeros(self.weights)
-        upper = cols > rows
-        return np.column_stack([rows[upper], cols[upper]])
+        upper = self.cols > self.rows
+        return np.column_stack([self.rows[upper], self.cols[upper]])
 
     @cached_property
     def laplacian(self) -> np.ndarray | sp.csr_matrix:
@@ -155,7 +139,7 @@ def directed_knn(embeddings: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]
     n = embeddings.shape[0]
     if n < 2:
         raise ValidationError("need at least 2 nodes to build a graph")
-    gamma = np.broadcast_to(np.asarray(gamma, dtype=np.int64), (n,))
+    gamma = np.full(n, gamma, dtype=np.int64)
     if gamma.min() < 1:
         raise ValidationError("every gamma_i must be >= 1")
     gamma = np.minimum(gamma, n - 1)
@@ -172,22 +156,15 @@ def directed_knn(embeddings: np.ndarray, gamma) -> tuple[np.ndarray, np.ndarray]
 
 def knn_edges(embeddings: np.ndarray, gamma) -> Graph:
     """Symmetric KNN graph: e_ij = 1 iff j in i's gamma_i nearest or vice
-    versa. Dense weights up to DENSE_BACKING_MAX nodes, csr above."""
+    versa."""
     rows, cols = directed_knn(embeddings, gamma)
     n = embeddings.shape[0]
-    if n <= DENSE_BACKING_MAX:
-        weights = np.zeros((n, n))
-        weights[rows, cols] = 1.0
-        weights[cols, rows] = 1.0
-    else:
-        # each undirected edge once per direction, in row-major order (a sort
-        # and a neighbour compare: np.unique is ten times slower)
-        keys = np.sort(np.concatenate([rows * n + cols, cols * n + rows]))
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        weights = sp.csr_matrix((np.ones(keys.size), keys % n, indptr), shape=(n, n))
-    gamma_vec = np.broadcast_to(np.asarray(gamma, dtype=np.int64), (n,)).copy()
-    return Graph(weights=weights, gamma=gamma_vec)
+    # each undirected edge once per direction, in row-major order (a sort
+    # and a neighbour compare: np.unique is ten times slower)
+    keys = np.sort(np.concatenate([rows * n + cols, cols * n + rows]))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    rows, cols = np.divmod(keys, n)
+    return Graph(rows, cols, np.ones(keys.size), np.full(n, gamma, dtype=np.int64))
 
 
 def partition_edges(g: Graph, labels: np.ndarray) -> EdgePartition:
@@ -240,29 +217,25 @@ def assign_weights(g: Graph, embeddings: np.ndarray, sigma: float) -> Graph:
     value underflows to exactly 0 leave the graph."""
     if sigma <= 0:
         raise ValidationError("sigma must be positive")
-    w = g.weights
-    rows, cols, _ = _nonzeros(w)
-    diff = embeddings[rows] - embeddings[cols]
+    diff = embeddings[g.rows] - embeddings[g.cols]
     sq = (diff * diff).sum(axis=1)
     values = np.exp(-sq / (2.0 * sigma**2))
-    if isinstance(w, np.ndarray):
-        weights = np.zeros_like(w)
-        weights[rows, cols] = values
-    else:
-        weights = sp.csr_matrix((values, cols, w.indptr), shape=w.shape, copy=True)
-        weights.eliminate_zeros()
-    return Graph(weights=weights, gamma=g.gamma)
+    kept = values != 0
+    return Graph(g.rows[kept], g.cols[kept], values[kept], g.gamma)
 
 
 def build_laplacian(g: Graph) -> np.ndarray | sp.csr_matrix:
-    """L = D - A, with the symmetric weight matrix as A, in the graph's
-    backing. The diagonal of L holds the degrees, since A has no
-    self-loops."""
-    w = g.weights
-    if isinstance(w, np.ndarray):
+    """L = D - A, with the symmetric weight matrix as A: a dense array up to
+    DENSE_BACKING_MAX nodes, a csr matrix above. The diagonal of L holds the
+    degrees, since A has no self-loops."""
+    n = g.n_nodes
+    if n <= DENSE_BACKING_MAX:
+        w = np.zeros((n, n))
+        w[g.rows, g.cols] = g.weights
         lap = -w
         np.fill_diagonal(lap, w.sum(axis=1))
         return lap
+    w = g._csr(g.weights)
     degrees = np.asarray(w.sum(axis=1)).ravel()
     return (sp.diags(degrees) - w).tocsr()
 
@@ -275,11 +248,10 @@ def surviving_edge_budgets(g: Graph, denoised: np.ndarray, beta: float) -> np.nd
     are edges touching an exactly-zero (unlabeled) value. Budgets are floored
     at 1 (logged).
     """
-    rows, cols, values = _nonzeros(g.weights)
-    si = np.sign(denoised[rows])
-    sj = np.sign(denoised[cols])
-    survive = (si != 0) & (sj != 0) & (si == sj) & (values > beta)
-    budgets = np.bincount(rows[survive], minlength=g.n_nodes).astype(np.int64)
+    si = np.sign(denoised[g.rows])
+    sj = np.sign(denoised[g.cols])
+    survive = (si != 0) & (sj != 0) & (si == sj) & (g.weights > beta)
+    budgets = np.bincount(g.rows[survive], minlength=g.n_nodes).astype(np.int64)
     floored = budgets < 1
     if floored.any():
         logger.info("floored %d node budgets to 1", int(floored.sum()))

@@ -34,14 +34,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import dataio, glr
 from .dataio import TRAIN, VAL, Dataset
 from .errors import ConfigError, SamplingError, UsageError
 from .glr import denoise
-from .graphs import (Graph, _nonzeros, assign_weights, auto_sigma, graph_update, knn_edges,
-                     nearest, pairwise_sq_dists, partition_edges)
+from .graphs import (Graph, assign_weights, auto_sigma, graph_update, knn_edges, nearest,
+                     pairwise_sq_dists, partition_edges)
 from .metricnet import (MetricNet, NetConfig, load_checkpoint, node_attention_matrix,
                         sample_triplets, save_checkpoint, train, triplet_loss_E,
                         triplet_loss_W)
@@ -211,7 +210,6 @@ class PipelineState:
     config: PipelineConfig
     dataset: Dataset
     work_ids: np.ndarray
-    work_pos: np.ndarray
     nets: dict = field(default_factory=dict)
     gamma0: int | None = None
     stages: list = field(default_factory=list)
@@ -220,16 +218,7 @@ class PipelineState:
 
     @classmethod
     def fresh(cls, ds: Dataset, cfg: PipelineConfig) -> "PipelineState":
-        work_ids = np.flatnonzero(ds.split != dataio.TEST)
-        work_pos = np.full(ds.n_nodes, -1, dtype=np.int64)
-        work_pos[work_ids] = np.arange(work_ids.size)
-        return cls(config=cfg, dataset=ds, work_ids=work_ids, work_pos=work_pos)
-
-    def positions(self, node_ids: np.ndarray) -> np.ndarray:
-        pos = self.work_pos[node_ids]
-        if (pos < 0).any():
-            raise UsageError("node outside the train/val working set")
-        return pos
+        return cls(config=cfg, dataset=ds, work_ids=np.flatnonzero(ds.split != dataio.TEST))
 
     @property
     def work_signal0(self) -> np.ndarray:
@@ -346,8 +335,7 @@ def run_stage_wnet(state: PipelineState, r: int, inputs: np.ndarray,
     return net
 
 
-def unet_inputs(features: np.ndarray, y: np.ndarray, weights: np.ndarray | sp.csr_matrix,
-                k: int) -> np.ndarray:
+def unet_inputs(features: np.ndarray, y: np.ndarray, g: Graph, k: int) -> np.ndarray:
     """Per-node update-net encoding: raw features, the two-slot label encoding
     of the denoised value, and its differences to the k largest-weight
     neighbors' encodings (equal weights in column order).
@@ -361,13 +349,13 @@ def unet_inputs(features: np.ndarray, y: np.ndarray, weights: np.ndarray | sp.cs
     posv = y > 0
     enc[posv, 0] = y[posv]
     enc[~posv, 1] = y[~posv]
-    rows, cols, values = _nonzeros(weights)
+    rows, cols = g.rows, g.cols
     counts = np.bincount(rows, minlength=m)
     starts = np.cumsum(counts) - counts
     # each node's negated weights in one row, padded with +inf: a stable sort
     # along the rows ranks its neighbors, equal weights in column order
     key = np.full((m, max(int(counts.max(initial=0)), 1)), np.inf)
-    key[rows, np.arange(rows.size) - starts[rows]] = -values
+    key[rows, np.arange(rows.size) - starts[rows]] = -g.weights
     ranked = np.argsort(key, axis=1, kind="stable")
     # slot s of a node holds its (s mod count)-th heaviest neighbor
     slot = np.take_along_axis(ranked, np.arange(k) % np.maximum(counts, 1)[:, None], axis=1)
@@ -424,7 +412,7 @@ def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.nda
         if step == "embed":
             x = features
         elif step == "update":
-            x = unet_inputs(features, y, graph.weights, UNET_NEIGHBORS)
+            x = unet_inputs(features, y, graph, UNET_NEIGHBORS)
         else:
             x = np.hstack([features, shallow])
         if step not in state.nets:
@@ -537,7 +525,9 @@ def _transduce(state: PipelineState, chain: str, refs: np.ndarray, targets: np.n
         y0 = np.concatenate([ds.noisy_labels[refs], np.zeros(nodes.size - refs.size)])
         final = run_chain(state, chain, ds.features[nodes], y0)[-1]
         signal[chunk] = final.y[refs.size:]
-        neighbor_sum[chunk] = final.graph.weights[refs.size:] @ final.y
+        g = final.graph
+        neighbor_sum[chunk] = np.bincount(g.rows, g.weights * final.y[g.cols],
+                                          minlength=nodes.size)[refs.size:]
     return signal, neighbor_sum
 
 
@@ -614,7 +604,7 @@ def rank_sampling(state: PipelineState, k: int | None = None,
 
     if len(state.stages) >= 2:
         delta = np.abs(state.stages[-1].y - state.stages[-2].y)
-        instability = delta[state.positions(train_ids)]
+        instability = delta[np.searchsorted(state.work_ids, train_ids)]
         rank_acc = _ordinal_rank(-acc_score)
         rank_stab = _ordinal_rank(instability)
         fused = rank_acc + rank_stab

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from dynglr import dataio
+from dynglr.graphs import Graph
 from dynglr.pipeline import ArchPreset, PipelineConfig
 
 # Small everything: two hidden layers per net, a couple of epochs. Enough to
@@ -22,9 +23,13 @@ def tiny_config(variant="G-12312", seed=0, **overrides):
 
 
 def dense(m) -> np.ndarray:
-    """A weight matrix, Laplacian or system of either backing (a dense array
-    for graphs of at most graphs.DENSE_BACKING_MAX nodes, csr above) as a
-    dense array."""
+    """A graph's weight matrix, scattered from its edge list, or a Laplacian
+    or system of either backing (a dense array for graphs of at most
+    graphs.DENSE_BACKING_MAX nodes, csr above), as a dense array."""
+    if isinstance(m, Graph):
+        w = np.zeros((m.n_nodes, m.n_nodes))
+        w[m.rows, m.cols] = m.weights
+        return w
     return m.toarray() if sp.issparse(m) else np.asarray(m)
 
 

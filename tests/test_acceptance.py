@@ -267,7 +267,7 @@ def test_criterion_7_denoising_trend(spambase_runs):
         cfg_rank = dataclasses.replace(run["cfg25"], variant="G-12s")
         top = rank_sampling(state, cfg_rank.rank_sample_k, cfg_rank)
         top_mask = np.zeros(state.work_ids.size, dtype=bool)
-        top_mask[state.positions(top)] = True
+        top_mask[np.searchsorted(state.work_ids, top)] = True
         residuals_top.append(residual_noise(state.stages[1].y, clean_w, top_mask))
     mean_res = float(np.mean(residuals))
     mean_top = float(np.mean(residuals_top))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from conftest import TINY_ARCH
 from dynglr import bench, dataio
@@ -33,9 +33,9 @@ class TestErrorRate:
 
 
 def two_edge_graph(w_same, w_opposite):
-    weights = sp.csr_matrix((np.array([w_same, w_same, w_opposite, w_opposite]),
-                             ([0, 1, 1, 2], [1, 0, 2, 1])), shape=(3, 3))
-    return Graph(weights=weights, gamma=np.ones(3, dtype=np.int64))
+    return Graph(np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1]),
+                 np.array([w_same, w_same, w_opposite, w_opposite]),
+                 np.ones(3, dtype=np.int64))
 
 
 class TestMeanEdgeWeightProportion:
@@ -60,11 +60,12 @@ class TestMeanEdgeWeightProportion:
         labels = np.array([1, 1, -1])
         base = mean_edge_weight_proportion(g, labels)
         for c in (0.25, 0.5, 0.9):
-            scaled = Graph(weights=g.weights * c, gamma=g.gamma)
+            scaled = dataclasses.replace(g, weights=g.weights * c)
             assert mean_edge_weight_proportion(scaled, labels) == pytest.approx(c * base)
 
     def test_edgeless_graph(self):
-        g = Graph(weights=sp.csr_matrix((2, 2)), gamma=np.ones(2, dtype=np.int64))
+        none = np.zeros(0, dtype=np.int64)
+        g = Graph(none, none, np.zeros(0), np.ones(2, dtype=np.int64))
         assert mean_edge_weight_proportion(g, np.array([1, -1])) == 0.0
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -8,7 +9,7 @@ from conftest import dense
 from dynglr import glr
 from dynglr.errors import SolverError, ValidationError
 from dynglr.glr import KAPPA, MU_FRACTION, denoise, mu_max
-from dynglr.graphs import Graph, assign_weights, build_laplacian, knn_edges
+from dynglr.graphs import assign_weights, build_laplacian, knn_edges
 
 
 def default_mu(lap):
@@ -61,7 +62,7 @@ class TestDenoise:
     def test_edgeless_graph_short_circuits(self):
         emb = np.array([[0.0], [1.0]])
         g = knn_edges(emb, 1)
-        lap = build_laplacian(Graph(weights=0.0 * g.weights, gamma=g.gamma))
+        lap = build_laplacian(dataclasses.replace(g, weights=0.0 * g.weights))
         y = np.array([0.3, -0.9])
         assert np.array_equal(denoise(lap, y), y)
 

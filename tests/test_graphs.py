@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from conftest import dense, kernel_margin
 from dynglr import graphs
@@ -88,12 +87,17 @@ class TestKnnEdges:
         with pytest.raises(ValidationError):
             knn_edges(np.zeros((4, 1)), 0)
 
-    @pytest.mark.parametrize("weights", [
-        np.ones((3, 4)), np.ones(3), np.ones((3, 3), dtype=np.int64),
-        [[0.0, 1.0], [1.0, 0.0]], sp.coo_matrix(np.eye(3)), np.ones((2, 2, 2))])
-    def test_graph_refuses_unknown_backing(self, weights):
-        with pytest.raises(ValidationError, match="csr matrix or a square 2-D float"):
-            graphs.Graph(weights=weights, gamma=np.ones(3, dtype=np.int64))
+    @pytest.mark.parametrize("field, value", [
+        ("rows", np.array([[0], [1]])), ("cols", np.array([[1], [0]])),
+        ("weights", np.ones((2, 1))), ("rows", np.array([0, 1, 1])),
+        ("weights", np.ones(3)), ("gamma", np.ones((2, 2), dtype=np.int64))],
+        ids=["2d-rows", "2d-cols", "2d-weights", "long-rows", "long-weights", "2d-gamma"])
+    def test_graph_refuses_malformed_edge_list(self, field, value):
+        arrays = dict(rows=np.array([0, 1]), cols=np.array([1, 0]), weights=np.ones(2),
+                      gamma=np.ones(2, dtype=np.int64))
+        graphs.Graph(**arrays)
+        with pytest.raises(ValidationError, match="equal-length 1-D rows, cols and weights"):
+            graphs.Graph(**{**arrays, field: value})
 
 
 class TestPartition:
@@ -176,19 +180,19 @@ class TestWeights:
     def test_zero_distance_edge_weight_one(self):
         g = knn_edges(np.array([[0.0], [0.0], [5.0]]), 1)
         gw = assign_weights(g, np.array([[0.0], [0.0], [5.0]]), sigma=1.0)
-        assert gw.weights[0, 1] == pytest.approx(1.0)
+        assert dense(gw)[0, 1] == pytest.approx(1.0)
 
     def test_distance_sq_twice_sigma_sq(self):
         emb = np.array([[0.0], [np.sqrt(2.0)]])
         g = knn_edges(emb, 1)
         gw = assign_weights(g, emb, sigma=1.0)
-        assert gw.weights[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
+        assert dense(gw)[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_monotone_decreasing_in_distance(self):
         emb = np.array([[0.0], [1.0], [2.5]])
         g = knn_edges(emb, 2)
         gw = assign_weights(g, emb, sigma=1.3)
-        assert gw.weights[0, 1] > gw.weights[0, 2]
+        assert dense(gw)[0, 1] > dense(gw)[0, 2]
 
     def test_weights_only_on_existing_edges(self):
         rng = np.random.default_rng(9)
@@ -196,9 +200,9 @@ class TestWeights:
         g = knn_edges(emb, 2)
         gw = assign_weights(g, emb, sigma=1.0)
         on_edges = dense(g.edges) != 0
-        assert np.array_equal(dense(gw.weights) != 0, on_edges)
-        assert dense(gw.weights)[on_edges].min() > 0
-        assert dense(gw.weights)[on_edges].max() <= 1.0
+        assert np.array_equal(dense(gw) != 0, on_edges)
+        assert dense(gw)[on_edges].min() > 0
+        assert dense(gw)[on_edges].max() <= 1.0
 
 
 class TestLaplacian:
@@ -208,9 +212,10 @@ class TestLaplacian:
         np.testing.assert_allclose(dense(lap), [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_edgeless_graph_zero_laplacian(self):
-        g = graphs.Graph(weights=sp.csr_matrix((3, 3)), gamma=np.ones(3, dtype=np.int64))
+        none = np.zeros(0, dtype=np.int64)
+        g = graphs.Graph(none, none, np.zeros(0), np.ones(3, dtype=np.int64))
         lap = build_laplacian(g)
-        assert lap.nnz == 0
+        assert np.count_nonzero(dense(lap)) == 0
         assert lap.diagonal().max() == 0.0
 
     def test_quadratic_form_identity(self):
@@ -218,7 +223,7 @@ class TestLaplacian:
         emb = rng.normal(size=(25, 3))
         g = assign_weights(knn_edges(emb, 4), emb, sigma=1.0)
         lap = build_laplacian(g)
-        adjacency = dense(g.weights)
+        adjacency = dense(g)
         for _ in range(5):
             x = rng.normal(size=25)
             direct = 0.5 * np.sum(adjacency * (x[:, None] - x[None, :]) ** 2)
@@ -247,7 +252,7 @@ def survivor_mask(g, denoised, beta):
     """Dense oracle of the surviving edges: both endpoints carry the same
     nonzero sign and the weight exceeds beta."""
     s = np.sign(denoised)
-    return (dense(g.weights) > beta) & (s[:, None] == s[None, :]) & (s[:, None] != 0)
+    return (dense(g) > beta) & (s[:, None] == s[None, :]) & (s[:, None] != 0)
 
 
 def checked_survivors(g, denoised, beta):
@@ -341,7 +346,7 @@ class TestSpectrum:
         emb = np.array([[0.0], [1.0]])
         g = assign_weights(knn_edges(emb, 1), emb, sigma=1.0)
         lap = build_laplacian(g)
-        w = g.weights[0, 1]
+        w = dense(g)[0, 1]
         eigvals, mags = gft_spectrum(lap, np.array([1.0, -1.0]))
         assert eigvals[1] == pytest.approx(2 * w, rel=1e-12)
         assert mags[1] == pytest.approx(np.sqrt(2.0), rel=1e-12)
@@ -358,8 +363,8 @@ class TestSpectrum:
             assert np.sum(mags**2) == pytest.approx(np.sum(signal**2), abs=1e-6)
 
     def test_node_guard(self):
-        big = graphs.Graph(weights=sp.csr_matrix((4001, 4001)),
-                           gamma=np.ones(4001, dtype=np.int64))
+        none = np.zeros(0, dtype=np.int64)
+        big = graphs.Graph(none, none, np.zeros(0), np.ones(4001, dtype=np.int64))
         lap = build_laplacian(big)
         with pytest.raises(ValidationError, match="subsample"):
             gft_spectrum(lap, np.zeros(4001))

@@ -3,7 +3,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +10,7 @@ from conftest import blob_dataset, dense, tiny_config
 from dynglr import dataio, pipeline
 from dynglr.dataio import TRAIN, VAL, TEST
 from dynglr.errors import ConfigError, SamplingError, TrainingError, UsageError
-from dynglr.graphs import (assign_weights, knn_edges, pairwise_sq_dists,
+from dynglr.graphs import (Graph, assign_weights, knn_edges, pairwise_sq_dists,
                            surviving_edge_budgets)
 from dynglr.metricnet import node_attention_matrix
 from dynglr.pipeline import (PipelineConfig, PipelineState, build_batches,
@@ -216,7 +215,7 @@ class TestUnetInputs:
         y = np.array([0.5, -0.3, 0.0])
         emb = np.arange(3.0)[:, None]
         g = knn_edges(emb, 2)
-        out = unet_inputs(feats, y, assign_weights(g, emb, 1.0).weights, k=2)
+        out = unet_inputs(feats, y, assign_weights(g, emb, 1.0), k=2)
         assert out.shape == (3, 5 + 2 + 4)
         np.testing.assert_allclose(out[0, 5:7], [0.5, 0.0])
         np.testing.assert_allclose(out[1, 5:7], [0.0, -0.3])
@@ -228,7 +227,7 @@ class TestUnetInputs:
         emb = np.array([[0.0], [1.0]])
         g = knn_edges(emb, 1)
         with caplog.at_level("INFO"):
-            out = unet_inputs(feats, y, assign_weights(g, emb, 1.0).weights, k=3)
+            out = unet_inputs(feats, y, assign_weights(g, emb, 1.0), k=3)
         assert "padded" in caplog.text
         # node 0's single neighbor (node 1) is repeated across all three slots
         np.testing.assert_allclose(out[0, 3:5], out[0, 5:7])
@@ -239,7 +238,7 @@ class TestUnetInputs:
         rng = np.random.default_rng(31)
         n = 12
         emb = rng.normal(size=(n, 2))
-        w = dense(assign_weights(knn_edges(emb, 2), emb, 1.0).weights).copy()
+        w = dense(assign_weights(knn_edges(emb, 2), emb, 1.0))
         w[1, 2] = w[2, 1] = w[1, 3] = w[3, 1] = 0.5  # a tie, broken by column
         w[0, :] = w[:, 0] = 0.0  # node 0 isolated
         counts = (w != 0).sum(axis=1)
@@ -247,15 +246,14 @@ class TestUnetInputs:
         feats = rng.normal(size=(n, 3))
         y = rng.uniform(-1, 1, n)  # distinct values: each encoding names its node
         oracle = loop_neighbor_ids(w, k)
-        for weights in (w, sp.csr_matrix(w)):  # both backings
-            caplog.clear()
-            with caplog.at_level("INFO"):
-                out = unet_inputs(feats, y, weights, k)
-            enc = out[:, 3:5]
-            np.testing.assert_array_equal(out[:, :3], feats)
-            np.testing.assert_array_equal(out[:, 5:].reshape(n, k, 2),
-                                          enc[oracle] - enc[:, None])
-            assert f"padded neighbor lists for {int((counts < k).sum())} nodes" in caplog.text
+        rows, cols = np.nonzero(w)
+        g = Graph(rows, cols, w[rows, cols], np.full(n, 2))
+        with caplog.at_level("INFO"):
+            out = unet_inputs(feats, y, g, k)
+        enc = out[:, 3:5]
+        np.testing.assert_array_equal(out[:, :3], feats)
+        np.testing.assert_array_equal(out[:, 5:].reshape(n, k, 2), enc[oracle] - enc[:, None])
+        assert f"padded neighbor lists for {int((counts < k).sum())} nodes" in caplog.text
 
 
 @pytest.fixture(scope="module")
@@ -308,7 +306,7 @@ class TestRunVariant:
         # the updated graph enters the second pass unweighted, with budgets
         # recounted from the edges that survived the first pass
         rec1, rec2 = state.stages[1], state.stages[2]
-        assert (rec2.graph.weights.data == 1.0).all()
+        assert (rec2.graph.weights == 1.0).all()
         budgets = surviving_edge_budgets(rec1.graph, rec1.y, pipeline.BETA)
         assert np.array_equal(rec2.graph.gamma, budgets)
         pred = predict(state, blobs.indices(TEST)[:20], state.config)
@@ -319,7 +317,7 @@ class TestRunVariant:
         assert set(state.nets) == {"embed"}
         assert len(state.stages) == 2
         # unweighted: every stored weight is exactly 1
-        assert (state.stages[1].graph.weights.data == 1.0).all()
+        assert (state.stages[1].graph.weights == 1.0).all()
 
     def test_clean_run_flags_few_unreliable_train_nodes(self, blobs):
         # 0% injected noise: under the default threshold the denoised signal
@@ -363,7 +361,7 @@ class TestChain:
         for r, rec in enumerate(replayed):
             assert np.array_equal(rec.y, state.stages[r].y)
             assert (rec.graph.edges != state.stages[r].graph.edges).nnz == 0
-            assert (rec.graph.weights != state.stages[r].graph.weights).nnz == 0
+            assert np.array_equal(rec.graph.weights, state.stages[r].graph.weights)
             assert np.array_equal(rec.graph.gamma, state.stages[r].graph.gamma)
 
     def test_frozen_chain_rejects_missing_net(self, trained_g12, blobs):

@@ -1,7 +1,7 @@
 """Property tests of the graph layer every chain step builds on: the
-neighbour-selection kernel and the KNN rule, the kernel scale, the
-Laplacian, the GLR denoiser, and the agreement of the dense and csr
-backings."""
+neighbour-selection kernel and the KNN rule, the canonical edge list, the
+kernel scale, the Laplacian, the GLR denoiser, and the agreement of the
+Laplacian's dense and csr backings."""
 
 from contextlib import contextmanager
 
@@ -16,9 +16,8 @@ from conftest import dense, kernel_margin
 from dynglr import graphs
 from dynglr.glr import denoise
 from dynglr.graphs import (EdgePartition, assign_weights, auto_sigma, build_laplacian,
-                           directed_knn, edge_distances, knn_edges, nearest,
-                           pairwise_sq_dists, surviving_edge_budgets)
-from dynglr.pipeline import unet_inputs
+                           directed_knn, edge_distances, graph_update, knn_edges, nearest,
+                           pairwise_sq_dists)
 
 # fixed example sequence, so a failure reproduces on every run
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -75,7 +74,8 @@ def loop_directed_knn(emb, gamma):
 
 @contextmanager
 def backing(kind):
-    """knn_edges builds every graph in the named backing: "csr" or "dense"."""
+    """build_laplacian builds every Laplacian in the named backing: "csr" or
+    "dense"."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphs, "DENSE_BACKING_MAX", 0 if kind == "csr" else 10**6)
         yield
@@ -119,28 +119,56 @@ def test_directed_knn_matches_row_loop(points):
 @PROPERTY
 @given(tied_point_sets())
 def test_knn_edges_match_sparse_constructions(points):
-    """The OR-symmetric csr and its upper-triangle pairs equal the scipy
-    constructions they replaced, arrays and dtypes alike; the dense backing
-    holds the same matrix and pairs."""
+    """The OR-symmetric edge list and its upper-triangle pairs equal the
+    scipy constructions they replaced, with intp indices and float64
+    weights; its csr pattern equals them arrays and dtypes alike, and the
+    list scatters to the same matrix."""
     emb, gamma = points
     n = emb.shape[0]
     rows, cols = loop_directed_knn(emb, gamma)
     selected = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
     expected = selected.maximum(selected.T).tocsr().astype(np.float64)
-    with backing("csr"):
-        g = knn_edges(emb, gamma)
-    for name in ("indices", "indptr", "data"):
-        got, want = getattr(g.weights, name), getattr(expected, name)
+    g = knn_edges(emb, gamma)
+    entries = expected.tocoo()
+    assert g.rows.dtype == g.cols.dtype == np.intp and g.weights.dtype == np.float64
+    for got, want in ((g.rows, entries.row), (g.cols, entries.col), (g.weights, entries.data)):
+        assert np.array_equal(got, want)
+    for name in ("indices", "indptr"):
+        got, want = getattr(g.edges, name), getattr(expected, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     coo = sp.triu(expected, k=1).tocoo()
     expected_pairs = np.column_stack([coo.row, coo.col])
-    assert g.edge_pairs.dtype == expected_pairs.dtype
+    assert g.edge_pairs.dtype == np.intp
     assert np.array_equal(g.edge_pairs, expected_pairs)
-    with backing("dense"):
-        g_dense = knn_edges(emb, gamma)
-    assert g_dense.weights.dtype == np.float64
-    assert np.array_equal(g_dense.weights, expected.toarray())
-    assert np.array_equal(g_dense.edge_pairs, expected_pairs)
+    assert np.array_equal(dense(g), expected.toarray())
+
+
+def assert_canonical(g):
+    """The entries are row-major with no repeats, carry no self-loop, are
+    closed under transpose with equal weights both ways, and all weigh more
+    than 0; the csr pattern holds exactly them."""
+    n = g.n_nodes
+    keys = g.rows * n + g.cols
+    assert (np.diff(keys) > 0).all()
+    assert (g.rows != g.cols).all()
+    mirrored = g.cols * n + g.rows
+    order = np.argsort(mirrored)
+    assert np.array_equal(mirrored[order], keys)
+    assert np.array_equal(g.weights[order], g.weights)
+    assert (g.weights > 0).all()
+    assert g.edges.nnz == g.rows.size
+
+
+@PROPERTY
+@given(tied_point_sets() | point_sets(), st.floats(0.1, 5.0), st.floats(0.0, 1.0), st.data())
+def test_edge_lists_are_canonical(points, sigma, beta, data):
+    emb, gamma = points
+    g = knn_edges(emb, gamma)
+    assert_canonical(g)
+    gw = assign_weights(g, emb, sigma)
+    assert_canonical(gw)
+    y = data.draw(arrays(np.float64, emb.shape[0], elements=st.floats(-1.0, 1.0)))
+    assert_canonical(graph_update(gw, y, emb[::-1].copy(), beta))
 
 
 @PROPERTY
@@ -211,38 +239,25 @@ def test_denoise_stays_within_input_range(points, sigma, data):
 
 
 @PROPERTY
-@given(point_sets(), st.floats(0.1, 5.0), st.floats(0.0, 1.0), st.integers(1, 6),
-       st.data())
-def test_dense_and_csr_backings_agree(points, sigma, beta, k, data):
-    """Every graph function gives the same result on either backing: equal
-    edges, bit-equal kernel weights (underflowed edges leave both), equal
-    budgets and update-net inputs; the Laplacians and the denoised signals
+@given(point_sets(), st.floats(0.1, 5.0), st.data())
+def test_dense_and_csr_backings_agree(points, sigma, data):
+    """The Laplacian of either backing, and the signal denoised on it,
     differ only by summation order."""
     emb, gamma = points
     y0 = data.draw(arrays(np.float64, emb.shape[0], elements=st.floats(-1.0, 1.0)))
+    g = assign_weights(knn_edges(emb, gamma), emb, sigma)
     with backing("csr"):
-        g_c = knn_edges(emb, gamma)
+        lap_c = build_laplacian(g)
     with backing("dense"):
-        g_d = knn_edges(emb, gamma)
-    assert sp.issparse(g_c.weights) and isinstance(g_d.weights, np.ndarray)
-    assert np.array_equal(g_c.edge_pairs, g_d.edge_pairs)
-    # every later function follows the backing of the graph it is given
-    gw_c, gw_d = assign_weights(g_c, emb, sigma), assign_weights(g_d, emb, sigma)
-    assert np.array_equal(gw_c.edge_pairs, gw_d.edge_pairs)
-    assert np.array_equal(dense(gw_c.weights), gw_d.weights)
-    lap_c, lap_d = build_laplacian(gw_c), build_laplacian(gw_d)
+        lap_d = build_laplacian(g)
+    assert sp.issparse(lap_c) and isinstance(lap_d, np.ndarray)
     assert np.abs(lap_d - dense(lap_c)).max() <= 1e-14 * lap_c.diagonal().max(initial=0.0)
     y_c, y_d = denoise(lap_c, y0), denoise(lap_d, y0)
     assert np.linalg.norm(y_d - y_c) <= 1e-10 * np.linalg.norm(y_c)
-    for y in (y0, y_c):
-        assert np.array_equal(surviving_edge_budgets(gw_c, y, beta),
-                              surviving_edge_budgets(gw_d, y, beta))
-        assert np.array_equal(unet_inputs(emb, y, gw_c.weights, k),
-                              unet_inputs(emb, y, gw_d.weights, k))
 
 
 def test_backing_switches_above_dense_backing_max():
     rng = np.random.default_rng(0)
     n = graphs.DENSE_BACKING_MAX
-    assert isinstance(knn_edges(rng.normal(size=(n, 3)), 5).weights, np.ndarray)
-    assert sp.issparse(knn_edges(rng.normal(size=(n + 1, 3)), 5).weights)
+    assert isinstance(build_laplacian(knn_edges(rng.normal(size=(n, 3)), 5)), np.ndarray)
+    assert sp.issparse(build_laplacian(knn_edges(rng.normal(size=(n + 1, 3)), 5)))
