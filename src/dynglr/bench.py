@@ -49,11 +49,10 @@ def error_rate(pred: np.ndarray, truth: np.ndarray) -> float:
 def mean_edge_weight_proportion(g: Graph, labels_clean: np.ndarray) -> float:
     """Total weight on opposite-label edges over the count of positive-weight
     edges; a graph-cleanliness diagnostic (clean labels, evaluation only)."""
-    upper = g.cols > g.rows
-    if not upper.any():
+    if not g.upper.any():
         return 0.0
-    w = g.weights[upper]
-    opposite = labels_clean[g.rows[upper]] != labels_clean[g.cols[upper]]
+    w = g.weights[g.upper]
+    opposite = labels_clean[g.rows[g.upper]] != labels_clean[g.cols[g.upper]]
     positive = w > 0
     if not positive.any():
         return 0.0

@@ -85,8 +85,8 @@ class MetricNet:
     def parameters(self) -> list[np.ndarray]:
         return self.weights + self.biases
 
-    def _forward_cached(self, x: np.ndarray):
-        """Batched forward pass keeping layer inputs/pre-activations for backprop."""
+    def forward_cached(self, x: np.ndarray):
+        """(embeddings, shallow activations, layer inputs and pre-activations)."""
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"expected (*, {self.in_dim}) input, got {x.shape}")
         inputs, pres = [], []
@@ -104,7 +104,7 @@ class MetricNet:
 
     def forward_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(embeddings, shallow activations) for a batch of row vectors."""
-        emb, shallow, _ = self._forward_cached(np.asarray(x, dtype=np.float64))
+        emb, shallow, _ = self.forward_cached(np.asarray(x, dtype=np.float64))
         return emb, shallow
 
     def _backward(self, cache, d_out: np.ndarray) -> list[np.ndarray]:
@@ -129,16 +129,22 @@ class MetricNet:
 
 
 def _triplet_core(net: MetricNet, x: np.ndarray, triplets: np.ndarray, margin: float,
-                  attention) -> tuple[float, list[np.ndarray]]:
-    """Embeds every row of x once, indexes the triplets into the embeddings
-    and backpropagates their summed per-row gradients in one pass."""
+                  attention, forward=None) -> tuple[float, list[np.ndarray]]:
+    """Embeds rows [0, m) of x once, m being one past the largest triplet
+    index (or reads them from forward, net.forward_cached(x)), indexes the
+    triplets into the embeddings and backpropagates in one pass."""
     trips = np.asarray(triplets, dtype=np.int64)
-    if trips.ndim != 2 or trips.shape[1] != 3:
-        raise ShapeError(f"triplets must be a (T, 3) index array, got shape {trips.shape}")
+    if trips.ndim != 2 or trips.shape[1] != 3 or (trips < 0).any():
+        raise ShapeError("triplets must be a (T, 3) array of row numbers >= 0, got "
+                         f"shape {trips.shape}")
     if trips.shape[0] == 0:
         return 0.0, net.zero_grads()
+    m = int(trips.max()) + 1
+    if forward is None:
+        forward = net.forward_cached(np.asarray(x, dtype=np.float64)[:m])
+    emb, _, (inputs, pres) = forward
+    emb, cache = emb[:m], ([a[:m] for a in inputs], [z[:m] for z in pres])
     ia, ip, iq = trips.T
-    emb, _, cache = net._forward_cached(np.asarray(x, dtype=np.float64))
     diff_ap = emb[ia] - emb[ip]
     diff_an = emb[ia] - emb[iq]
     d_ap = (diff_ap * diff_ap).sum(axis=1)
@@ -178,7 +184,7 @@ def triplet_loss_E(net: MetricNet, x: np.ndarray, triplets, margin: float
 
 
 def triplet_loss_W(net: MetricNet, x: np.ndarray, triplets, margin: float,
-                   attention) -> tuple[float, list[np.ndarray]]:
+                   attention, forward=None) -> tuple[float, list[np.ndarray]]:
     """Attention-gated hinge triplet loss.
 
     The negative-pair term scales by attention[a, n] and the positive-pair
@@ -186,11 +192,12 @@ def triplet_loss_W(net: MetricNet, x: np.ndarray, triplets, margin: float,
     of x. Triplets whose two attentions are both zero contribute nothing:
     their hinge is a gradient-free constant that would only distort reported
     loss magnitudes. With all-ones attention this is exactly triplet_loss_E,
-    including accumulation order.
+    including accumulation order. A caller that already ran
+    net.forward_cached(x) passes its result as forward.
     """
     if margin <= 0:
         raise ConfigError("margin must be positive")
-    return _triplet_core(net, x, triplets, margin, attention=attention)
+    return _triplet_core(net, x, triplets, margin, attention, forward)
 
 
 def node_attention_matrix(phi: np.ndarray) -> np.ndarray:

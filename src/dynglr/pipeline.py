@@ -39,7 +39,7 @@ from . import dataio, glr
 from .dataio import TRAIN, VAL, Dataset
 from .errors import ConfigError, SamplingError, UsageError
 from .glr import denoise
-from .graphs import (Graph, assign_weights, auto_sigma, graph_update, knn_edges, nearest,
+from .graphs import (Graph, assign_weights, graph_update, knn_edges, nearest,
                      pairwise_sq_dists, partition_edges)
 from .metricnet import (MetricNet, NetConfig, load_checkpoint, node_attention_matrix,
                         sample_triplets, save_checkpoint, train, triplet_loss_E,
@@ -320,16 +320,17 @@ def run_stage_wnet(state: PipelineState, r: int, inputs: np.ndarray,
         x_in, y_b = inputs[pos], y_prev[pos]
         g_b = knn_edges(embeddings[pos], gamma[pos])
         part = partition_edges(g_b, y_b)
-        if part.same.size == 0 or part.opposite.size == 0:
+        if not (part.same.any() and part.opposite.any()):
             logger.info("%s: batch without both edge classes skipped (epoch %d)", stage, epoch)
             return None
-        emb_c, _ = net.forward_batch(x_in)
-        g_w = assign_weights(g_b, emb_c, auto_sigma(emb_c, part))
+        # the loss reuses the forward that weighted the graph
+        forward = net.forward_cached(x_in)
+        g_w = assign_weights(g_b, forward[0], part)
         att = node_attention_matrix(node_phi(y_b, denoise(g_w.laplacian, y_b), eps))
         trips = _triplets_or_skip(y_b, cfg, stage, epoch, b_idx)
         if trips is None:
             return None
-        return triplet_loss_W(net, x_in, trips, MARGIN_W, att)
+        return triplet_loss_W(net, x_in, trips, MARGIN_W, att, forward)
 
     _train_net(state, stage, net, loss_of_batch)
     return net
@@ -431,7 +432,7 @@ def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.nda
         elif step == "update":
             graph, shallow = graph_update(graph, y, emb, BETA), tap
         else:
-            graph = assign_weights(graph, emb, auto_sigma(emb, partition_edges(graph, y)))
+            graph = assign_weights(graph, emb, partition_edges(graph, y))
     return records
 
 
@@ -495,11 +496,6 @@ def _reference_sets(state: PipelineState, cfg: PipelineConfig, chain: str,
     return [_stratified_train_sample(ds, LABELED_PER_GRAPH, rng)]
 
 
-def _chunks(n: int, size: int):
-    for start in range(0, n, size):
-        yield slice(start, min(start + size, n))
-
-
 def _transduce(state: PipelineState, chain: str, refs: np.ndarray, targets: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """Signal of the target nodes given a reference set, and each target's
@@ -520,14 +516,17 @@ def _transduce(state: PipelineState, chain: str, refs: np.ndarray, targets: np.n
         return np.sign(votes), np.zeros(targets.size)
     signal = np.empty(targets.size)
     neighbor_sum = np.empty(targets.size)
-    for chunk in _chunks(targets.size, UNLABELED_PER_GRAPH):
+    for start in range(0, targets.size, UNLABELED_PER_GRAPH):
+        chunk = slice(start, start + UNLABELED_PER_GRAPH)
         nodes = np.concatenate([refs, targets[chunk]])
         y0 = np.concatenate([ds.noisy_labels[refs], np.zeros(nodes.size - refs.size)])
         final = run_chain(state, chain, ds.features[nodes], y0)[-1]
         signal[chunk] = final.y[refs.size:]
         g = final.graph
-        neighbor_sum[chunk] = np.bincount(g.rows, g.weights * final.y[g.cols],
-                                          minlength=nodes.size)[refs.size:]
+        tail = slice(np.searchsorted(g.rows, refs.size), None)  # the targets' entries
+        neighbor_sum[chunk] = np.bincount(g.rows[tail] - refs.size,
+                                          g.weights[tail] * final.y[g.cols[tail]],
+                                          minlength=nodes.size - refs.size)
     return signal, neighbor_sum
 
 

@@ -33,6 +33,31 @@ def dense(m) -> np.ndarray:
     return m.toarray() if sp.issparse(m) else np.asarray(m)
 
 
+def kernel_graph(g: Graph, emb: np.ndarray, sigma: float) -> Graph:
+    """g with Gaussian-kernel weights at a chosen scale, each direction of an
+    edge computed on its own; entries that underflow to 0 leave the graph.
+    The oracle for tests that need a weighted graph at a fixed sigma."""
+    diff = emb[g.rows] - emb[g.cols]
+    values = np.exp(-(diff * diff).sum(axis=1) / (2.0 * sigma**2))
+    kept = values != 0
+    return Graph(g.rows[kept], g.cols[kept], values[kept], g.gamma)
+
+
+def pair_graph(n: int, pairs) -> Graph:
+    """The unweighted graph on n nodes whose undirected edges are pairs."""
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    keys = np.unique(np.concatenate([pairs[:, 0] * n + pairs[:, 1],
+                                     pairs[:, 1] * n + pairs[:, 0]]))
+    rows, cols = np.divmod(keys, n)
+    return Graph(rows, cols, np.ones(keys.size), np.ones(n, dtype=np.int64))
+
+
+def edge_sq(g: Graph, emb: np.ndarray) -> np.ndarray:
+    """Squared embedding lengths of g's edge_pairs, the lengths auto_sigma reads."""
+    diff = emb[g.edge_pairs[:, 0]] - emb[g.edge_pairs[:, 1]]
+    return (diff * diff).sum(axis=1)
+
+
 def kernel_margin(sigma: float, w_p: float, w_q: float) -> float:
     """The objective auto_sigma maximizes: the gap between the Gaussian kernel
     weights at the mean same-label (w_p) and opposite-label (w_q) distances."""

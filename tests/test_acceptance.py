@@ -23,11 +23,10 @@ from dynglr.bench import (ExperimentGrid, cell_seed, error_rate, load_dataset,
                           split_seed, subsample_dataset)
 from dynglr.dataio import NoiseSpec, TEST, TRAIN
 from dynglr.glr import SOLVER_TOL, _conjugate_gradient, _system, denoise, mu_max
-from dynglr.graphs import (EdgePartition, assign_weights, auto_sigma,
-                           build_laplacian, gft_spectrum, knn_edges)
+from dynglr.graphs import EdgePartition, auto_sigma, build_laplacian, gft_spectrum, knn_edges
 from dynglr.metricnet import MetricNet, NetConfig, triplet_loss_E, triplet_loss_W
 from dynglr.pipeline import PipelineConfig, predict, rank_sampling, run_variant
-from conftest import dense, kernel_margin
+from conftest import dense, edge_sq, kernel_graph, kernel_margin, pair_graph
 from test_metricnet import fd_gradient, kink_free_inputs, rel_err
 
 BASE_SEED = 2026
@@ -52,7 +51,7 @@ def real_csv(dataset_id: str) -> bool:
 
 def random_lap(rng, n, gamma, sigma=1.0):
     emb = rng.normal(size=(n, 3))
-    g = assign_weights(knn_edges(emb, gamma), emb, sigma=sigma)
+    g = kernel_graph(knn_edges(emb, gamma), emb, sigma)
     return build_laplacian(g)
 
 
@@ -163,9 +162,10 @@ def test_criterion_5_auto_sigma_optimality():
     for _ in range(50):
         w_p = float(rng.uniform(0.2, 2.5))
         w_q = w_p + float(rng.uniform(0.05, 3.0))
-        part = EdgePartition(same=np.array([[0, 1]]), opposite=np.array([[0, 2]]))
+        g = pair_graph(3, [(0, 1), (0, 2)])
+        part = EdgePartition(same=np.array([True, False]), opposite=np.array([False, True]))
         emb = np.array([[0.0], [w_p], [w_q]])
-        sigma = auto_sigma(emb, part)
+        sigma = auto_sigma(g, edge_sq(g, emb), part)
         grid = np.arange(1e-4, 4.0 * w_q, 1e-4)
         margins = (np.exp(-w_p**2 / (2 * grid**2))
                    - np.exp(-w_q**2 / (2 * grid**2)))

@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TINY_ARCH
+from conftest import TINY_ARCH, kernel_graph
 from dynglr import bench, dataio
 from dynglr.bench import (ExperimentGrid, Report, error_rate, load_dataset,
                           mean_edge_weight_proportion, prepare_cell,
                           residual_noise, run_grid, subsample_dataset)
 from dynglr.errors import ConfigError
-from dynglr.graphs import Graph, assign_weights, knn_edges
+from dynglr.graphs import Graph, knn_edges
 
 
 class TestErrorRate:
@@ -52,7 +52,7 @@ class TestMeanEdgeWeightProportion:
     def test_complete_same_label_graph(self):
         rng = np.random.default_rng(0)
         emb = rng.normal(size=(8, 2))
-        g = assign_weights(knn_edges(emb, 7), emb, sigma=1.0)
+        g = kernel_graph(knn_edges(emb, 7), emb, 1.0)
         assert mean_edge_weight_proportion(g, np.ones(8)) == 0.0
 
     def test_scaling_property(self):

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense
+from conftest import dense, kernel_graph
 from dynglr import glr
 from dynglr.errors import SolverError, ValidationError
 from dynglr.glr import KAPPA, MU_FRACTION, denoise, mu_max
-from dynglr.graphs import assign_weights, build_laplacian, knn_edges
+from dynglr.graphs import build_laplacian, knn_edges
 
 
 def default_mu(lap):
@@ -19,7 +19,7 @@ def default_mu(lap):
 def random_weighted_laplacian(rng, n, gamma=None, sigma=1.0):
     emb = rng.normal(size=(n, 3))
     gamma = gamma if gamma is not None else int(rng.integers(2, 9))
-    g = assign_weights(knn_edges(emb, gamma), emb, sigma=sigma)
+    g = kernel_graph(knn_edges(emb, gamma), emb, sigma)
     return build_laplacian(g)
 
 

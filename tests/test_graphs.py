@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense, kernel_margin
+from conftest import dense, edge_sq, kernel_graph, kernel_margin, pair_graph
 from dynglr import graphs
 from dynglr.errors import ValidationError
 from dynglr.graphs import (EdgePartition, assign_weights, auto_sigma,
@@ -56,7 +56,7 @@ class TestKnnEdges:
         rng = np.random.default_rng(3)
         points = rng.normal(size=(40, 2))
         gamma = 5
-        rows, cols = directed_knn(points, gamma)
+        rows, cols = np.divmod(directed_knn(points, gamma), 40)
         assert (np.bincount(rows, minlength=40) == gamma).all()
         assert (rows != cols).all()
 
@@ -75,7 +75,7 @@ class TestKnnEdges:
         g2 = knn_edges(points, 2)
         assert (g1.edges != g2.edges).nnz == 0
         # node 0's nearest two among identical points are the lowest indices
-        rows, cols = directed_knn(points, 2)
+        rows, cols = np.divmod(directed_knn(points, 2), 5)
         assert set(cols[rows == 0]) == {1, 2}
 
     def test_no_self_loops(self):
@@ -105,29 +105,29 @@ class TestPartition:
         points = np.array([[0.0], [1.0], [3.0]])
         g = knn_edges(points, 1)
         part = partition_edges(g, np.array([1.0, 1.0, -1.0]))
-        assert {tuple(p) for p in part.same} == {(0, 1)}
-        assert {tuple(p) for p in part.opposite} == {(1, 2)}
+        assert {tuple(p) for p in g.edge_pairs[part.same]} == {(0, 1)}
+        assert {tuple(p) for p in g.edge_pairs[part.opposite]} == {(1, 2)}
 
     def test_uniform_labels_leave_q_empty(self):
         rng = np.random.default_rng(6)
         g = knn_edges(rng.normal(size=(10, 2)), 2)
         part = partition_edges(g, np.ones(10))
-        assert part.opposite.size == 0
-        assert part.same.shape[0] == g.edge_pairs.shape[0]
+        assert not part.opposite.any()
+        assert part.same.sum() == g.edge_pairs.shape[0]
 
     def test_zero_label_edges_unclassified(self):
         points = np.array([[0.0], [1.0], [3.0]])
         g = knn_edges(points, 1)
         part = partition_edges(g, np.array([1.0, 0.0, -1.0]))
-        assert part.same.size == 0 and part.opposite.size == 0
+        assert not part.same.any() and not part.opposite.any()
 
     def test_p_q_disjoint_and_cover_labeled_edges(self):
         rng = np.random.default_rng(7)
         g = knn_edges(rng.normal(size=(30, 3)), 3)
         labels = rng.choice([-1.0, 0.0, 1.0], size=30)
         part = partition_edges(g, labels)
-        same = {tuple(p) for p in part.same}
-        opp = {tuple(p) for p in part.opposite}
+        same = {tuple(p) for p in g.edge_pairs[part.same]}
+        opp = {tuple(p) for p in g.edge_pairs[part.opposite]}
         assert not same & opp
         labeled_edges = {tuple(p) for p in g.edge_pairs
                          if labels[p[0]] != 0 and labels[p[1]] != 0}
@@ -142,67 +142,108 @@ def grid_search_sigma(w_p, w_q, resolution=1e-4, limit=None):
     return float(sigmas[np.argmax(margins)])
 
 
+# a same-label edge (0, 1) and an opposite-label edge (0, 2)
+TRIANGLE_HALF = pair_graph(3, [(0, 1), (0, 2)])
+P_AND_Q = EdgePartition(same=np.array([True, False]), opposite=np.array([False, True]))
+
+
+def sigma_of(emb, g=TRIANGLE_HALF, part=P_AND_Q):
+    return auto_sigma(g, edge_sq(g, emb), part)
+
+
 class TestAutoSigma:
     def test_closed_form_matches_grid_oracle_on_unit_case(self):
         # w_p=1, w_q=2: grid search at 1e-4 resolution gives 1.0402
-        part = EdgePartition(same=np.array([[0, 1]]), opposite=np.array([[0, 2]]))
         emb = np.array([[0.0], [1.0], [2.0]])
-        sigma = auto_sigma(emb, part)
+        sigma = sigma_of(emb)
         assert sigma == pytest.approx(np.sqrt(3.0 / (2.0 * np.log(4.0))), abs=1e-12)
         assert sigma == pytest.approx(grid_search_sigma(1.0, 2.0), abs=2e-4)
         assert sigma == pytest.approx(1.0402, abs=1e-4)
 
-    def test_fallback_when_q_closer_than_p(self):
-        part = EdgePartition(same=np.array([[0, 1]]), opposite=np.array([[0, 2]]))
+    def test_fallback_when_q_closer_than_p(self, caplog):
         emb = np.array([[0.0], [2.0], [1.0]])  # w_p=2, w_q=1
-        assert auto_sigma(emb, part) == pytest.approx(2.0)
+        with caplog.at_level("INFO", logger="dynglr.graphs"):
+            assert sigma_of(emb) == pytest.approx(2.0)
+        assert caplog.records[-1].getMessage() == "wQ <= wP (1 <= 2); sigma := wP"
 
     def test_margin_at_closed_form_beats_grid(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             w_p = float(rng.uniform(0.2, 2.0))
             w_q = w_p + float(rng.uniform(0.1, 3.0))
-            part = EdgePartition(same=np.array([[0, 1]]), opposite=np.array([[0, 2]]))
             emb = np.array([[0.0], [w_p], [w_q]])
-            sigma = auto_sigma(emb, part)
+            sigma = sigma_of(emb)
             best_grid = grid_search_sigma(w_p, w_q)
             assert kernel_margin(sigma, w_p, w_q) >= kernel_margin(best_grid, w_p, w_q) - 1e-9
 
     def test_empty_partition_falls_back_to_mean_distance(self, caplog):
-        part = EdgePartition(same=np.array([[0, 1]]), opposite=np.zeros((0, 2), dtype=int))
+        g = pair_graph(2, [(0, 1)])
+        part = EdgePartition(same=np.array([True]), opposite=np.array([False]))
         emb = np.array([[0.0], [3.0]])
         with caplog.at_level("WARNING"):
-            assert auto_sigma(emb, part) == pytest.approx(3.0)
+            assert sigma_of(emb, g, part) == pytest.approx(3.0)
         assert "empty edge class" in caplog.text
+
+    def test_no_classified_edge_falls_back_to_unit_scale(self, caplog):
+        g = pair_graph(2, [(0, 1)])
+        part = partition_edges(g, np.zeros(2))
+        with caplog.at_level("WARNING", logger="dynglr.graphs"):
+            assert sigma_of(np.array([[0.0], [3.0]]), g, part) == 1.0
+        assert caplog.records[-1].getMessage() == (
+            "empty edge class; falling back to mean edge distance sigma=1")
+
+    def test_coincident_same_label_ends_give_half_wq(self, caplog):
+        emb = np.array([[0.0], [0.0], [3.0]])  # w_p=0, w_q=3
+        with caplog.at_level("WARNING", logger="dynglr.graphs"):
+            assert sigma_of(emb) == 1.5
+        assert caplog.records[-1].getMessage() == (
+            "degenerate zero same-label distance; sigma := wQ/2")
+
+
+def unlabeled(g):
+    """A partition with no classified edge: assign_weights then weights at
+    auto_sigma's unit fallback scale."""
+    return partition_edges(g, np.zeros(g.n_nodes))
 
 
 class TestWeights:
     def test_zero_distance_edge_weight_one(self):
-        g = knn_edges(np.array([[0.0], [0.0], [5.0]]), 1)
-        gw = assign_weights(g, np.array([[0.0], [0.0], [5.0]]), sigma=1.0)
+        emb = np.array([[0.0], [0.0], [5.0]])
+        g = knn_edges(emb, 1)
+        gw = assign_weights(g, emb, unlabeled(g))
         assert dense(gw)[0, 1] == pytest.approx(1.0)
 
     def test_distance_sq_twice_sigma_sq(self):
         emb = np.array([[0.0], [np.sqrt(2.0)]])
         g = knn_edges(emb, 1)
-        gw = assign_weights(g, emb, sigma=1.0)
+        gw = assign_weights(g, emb, unlabeled(g))  # sigma 1
         assert dense(gw)[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_monotone_decreasing_in_distance(self):
         emb = np.array([[0.0], [1.0], [2.5]])
         g = knn_edges(emb, 2)
-        gw = assign_weights(g, emb, sigma=1.3)
+        gw = assign_weights(g, emb, unlabeled(g))
         assert dense(gw)[0, 1] > dense(gw)[0, 2]
 
     def test_weights_only_on_existing_edges(self):
         rng = np.random.default_rng(9)
         emb = rng.normal(size=(15, 2))
         g = knn_edges(emb, 2)
-        gw = assign_weights(g, emb, sigma=1.0)
+        gw = assign_weights(g, emb, unlabeled(g))
         on_edges = dense(g.edges) != 0
         assert np.array_equal(dense(gw) != 0, on_edges)
         assert dense(gw)[on_edges].min() > 0
         assert dense(gw)[on_edges].max() <= 1.0
+
+    def test_underflowed_edge_leaves_the_graph(self):
+        # sigma = wQ/2 = 1.5 (coincident same-label ends); the unlabeled node
+        # 3 lies 300 away, where the kernel exp(-2e4) is exactly 0
+        emb = np.array([[0.0], [0.0], [3.0], [300.0]])
+        g = pair_graph(4, [(0, 1), (0, 2), (0, 3)])
+        gw = assign_weights(g, emb, partition_edges(g, np.array([1.0, 1.0, -1.0, 0.0])))
+        assert {tuple(p) for p in gw.edge_pairs} == {(0, 1), (0, 2)}
+        assert np.array_equal(dense(gw)[0], [0.0, 1.0, np.exp(-2.0), 0.0])
+        assert np.array_equal(dense(gw), dense(gw).T)
 
 
 class TestLaplacian:
@@ -221,7 +262,7 @@ class TestLaplacian:
     def test_quadratic_form_identity(self):
         rng = np.random.default_rng(10)
         emb = rng.normal(size=(25, 3))
-        g = assign_weights(knn_edges(emb, 4), emb, sigma=1.0)
+        g = kernel_graph(knn_edges(emb, 4), emb, 1.0)
         lap = build_laplacian(g)
         adjacency = dense(g)
         for _ in range(5):
@@ -233,7 +274,7 @@ class TestLaplacian:
     def test_rows_sum_to_zero_and_symmetric(self):
         rng = np.random.default_rng(11)
         emb = rng.normal(size=(40, 2))
-        g = assign_weights(knn_edges(emb, 3), emb, sigma=0.8)
+        g = kernel_graph(knn_edges(emb, 3), emb, 0.8)
         lap = build_laplacian(g)
         assert np.abs(np.asarray(lap.sum(axis=1))).max() < 1e-9
         assert (abs(lap - lap.T)).max() < 1e-12
@@ -242,7 +283,7 @@ class TestLaplacian:
         rng = np.random.default_rng(12)
         for trial in range(5):
             emb = rng.normal(size=(30, 2))
-            g = assign_weights(knn_edges(emb, 3), emb, sigma=1.0)
+            g = kernel_graph(knn_edges(emb, 3), emb, 1.0)
             lap = build_laplacian(g)
             eigvals = np.linalg.eigvalsh(dense(lap))
             assert eigvals.min() >= -1e-8
@@ -274,7 +315,7 @@ class TestGraphUpdate:
 
     def test_weak_opposite_edge_removed(self):
         g, emb = self._weighted_toy()
-        gw = assign_weights(g, emb, sigma=0.6)
+        gw = kernel_graph(g, emb, 0.6)
         denoised = np.array([1.0, 1.0, -1.0, -1.0])
         _, survivors = checked_survivors(gw, denoised, beta=0.1)
         # cross-cluster edges are opposite-label: none survive
@@ -282,7 +323,7 @@ class TestGraphUpdate:
 
     def test_strong_same_sign_edge_counts(self):
         g, emb = self._weighted_toy()
-        gw = assign_weights(g, emb, sigma=0.6)
+        gw = kernel_graph(g, emb, 0.6)
         denoised = np.array([1.0, 1.0, -1.0, -1.0])
         budgets, survivors = checked_survivors(gw, denoised, beta=0.1)
         assert survivors[0, 1] == 1
@@ -292,7 +333,7 @@ class TestGraphUpdate:
         # hand-traced: every edge same-label with a > beta -> budget = degree
         emb = np.array([[0.0], [0.2], [0.4], [0.6]])
         g = knn_edges(emb, 1)
-        gw = assign_weights(g, emb, sigma=1.0)
+        gw = kernel_graph(g, emb, 1.0)
         denoised = np.ones(4)
         budgets = surviving_edge_budgets(gw, denoised, beta=0.1)
         degrees = np.asarray(g.edges.sum(axis=1)).ravel()
@@ -303,7 +344,7 @@ class TestGraphUpdate:
     def test_zero_budget_floored_to_one(self, caplog):
         emb = np.array([[0.0], [1.0], [10.0]])
         g = knn_edges(emb, 1)
-        gw = assign_weights(g, emb, sigma=0.5)
+        gw = kernel_graph(g, emb, 0.5)
         denoised = np.array([1.0, -1.0, 1.0])  # every edge opposite or weak
         with caplog.at_level("INFO"):
             budgets = surviving_edge_budgets(gw, denoised, beta=0.1)
@@ -314,7 +355,7 @@ class TestGraphUpdate:
         rng = np.random.default_rng(13)
         for trial in range(10):
             emb = rng.normal(size=(30, 2))
-            g = assign_weights(knn_edges(emb, 4), emb, sigma=1.0)
+            g = kernel_graph(knn_edges(emb, 4), emb, 1.0)
             denoised = rng.uniform(-1, 1, size=30)
             _, survivors = checked_survivors(g, denoised, beta=0.1)
             rows, cols = np.nonzero(survivors)
@@ -324,7 +365,7 @@ class TestGraphUpdate:
     def test_zero_denoised_entries_excluded(self):
         emb = np.array([[0.0], [0.1], [0.2]])
         g = knn_edges(emb, 2)
-        gw = assign_weights(g, emb, sigma=1.0)
+        gw = kernel_graph(g, emb, 1.0)
         _, survivors = checked_survivors(gw, np.array([1.0, 0.0, 1.0]), beta=0.1)
         assert survivors[0, 1] == 0 and survivors[1, 2] == 0
         assert survivors[0, 2] == 1
@@ -334,7 +375,7 @@ class TestSpectrum:
     def test_constant_signal_energy_at_zero(self):
         rng = np.random.default_rng(14)
         emb = rng.normal(size=(12, 2))
-        g = assign_weights(knn_edges(emb, 11), emb, sigma=2.0)  # connected
+        g = kernel_graph(knn_edges(emb, 11), emb, 2.0)  # connected
         lap = build_laplacian(g)
         eigvals, mags = gft_spectrum(lap, np.full(12, 3.0))
         assert eigvals[0] == pytest.approx(0.0, abs=1e-9)
@@ -344,7 +385,7 @@ class TestSpectrum:
     def test_two_node_antisymmetric_signal(self):
         # L = [[w,-w],[-w,w]]; (1,-1)/sqrt(2) is the eigenvector at 2w
         emb = np.array([[0.0], [1.0]])
-        g = assign_weights(knn_edges(emb, 1), emb, sigma=1.0)
+        g = kernel_graph(knn_edges(emb, 1), emb, 1.0)
         lap = build_laplacian(g)
         w = dense(g)[0, 1]
         eigvals, mags = gft_spectrum(lap, np.array([1.0, -1.0]))
@@ -356,7 +397,7 @@ class TestSpectrum:
         rng = np.random.default_rng(15)
         for trial in range(5):
             emb = rng.normal(size=(20, 3))
-            g = assign_weights(knn_edges(emb, 3), emb, sigma=1.0)
+            g = kernel_graph(knn_edges(emb, 3), emb, 1.0)
             lap = build_laplacian(g)
             signal = rng.normal(size=20)
             _, mags = gft_spectrum(lap, signal)

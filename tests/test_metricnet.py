@@ -78,7 +78,7 @@ def kink_free_inputs(net, rng, n_rows, kink_gap=5e-4):
     its kink, so the loss is smooth on the finite-difference interval."""
     for scale in (0.4, 0.35, 0.45, 0.3, 0.5, 0.25):
         x = rng.normal(size=(n_rows, net.in_dim)) * scale
-        _, _, (_, pres) = net._forward_cached(x)
+        _, _, (_, pres) = net.forward_cached(x)
         if all(np.abs(z).min() > kink_gap for z in pres[:-1]):
             return x
     raise AssertionError("could not find kink-free inputs")
@@ -243,9 +243,9 @@ def three_pass_triplet_core(net, x, trips, margin, attention):
     rounding error of that sum, in any order, scales with it."""
     x = np.asarray(x, dtype=np.float64)
     ia, ip, iq = trips[:, 0], trips[:, 1], trips[:, 2]
-    emb_a, _, cache_a = net._forward_cached(x[ia])
-    emb_p, _, cache_p = net._forward_cached(x[ip])
-    emb_n, _, cache_n = net._forward_cached(x[iq])
+    emb_a, _, cache_a = net.forward_cached(x[ia])
+    emb_p, _, cache_p = net.forward_cached(x[ip])
+    emb_n, _, cache_n = net.forward_cached(x[iq])
     diff_ap = emb_a - emb_p
     diff_an = emb_a - emb_n
     d_ap = (diff_ap * diff_ap).sum(axis=1)
@@ -275,7 +275,7 @@ def add_at_triplet_core(net, x, trips, margin, attention):
     the per-row gradients summed by three unbuffered np.add.at passes
     (anchor, positive, then negative terms), one backward."""
     ia, ip, iq = trips.T
-    emb, _, cache = net._forward_cached(np.asarray(x, dtype=np.float64))
+    emb, _, cache = net.forward_cached(np.asarray(x, dtype=np.float64))
     diff_ap = emb[ia] - emb[ip]
     diff_an = emb[ia] - emb[iq]
     d_ap = (diff_ap * diff_ap).sum(axis=1)
@@ -352,11 +352,19 @@ class TestBatchTripletCore:
         for g, ref in zip(grads, ref_grads, strict=True):
             assert np.array_equal(g, ref)
             assert np.array_equal(np.signbit(g), np.signbit(ref))
+        # a forward of every row, passed in, gives the same bits
+        shared = triplet_loss_W(net, x, trips, margin=10.0, attention=np.ones((len(x),) * 2)
+                                if att is None else att, forward=net.forward_cached(x))
+        assert shared[0] == loss
+        for g, ref in zip(shared[1], grads, strict=True):
+            assert np.array_equal(g, ref)
 
     def test_triplets_must_be_index_rows(self):
         net = MetricNet(2, NetConfig(layer_widths=(3,), embedding_dim=2))
         with pytest.raises(ShapeError):
             triplet_loss_E(net, np.zeros((4, 2)), np.array([0, 1, 2]), margin=10.0)
+        with pytest.raises(ShapeError):
+            triplet_loss_E(net, np.zeros((4, 2)), np.array([[0, 1, -1]]), margin=10.0)
 
 
 class TestSampleTriplets:

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import blob_dataset, dense, tiny_config
+from conftest import blob_dataset, dense, kernel_graph, tiny_config
 from dynglr import dataio, pipeline
 from dynglr.dataio import TRAIN, VAL, TEST
 from dynglr.errors import ConfigError, SamplingError, TrainingError, UsageError
-from dynglr.graphs import (Graph, assign_weights, knn_edges, pairwise_sq_dists,
+from dynglr.graphs import (Graph, knn_edges, pairwise_sq_dists,
                            surviving_edge_budgets)
 from dynglr.metricnet import node_attention_matrix
 from dynglr.pipeline import (PipelineConfig, PipelineState, build_batches,
@@ -215,7 +215,7 @@ class TestUnetInputs:
         y = np.array([0.5, -0.3, 0.0])
         emb = np.arange(3.0)[:, None]
         g = knn_edges(emb, 2)
-        out = unet_inputs(feats, y, assign_weights(g, emb, 1.0), k=2)
+        out = unet_inputs(feats, y, kernel_graph(g, emb, 1.0), k=2)
         assert out.shape == (3, 5 + 2 + 4)
         np.testing.assert_allclose(out[0, 5:7], [0.5, 0.0])
         np.testing.assert_allclose(out[1, 5:7], [0.0, -0.3])
@@ -227,7 +227,7 @@ class TestUnetInputs:
         emb = np.array([[0.0], [1.0]])
         g = knn_edges(emb, 1)
         with caplog.at_level("INFO"):
-            out = unet_inputs(feats, y, assign_weights(g, emb, 1.0), k=3)
+            out = unet_inputs(feats, y, kernel_graph(g, emb, 1.0), k=3)
         assert "padded" in caplog.text
         # node 0's single neighbor (node 1) is repeated across all three slots
         np.testing.assert_allclose(out[0, 3:5], out[0, 5:7])
@@ -238,7 +238,7 @@ class TestUnetInputs:
         rng = np.random.default_rng(31)
         n = 12
         emb = rng.normal(size=(n, 2))
-        w = dense(assign_weights(knn_edges(emb, 2), emb, 1.0))
+        w = dense(kernel_graph(knn_edges(emb, 2), emb, 1.0))
         w[1, 2] = w[2, 1] = w[1, 3] = w[3, 1] = 0.5  # a tie, broken by column
         w[0, :] = w[:, 0] = 0.0  # node 0 isolated
         counts = (w != 0).sum(axis=1)
@@ -342,7 +342,7 @@ class TestRunVariant:
             assert all(np.isfinite(v) and v >= 0 for v in losses)
 
     def test_non_finite_loss_names_stage(self, blobs, monkeypatch):
-        def nan_loss(net, x, triplets, margin, attention):
+        def nan_loss(net, x, triplets, margin, attention, forward=None):
             return float("nan"), net.zero_grads()
 
         monkeypatch.setattr(pipeline, "triplet_loss_W", nan_loss)

@@ -1,7 +1,7 @@
 """Property tests of the graph layer every chain step builds on: the
 neighbour-selection kernel and the KNN rule, the canonical edge list, the
-kernel scale, the Laplacian, the GLR denoiser, and the agreement of the
-Laplacian's dense and csr backings."""
+kernel scale and weights, the Laplacian, the GLR denoiser, and the agreement
+of the Laplacian's dense and csr backings."""
 
 from contextlib import contextmanager
 
@@ -12,12 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import dense, kernel_margin
+from conftest import dense, edge_sq, kernel_graph, kernel_margin, pair_graph
 from dynglr import graphs
 from dynglr.glr import denoise
 from dynglr.graphs import (EdgePartition, assign_weights, auto_sigma, build_laplacian,
-                           directed_knn, edge_distances, graph_update, knn_edges, nearest,
-                           pairwise_sq_dists)
+                           directed_knn, graph_update, knn_edges, nearest,
+                           pairwise_sq_dists, partition_edges)
 
 # fixed example sequence, so a failure reproduces on every run
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -57,7 +57,7 @@ def tied_point_sets(draw):
 
 def loop_directed_knn(emb, gamma):
     """The per-row selection kernel replaced: one stable argsort of each
-    distance row, self excluded, first gamma_i columns."""
+    distance row, self excluded, first gamma_i columns, nearest first."""
     n = emb.shape[0]
     gamma = np.minimum(gamma, n - 1)
     rows, cols = [], []
@@ -81,8 +81,37 @@ def backing(kind):
         yield
 
 
+def three_step_weights(g, emb, labels):
+    """The weighting that assign_weights replaced, step by step: copied
+    same- and opposite-label pair arrays, their lengths gathered apart, the
+    closed-form scale with its fallbacks, then the kernel of every edge in
+    both directions."""
+    pairs = g.edge_pairs
+    si, sj = np.sign(labels[pairs[:, 0]]), np.sign(labels[pairs[:, 1]])
+    classified = (si != 0) & (sj != 0)
+
+    def lengths(p):
+        diff = emb[p[:, 0]] - emb[p[:, 1]]
+        return np.sqrt((diff * diff).sum(axis=1))
+
+    d_same = lengths(pairs[classified & (si == sj)])
+    d_opp = lengths(pairs[classified & (si != sj)])
+    if d_same.size == 0 or d_opp.size == 0:
+        pooled = np.concatenate([d_same, d_opp])
+        sigma = max(float(pooled.mean()) if pooled.size else 1.0, 1e-12)
+    else:
+        w_p, w_q = float(d_same.mean()), float(d_opp.mean())
+        if w_p < 1e-12:
+            sigma = max(w_q / 2.0, 1e-12)
+        elif w_q <= w_p:
+            sigma = w_p
+        else:
+            sigma = float(np.sqrt((w_q**2 - w_p**2) / (2.0 * np.log(w_q**2 / w_p**2))))
+    return kernel_graph(g, emb, sigma)
+
+
 def weighted_laplacian(emb, gamma, sigma):
-    return build_laplacian(assign_weights(knn_edges(emb, gamma), emb, sigma))
+    return build_laplacian(kernel_graph(knn_edges(emb, gamma), emb, sigma))
 
 
 def masked_max_adjacency(edges, emb, sigma):
@@ -107,13 +136,19 @@ def test_nearest_is_stable_argsort_prefix(m, n, data):
 
 
 @PROPERTY
-@given(tied_point_sets())
-def test_directed_knn_matches_row_loop(points):
+@given(tied_point_sets(), st.data())
+def test_directed_knn_matches_row_loop(points, data):
+    """Each row selects the oracle's column set, listed in column order;
+    NaN coordinates make NaN distances, which rank after every value."""
     emb, gamma = points
-    rows, cols = directed_knn(emb, gamma)
+    nans = data.draw(st.lists(st.integers(0, emb.shape[0] - 1), max_size=3))
+    emb[nans, 0] = np.nan
+    rows, cols = np.divmod(directed_knn(emb, gamma), emb.shape[0])
     expected_rows, expected_cols = loop_directed_knn(emb, gamma)
-    assert np.array_equal(rows, expected_rows)
-    assert np.array_equal(cols, expected_cols)
+    # the oracle lists a row nearest first; within a row, order it by column
+    order = np.lexsort((expected_cols, expected_rows))
+    assert np.array_equal(rows, expected_rows[order])
+    assert np.array_equal(cols, expected_cols[order])
 
 
 @PROPERTY
@@ -165,7 +200,9 @@ def test_edge_lists_are_canonical(points, sigma, beta, data):
     emb, gamma = points
     g = knn_edges(emb, gamma)
     assert_canonical(g)
-    gw = assign_weights(g, emb, sigma)
+    labels = data.draw(arrays(np.float64, emb.shape[0], elements=st.sampled_from([-1.0, 0.0, 1.0])))
+    assert_canonical(assign_weights(g, emb, partition_edges(g, labels)))
+    gw = kernel_graph(g, emb, sigma)
     assert_canonical(gw)
     y = data.draw(arrays(np.float64, emb.shape[0], elements=st.floats(-1.0, 1.0)))
     assert_canonical(graph_update(gw, y, emb[::-1].copy(), beta))
@@ -178,17 +215,40 @@ def test_auto_sigma_beats_log_grid(points, data):
     margin: no sigma on a log-spaced grid does better."""
     emb, _ = points
     n = emb.shape[0]
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
-    edge_sets = [np.array(data.draw(st.lists(pair, min_size=1, max_size=20)))
-                 for _ in range(2)]
-    w_a, w_b = (float(edge_distances(emb, e).mean()) for e in edge_sets)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+    g = pair_graph(n, data.draw(st.lists(pair, min_size=2, max_size=20, unique=True)))
+    m = g.edge_pairs.shape[0]
+    in_a = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    assume(in_a.any() and not in_a.all())
+    sq = edge_sq(g, emb)
+    w_a, w_b = (float(np.sqrt(sq[mask]).mean()) for mask in (in_a, ~in_a))
     assume(min(w_a, w_b) >= 1e-12 and w_a != w_b)
-    same, opposite = edge_sets if w_a < w_b else edge_sets[::-1]
+    same = in_a if w_a < w_b else ~in_a
     w_p, w_q = min(w_a, w_b), max(w_a, w_b)
-    sigma = auto_sigma(emb, EdgePartition(same=same, opposite=opposite))
+    sigma = auto_sigma(g, sq, EdgePartition(same=same, opposite=~same))
     grid = np.logspace(np.log10(w_p) - 3, np.log10(w_q) + 3, 2001)
     best = max(kernel_margin(s, w_p, w_q) for s in grid)
     assert kernel_margin(sigma, w_p, w_q) >= best - 1e-12
+
+
+@PROPERTY
+@given(tied_point_sets() | point_sets(), st.data())
+def test_assign_weights_equals_three_step_weighting(points, data):
+    """One length gather and one kernel per undirected edge, mirrored onto
+    both directions, give the old weighting bit for bit: same scale, same
+    values, same entries dropped by underflow."""
+    emb, gamma = points
+    if data.draw(st.booleans()):
+        # at the unit fallback scale, edges of a spread-out set underflow
+        emb = emb * data.draw(st.sampled_from([1e-3, 1e3]))
+    g = knn_edges(emb, gamma)
+    labels = data.draw(arrays(np.float64, emb.shape[0],
+                              elements=st.sampled_from([-1.0, 0.0, 0.0, 1.0, 2.5, -0.5])))
+    got = assign_weights(g, emb, partition_edges(g, labels))
+    want = three_step_weights(g, emb, labels)
+    for name in ("rows", "cols", "weights", "gamma"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.rows.dtype == want.rows.dtype and got.weights.dtype == want.weights.dtype
 
 
 @PROPERTY
@@ -209,7 +269,7 @@ def test_adjacency_is_masked_max_of_weights(points, sigma):
     # Laplacian's adjacency is its diagonal (the degrees) minus itself
     emb, gamma = points
     g = knn_edges(emb, gamma)
-    lap = dense(build_laplacian(assign_weights(g, emb, sigma)))
+    lap = dense(build_laplacian(kernel_graph(g, emb, sigma)))
     adjacency = np.diag(lap.diagonal()) - lap
     oracle = masked_max_adjacency(g.edges, emb, sigma)
     assert np.count_nonzero(adjacency) == oracle.nnz
@@ -245,7 +305,7 @@ def test_dense_and_csr_backings_agree(points, sigma, data):
     differ only by summation order."""
     emb, gamma = points
     y0 = data.draw(arrays(np.float64, emb.shape[0], elements=st.floats(-1.0, 1.0)))
-    g = assign_weights(knn_edges(emb, gamma), emb, sigma)
+    g = kernel_graph(knn_edges(emb, gamma), emb, sigma)
     with backing("csr"):
         lap_c = build_laplacian(g)
     with backing("dense"):
