@@ -250,7 +250,8 @@ def run_grid(grid: ExperimentGrid, out_csv, config_overrides: dict | None = None
     out_csv = Path(out_csv)
     rows = {_cell_key(r): r for r in _read_results(out_csv)}
     done = {key for key, r in rows.items() if r["status"] == "ok"}
-    write_header = not out_csv.exists()
+    # a process killed before its first row leaves an empty file behind
+    write_header = not out_csv.exists() or out_csv.stat().st_size == 0
     datasets = {}
     with out_csv.open("a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS)

@@ -24,7 +24,8 @@ logger = logging.getLogger(__name__)
 TRAIN, VAL, TEST = 0, 1, 2
 SPLIT_NAMES = ("train", "val", "test")
 
-DEFAULT_FRACTIONS = (0.4, 0.2, 0.4)
+# train/val/test shares of each class
+SPLIT_FRACTIONS = (0.4, 0.2, 0.4)
 
 
 @dataclass(frozen=True)
@@ -126,11 +127,7 @@ def _standardize(features: np.ndarray, train_mask: np.ndarray) -> np.ndarray:
     return (features - mean) / scale
 
 
-def _assign_split(labels: np.ndarray, fractions, seed: int) -> np.ndarray:
-    if abs(sum(fractions) - 1.0) > 1e-9 or len(fractions) != 3:
-        raise ConfigError(f"split fractions must be three values summing to 1, got {fractions}")
-    if min(fractions) < 0:
-        raise ConfigError("split fractions must be nonnegative")
+def _assign_split(labels: np.ndarray, seed: int) -> np.ndarray:
     rng = substream(seed, "split")
     split = np.empty(labels.shape[0], dtype=np.int8)
     for cls in (-1, 1):
@@ -138,23 +135,23 @@ def _assign_split(labels: np.ndarray, fractions, seed: int) -> np.ndarray:
         if idx.size == 0:
             raise ValidationError("both classes must be present to split")
         perm = idx[rng.permutation(idx.size)]
-        b1 = int(round(fractions[0] * idx.size))
-        b2 = int(round((fractions[0] + fractions[1]) * idx.size))
+        b1 = int(round(SPLIT_FRACTIONS[0] * idx.size))
+        b2 = int(round((SPLIT_FRACTIONS[0] + SPLIT_FRACTIONS[1]) * idx.size))
         split[perm[:b1]] = TRAIN
         split[perm[b1:b2]] = VAL
         split[perm[b2:]] = TEST
     return split
 
 
-def _assemble(features, labels, fractions, seed) -> Dataset:
-    split = _assign_split(labels, fractions, seed)
+def _assemble(features, labels, seed) -> Dataset:
+    split = _assign_split(labels, seed)
     features = _standardize(features, split == TRAIN)
     noisy = labels.astype(np.float64)
     noisy[split == TEST] = 0.0
     return Dataset(features=features, clean_labels=labels, noisy_labels=noisy, split=split)
 
 
-def from_arrays(features, labels, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> Dataset:
+def from_arrays(features, labels, seed: int = 0) -> Dataset:
     """Assemble a Dataset from in-memory arrays (dedup, split, standardize)."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -163,10 +160,10 @@ def from_arrays(features, labels, fractions=DEFAULT_FRACTIONS, seed: int = 0) ->
     labels = _map_labels(labels.astype(np.float64))
     features, labels = _dedup_rows(features, labels)
     features = _drop_constant_columns(features)
-    return _assemble(features, labels, fractions, seed)
+    return _assemble(features, labels, seed)
 
 
-def load_csv(path, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> Dataset:
+def load_csv(path, seed: int = 0) -> Dataset:
     """Load a header-bearing CSV whose last column is the class label.
 
     KEEL-style ``@`` metadata lines are stripped; the first remaining line is
@@ -182,17 +179,17 @@ def load_csv(path, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> Dataset:
     if len(numbered) < 2:
         raise ParseError("file must contain a header row and at least one data row")
     features, raw_labels = _parse_rows(numbered[1:])
-    return from_arrays(features, raw_labels, fractions, seed)
+    return from_arrays(features, raw_labels, seed)
 
 
-def stratified_split(ds: Dataset, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> Dataset:
+def stratified_split(ds: Dataset, seed: int = 0) -> Dataset:
     """Reassign splits (per-class proportions within +-1 node) and restandardize.
 
     Standardization is affine per column, so restandardizing the already
     standardized features on the new training rows equals standardizing the
     raw features on them.
     """
-    return _assemble(ds.features, ds.clean_labels, fractions, seed)
+    return _assemble(ds.features, ds.clean_labels, seed)
 
 
 def inject_label_noise(ds: Dataset, spec: NoiseSpec) -> Dataset:
@@ -245,16 +242,17 @@ SYNTHETIC_SHAPES = {
     "magic": (19020, 10, 0.648, 1.1, 1.0),
     "spambase": (4597, 57, 0.394, 1.6, 2.0),
 }
+# unit-variance blobs per class in the synthetic stand-ins
+SYNTHETIC_CLUSTERS = 3
 
 
 def synthetic_features(n: int, dim: int, pos_fraction: float, margin: float,
-                       cluster_spread: float, seed: int, clusters: int = 3
-                       ) -> tuple[np.ndarray, np.ndarray]:
+                       cluster_spread: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian-mixture stand-in for a real binary table.
 
     Every feature is mildly informative: the classes sit at +-margin along a
     fixed direction of uneven per-feature weights, and each class is spread
-    over ``clusters`` unit-variance blobs whose centers lie cluster_spread
+    over SYNTHETIC_CLUSTERS unit-variance blobs whose centers lie cluster_spread
     from the class mean. Larger margin means an easier problem; larger
     cluster_spread means stronger within-class structure.
     """
@@ -265,9 +263,9 @@ def synthetic_features(n: int, dim: int, pos_fraction: float, margin: float,
     counts = {1: n_pos, -1: n - n_pos}
     feats, labels = [], []
     for cls, count in counts.items():
-        centers = rng.normal(size=(clusters, dim))
+        centers = rng.normal(size=(SYNTHETIC_CLUSTERS, dim))
         centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-        assign = rng.integers(0, clusters, size=count)
+        assign = rng.integers(0, SYNTHETIC_CLUSTERS, size=count)
         x = (cls * margin * informative + cluster_spread * centers[assign]
              + rng.normal(size=(count, dim)))
         feats.append(x)
@@ -278,8 +276,7 @@ def synthetic_features(n: int, dim: int, pos_fraction: float, margin: float,
     return features[order], labels[order]
 
 
-def synthetic_dataset(name: str, seed: int = 0, fractions=DEFAULT_FRACTIONS,
-                      max_nodes: int | None = None) -> Dataset:
+def synthetic_dataset(name: str, seed: int = 0, max_nodes: int | None = None) -> Dataset:
     """Dataset shaped like one of the benchmark tables (see SYNTHETIC_SHAPES)."""
     if name not in SYNTHETIC_SHAPES:
         raise ConfigError(f"unknown synthetic dataset {name!r}; known: {sorted(SYNTHETIC_SHAPES)}")
@@ -287,4 +284,4 @@ def synthetic_dataset(name: str, seed: int = 0, fractions=DEFAULT_FRACTIONS,
     if max_nodes is not None:
         n = min(n, max_nodes)
     features, labels = synthetic_features(n, dim, pos_fraction, margin, spread, seed)
-    return from_arrays(features, labels, fractions, seed)
+    return from_arrays(features, labels, seed)

@@ -4,21 +4,18 @@ The smoothed signal minimizes ||y - b||^2 + mu * b' L b, an unconstrained
 convex quadratic whose unique minimizer solves (I + mu L) b = y. The system
 is symmetric positive definite; choosing mu <= (kappa - 1) / (2 d_max) keeps
 its spectral condition number at or below kappa, so plain conjugate gradients
-converge fast and stably.
+converge fast and stably; a solve that still fails to converge raises
+SolverError.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import SolverError, ValidationError
-from .graphs import DENSE_NODE_GUARD
-
-logger = logging.getLogger(__name__)
 
 # the paper's condition bound, and the share of the largest mu it allows
 KAPPA = 60.0
@@ -80,11 +77,9 @@ def denoise(laplacian: np.ndarray | sp.csr_matrix, y_prev: np.ndarray, mu: float
     L is a dense array or a csr matrix, and CG runs on I + mu L in the same
     backing. d_max is the largest diagonal entry of L, the largest degree.
     An explicit nonnegative mu overrides the derived one (mu = 0 is the
-    identity). Edgeless graphs short-circuit to the identity. If CG fails to
-    reach SOLVER_TOL within MAX_ITER_FACTOR * N iterations, falls back to a
-    dense direct solve with a warning, or raises SolverError above
-    DENSE_NODE_GUARD nodes, where the dense matrix alone would take N^2 * 8
-    bytes.
+    identity). Edgeless graphs short-circuit to the identity. Raises
+    SolverError if CG fails to reach SOLVER_TOL within MAX_ITER_FACTOR * N
+    iterations.
     """
     y_prev = np.asarray(y_prev, dtype=np.float64)
     if not np.all(np.isfinite(y_prev)):
@@ -102,13 +97,8 @@ def denoise(laplacian: np.ndarray | sp.csr_matrix, y_prev: np.ndarray, mu: float
     x, converged = _conjugate_gradient(system, y_prev, y_prev, SOLVER_TOL, iters,
                                        residual_log)
     if not converged:
-        if n > DENSE_NODE_GUARD:
-            residual = np.linalg.norm(y_prev - system @ x) / np.linalg.norm(y_prev)
-            raise SolverError(
-                f"CG did not converge on N={n} nodes in {iters} iterations (relative "
-                f"residual {residual:.3g}); a dense fallback needs N <= {DENSE_NODE_GUARD}")
-        logger.warning("CG did not converge in %d iterations; dense fallback", iters)
-        x = np.linalg.solve(system if isinstance(system, np.ndarray) else system.toarray(),
-                            y_prev)
+        residual = np.linalg.norm(y_prev - system @ x) / np.linalg.norm(y_prev)
+        raise SolverError(f"CG did not converge on N={n} nodes in {iters} iterations "
+                          f"(relative residual {residual:.3g})")
     return x
 

@@ -35,8 +35,7 @@ from .errors import ValidationError
 logger = logging.getLogger(__name__)
 
 _DIST_CHUNK = 512
-# largest graph for which a dense (N, N) matrix is formed: the spectrum's
-# eigendecomposition and the GLR solver's direct fallback
+# largest graph for which the spectrum's dense (N, N) eigendecomposition runs
 DENSE_NODE_GUARD = 4000
 # largest graph whose Laplacian is a dense (n, n) array instead of a csr
 # matrix. Batch graphs have 100 nodes and frozen-chain graphs 100-120; at
@@ -87,24 +86,11 @@ class Graph:
         """Mask of the upper-triangle entries, cols > rows: each undirected edge once."""
         return self.cols > self.rows
 
-    @property
-    def edge_pairs(self) -> np.ndarray:
-        """Upper-triangle (i, j) pairs, i < j, in row-major order."""
-        return np.column_stack([self.rows[self.upper], self.cols[self.upper]])
-
     @cached_property
     def laplacian(self) -> np.ndarray | sp.csr_matrix:
         """Built on first use: most frozen-chain graphs are reweighted
         before any denoising pass needs their Laplacian."""
         return build_laplacian(self)
-
-
-@dataclass(frozen=True)
-class EdgePartition:
-    """Same-label (P) and opposite-label (Q) edges: masks over a graph's edge_pairs."""
-
-    same: np.ndarray
-    opposite: np.ndarray
 
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -193,24 +179,26 @@ def knn_edges(embeddings: np.ndarray, gamma) -> Graph:
     return Graph(rows, cols, np.ones(keys.size), np.full(n, gamma, dtype=np.int64))
 
 
-def partition_edges(g: Graph, labels: np.ndarray) -> EdgePartition:
-    """Split edges by the sign of endpoint labels; 0-label edges go to neither set."""
+def partition_edges(g: Graph, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Same-label (P) and opposite-label (Q) edges by the sign of endpoint
+    labels, as masks over g's upper-triangle entries; 0-label edges go to
+    neither set."""
     si, sj = np.sign(labels[g.rows[g.upper]]), np.sign(labels[g.cols[g.upper]])
     classified = (si != 0) & (sj != 0)
-    return EdgePartition(same=classified & (si == sj), opposite=classified & (si != sj))
+    return classified & (si == sj), classified & (si != sj)
 
 
-def auto_sigma(g: Graph, sq: np.ndarray, part: EdgePartition) -> float:
+def auto_sigma(g: Graph, sq: np.ndarray, same: np.ndarray, opposite: np.ndarray) -> float:
     """Kernel scale maximizing exp(-wP^2/2s^2) - exp(-wQ^2/2s^2).
 
-    sq holds the squared embedding lengths of g's edge_pairs (g is read only
-    for its size, by which perfbench's tracer tags the call), and wP/wQ are
-    the mean lengths over same/opposite-label edges. The stationary point
-    gives sigma^2 = (wQ^2 - wP^2) / (2 ln(wQ^2 / wP^2)) when wQ > wP;
-    otherwise falls back to wP (or the mean edge length when a set is
-    empty), flagged in the log.
+    sq holds the squared embedding lengths of g's upper-triangle entries (g
+    is read only for its size, by which perfbench's tracer tags the call),
+    and wP/wQ are the mean lengths over the same/opposite-label edges that
+    the masks select. The stationary point gives sigma^2 = (wQ^2 - wP^2) /
+    (2 ln(wQ^2 / wP^2)) when wQ > wP; otherwise falls back to wP (or the
+    mean edge length when a set is empty), flagged in the log.
     """
-    d_same, d_opp = np.sqrt(sq[part.same]), np.sqrt(sq[part.opposite])
+    d_same, d_opp = np.sqrt(sq[same]), np.sqrt(sq[opposite])
     if d_same.size == 0 or d_opp.size == 0:
         pooled = np.concatenate([d_same, d_opp])
         sigma = float(pooled.mean()) if pooled.size else 1.0
@@ -227,15 +215,16 @@ def auto_sigma(g: Graph, sq: np.ndarray, part: EdgePartition) -> float:
     return float(np.sqrt((w_q**2 - w_p**2) / (2.0 * np.log(w_q**2 / w_p**2))))
 
 
-def assign_weights(g: Graph, embeddings: np.ndarray, part: EdgePartition) -> Graph:
+def assign_weights(g: Graph, embeddings: np.ndarray, same: np.ndarray,
+                   opposite: np.ndarray) -> Graph:
     """Gaussian-kernel weights on the existing edge set, at the auto_sigma
-    scale of the partition. Each undirected edge's length and kernel value
-    are computed once and mirrored onto both directions. Edges whose kernel
-    value underflows to exactly 0 leave the graph."""
+    scale of the partition_edges masks. Each undirected edge's length and
+    kernel value are computed once and mirrored onto both directions. Edges
+    whose kernel value underflows to exactly 0 leave the graph."""
     i, j = g.rows[g.upper], g.cols[g.upper]
     diff = embeddings[i] - embeddings[j]
     sq = (diff * diff).sum(axis=1)
-    kernel = np.exp(-sq / (2.0 * auto_sigma(g, sq, part)**2))
+    kernel = np.exp(-sq / (2.0 * auto_sigma(g, sq, same, opposite)**2))
     # entry k of the lower triangle, in row-major order, is the transpose of
     # the k-th upper entry in column-major order
     values = np.empty(g.rows.size)

@@ -78,10 +78,6 @@ class MetricNet:
             # small positive bias keeps rectified units off their kink at init
             self.biases.append(np.full(fan_out, 0.01))
 
-    @property
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
     def parameters(self) -> list[np.ndarray]:
         return self.weights + self.biases
 

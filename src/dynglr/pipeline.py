@@ -136,6 +136,8 @@ class PipelineConfig:
         parse_variant(self.variant)
         if not isinstance(self.arch, ArchPreset):
             raise ConfigError(f"arch must be an ArchPreset, not {type(self.arch).__name__}")
+        if min(self.rank_sample_k, self.rank_sample_batches) < 1:
+            raise ConfigError("rank_sample_k and rank_sample_batches must be at least 1")
         if self.rank_sample_k % self.rank_sample_batches != 0:
             raise ConfigError("rank_sample_k must divide into rank_sample_batches")
 
@@ -214,7 +216,6 @@ class PipelineState:
     gamma0: int | None = None
     stages: list = field(default_factory=list)
     stage_losses: dict = field(default_factory=dict)
-    trained_chain: str | None = None
 
     @classmethod
     def fresh(cls, ds: Dataset, cfg: PipelineConfig) -> "PipelineState":
@@ -319,13 +320,13 @@ def run_stage_wnet(state: PipelineState, r: int, inputs: np.ndarray,
     def loss_of_batch(pos, epoch, b_idx):
         x_in, y_b = inputs[pos], y_prev[pos]
         g_b = knn_edges(embeddings[pos], gamma[pos])
-        part = partition_edges(g_b, y_b)
-        if not (part.same.any() and part.opposite.any()):
+        same, opposite = partition_edges(g_b, y_b)
+        if not (same.any() and opposite.any()):
             logger.info("%s: batch without both edge classes skipped (epoch %d)", stage, epoch)
             return None
         # the loss reuses the forward that weighted the graph
         forward = net.forward_cached(x_in)
-        g_w = assign_weights(g_b, forward[0], part)
+        g_w = assign_weights(g_b, forward[0], same, opposite)
         att = node_attention_matrix(node_phi(y_b, denoise(g_w.laplacian, y_b), eps))
         trips = _triplets_or_skip(y_b, cfg, stage, epoch, b_idx)
         if trips is None:
@@ -432,7 +433,7 @@ def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.nda
         elif step == "update":
             graph, shallow = graph_update(graph, y, emb, BETA), tap
         else:
-            graph = assign_weights(graph, emb, partition_edges(graph, y))
+            graph = assign_weights(graph, emb, *partition_edges(graph, y))
     return records
 
 
@@ -448,7 +449,6 @@ def run_variant(ds: Dataset, cfg: PipelineConfig) -> PipelineState:
     chain, _ = parse_variant(cfg.variant)
     state = PipelineState.fresh(ds, cfg)
     state.stages = _work_stages(state, chain, train_missing=True)
-    state.trained_chain = chain
     return state
 
 
@@ -539,7 +539,7 @@ def predict(state: PipelineState, test_indices, cfg: PipelineConfig | None = Non
     accumulated weighted-neighbor signal, then +1.
     """
     cfg = cfg or state.config
-    if state.trained_chain is None:
+    if not state.stages:
         raise UsageError("predict called before the pipeline was trained")
     chain, sampling = parse_variant(cfg.variant)
     test_indices = np.asarray(test_indices, dtype=np.int64)
@@ -571,7 +571,7 @@ def rank_sampling(state: PipelineState, k: int | None = None,
     the baseline without recorded signals, accuracy alone ranks.
     """
     cfg, ds = cfg or state.config, state.dataset
-    if state.trained_chain is None:
+    if not state.stages:
         raise UsageError("rank sampling needs a trained pipeline")
     chain, _ = parse_variant(cfg.variant)
     k = cfg.rank_sample_k if k is None else int(k)
@@ -653,21 +653,21 @@ def save_state(state: PipelineState, run_dir) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     for name, net in state.nets.items():
         save_checkpoint(net, run_dir / f"net_{name}.npz")
-    meta = {"gamma0": state.gamma0, "trained_chain": state.trained_chain,
-            "variant": state.config.variant, "seed": state.config.seed}
+    meta = {"gamma0": state.gamma0, "variant": state.config.variant,
+            "seed": state.config.seed}
     (run_dir / "state.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def load_state(run_dir, ds: Dataset, cfg: PipelineConfig) -> PipelineState:
     """Reload a saved run on its dataset: the nets and the neighbor budget
-    from save_state's files, then the stage records by replaying the trained
-    chain on the working set. Other files in the directory are ignored."""
+    from save_state's files, then the stage records by replaying the saved
+    variant's chain on the working set. Other files in the directory are
+    ignored."""
     run_dir = Path(run_dir)
     meta = json.loads((run_dir / "state.json").read_text())
     state = PipelineState.fresh(ds, cfg)
     state.gamma0 = meta["gamma0"]
-    state.trained_chain = meta["trained_chain"]
     for path in sorted(run_dir.glob("net_*.npz")):
         state.nets[path.stem.removeprefix("net_")] = load_checkpoint(path)
-    state.stages = _work_stages(state, state.trained_chain)
+    state.stages = _work_stages(state, parse_variant(meta["variant"])[0])
     return state

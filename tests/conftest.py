@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from dynglr import dataio
 from dynglr.graphs import Graph
+from dynglr.metricnet import MetricNet
 from dynglr.pipeline import ArchPreset, PipelineConfig
 
 # Small everything: two hidden layers per net, a couple of epochs. Enough to
@@ -52,10 +53,22 @@ def pair_graph(n: int, pairs) -> Graph:
     return Graph(rows, cols, np.ones(keys.size), np.ones(n, dtype=np.int64))
 
 
+def edge_pairs(g: Graph) -> np.ndarray:
+    """Upper-triangle (i, j) pairs, i < j, in row-major order: each undirected
+    edge once, in the order of the partition_edges masks."""
+    return np.column_stack([g.rows[g.upper], g.cols[g.upper]])
+
+
 def edge_sq(g: Graph, emb: np.ndarray) -> np.ndarray:
     """Squared embedding lengths of g's edge_pairs, the lengths auto_sigma reads."""
-    diff = emb[g.edge_pairs[:, 0]] - emb[g.edge_pairs[:, 1]]
+    pairs = edge_pairs(g)
+    diff = emb[pairs[:, 0]] - emb[pairs[:, 1]]
     return (diff * diff).sum(axis=1)
+
+
+def n_params(net: MetricNet) -> int:
+    """Trainable parameter count of a net."""
+    return sum(w.size for w in net.weights) + sum(b.size for b in net.biases)
 
 
 def kernel_margin(sigma: float, w_p: float, w_q: float) -> float:

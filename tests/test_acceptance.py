@@ -23,10 +23,10 @@ from dynglr.bench import (ExperimentGrid, cell_seed, error_rate, load_dataset,
                           split_seed, subsample_dataset)
 from dynglr.dataio import NoiseSpec, TEST, TRAIN
 from dynglr.glr import SOLVER_TOL, _conjugate_gradient, _system, denoise, mu_max
-from dynglr.graphs import EdgePartition, auto_sigma, build_laplacian, gft_spectrum, knn_edges
+from dynglr.graphs import auto_sigma, build_laplacian, gft_spectrum, knn_edges
 from dynglr.metricnet import MetricNet, NetConfig, triplet_loss_E, triplet_loss_W
 from dynglr.pipeline import PipelineConfig, predict, rank_sampling, run_variant
-from conftest import dense, edge_sq, kernel_graph, kernel_margin, pair_graph
+from conftest import dense, edge_sq, kernel_graph, kernel_margin, n_params, pair_graph
 from test_metricnet import fd_gradient, kink_free_inputs, rel_err
 
 BASE_SEED = 2026
@@ -107,7 +107,7 @@ def test_criterion_3_gradient_correctness():
         skip = 1 if (seed % 3 == 0 and len(widths) == 2) else None
         net = MetricNet(3, NetConfig(layer_widths=widths, embedding_dim=2,
                                      seed=seed, skip_to_layer=skip))
-        assert net.n_params <= 1000
+        assert n_params(net) <= 1000
         x = kink_free_inputs(net, rng, 9)
         trips = rng.integers(0, 9, size=(5, 3))
         if seed % 2 == 0:
@@ -163,9 +163,9 @@ def test_criterion_5_auto_sigma_optimality():
         w_p = float(rng.uniform(0.2, 2.5))
         w_q = w_p + float(rng.uniform(0.05, 3.0))
         g = pair_graph(3, [(0, 1), (0, 2)])
-        part = EdgePartition(same=np.array([True, False]), opposite=np.array([False, True]))
+        same, opposite = np.array([True, False]), np.array([False, True])
         emb = np.array([[0.0], [w_p], [w_q]])
-        sigma = auto_sigma(g, edge_sq(g, emb), part)
+        sigma = auto_sigma(g, edge_sq(g, emb), same, opposite)
         grid = np.arange(1e-4, 4.0 * w_q, 1e-4)
         margins = (np.exp(-w_p**2 / (2 * grid**2))
                    - np.exp(-w_q**2 / (2 * grid**2)))

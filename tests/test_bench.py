@@ -10,7 +10,7 @@ import pytest
 
 from conftest import TINY_ARCH, kernel_graph
 from dynglr import bench, dataio
-from dynglr.bench import (ExperimentGrid, Report, error_rate, load_dataset,
+from dynglr.bench import (RESULT_FIELDS, ExperimentGrid, Report, error_rate, load_dataset,
                           mean_edge_weight_proportion, prepare_cell,
                           residual_noise, run_grid, subsample_dataset)
 from dynglr.errors import ConfigError
@@ -163,7 +163,10 @@ class TestRunGrid:
     @pytest.mark.parametrize("override, message", [
         ({"rank_sample_k": 25}, "rank_sample_k must divide"),
         # what a grid.json can hold: a plain object, not a preset
-        ({"arch": {"metric_hidden": [8, 4]}}, "arch must be an ArchPreset, not dict")])
+        ({"arch": {"metric_hidden": [8, 4]}}, "arch must be an ArchPreset, not dict"),
+        ({"rank_sample_batches": 0}, "must be at least 1"),
+        ({"rank_sample_batches": -6}, "must be at least 1"),
+        ({"rank_sample_k": -12}, "must be at least 1")])
     def test_invalid_override_value_rejected_before_any_cell(self, toy_csv_dir, tmp_path,
                                                              override, message):
         grid = tiny_grid(toy_csv_dir, variants=("DML-KNN",))
@@ -182,12 +185,15 @@ class TestRunGrid:
 
     def test_resume_skips_completed_cells(self, toy_csv_dir, tmp_path):
         grid = tiny_grid(toy_csv_dir, variants=("DML-KNN",))
-        out = tmp_path / "results.csv"
-        first = run_grid(grid, out, TINY_OVERRIDES)
-        n_lines = len(out.read_text().splitlines())
-        second = run_grid(grid, out, TINY_OVERRIDES)
-        assert len(out.read_text().splitlines()) == n_lines
-        assert len(second.rows) == len(first.rows)
+        # an empty file is what a process killed before its first row leaves behind
+        (tmp_path / "empty.csv").touch()
+        for out in (tmp_path / "results.csv", tmp_path / "empty.csv"):
+            first = run_grid(grid, out, TINY_OVERRIDES)
+            assert out.read_text().splitlines()[0] == ",".join(RESULT_FIELDS)
+            n_lines = len(out.read_text().splitlines())
+            second = run_grid(grid, out, TINY_OVERRIDES)
+            assert len(out.read_text().splitlines()) == n_lines
+            assert len(second.rows) == len(first.rows)
 
     def test_identical_flip_sets_across_variants(self, toy_csv_dir):
         ds, _ = load_dataset("toy", str(toy_csv_dir), seed=3)

@@ -89,11 +89,6 @@ class TestSplit:
             counts += ds.mask(code).astype(int)
         assert (counts == 1).all()
 
-    def test_bad_fractions_rejected(self):
-        ds = toy_dataset()
-        with pytest.raises(ConfigError):
-            dataio.stratified_split(ds, fractions=(0.5, 0.2, 0.5))
-
     def test_standardized_on_train_stats(self):
         ds = toy_dataset(n_per_class=50, seed=2)
         train = ds.features[ds.mask(TRAIN)]

@@ -1,12 +1,11 @@
 import dataclasses
-import logging
 import math
 
 import numpy as np
 import pytest
 
 from conftest import dense, kernel_graph
-from dynglr import glr
+from dynglr import glr, graphs
 from dynglr.errors import SolverError, ValidationError
 from dynglr.glr import KAPPA, MU_FRACTION, denoise, mu_max
 from dynglr.graphs import build_laplacian, knn_edges
@@ -122,29 +121,16 @@ class TestDenoise:
         denoise(lap, rng.uniform(-1, 1, 25), residual_log=residuals)
         assert residuals and residuals[-1] <= residuals[0]
 
-    def test_unconverged_cg_at_node_guard_falls_back_to_dense_solve(self, monkeypatch,
-                                                                    caplog):
-        monkeypatch.setattr(glr, "DENSE_NODE_GUARD", 30)
+    @pytest.mark.parametrize("n", [30, graphs.DENSE_BACKING_MAX + 1], ids=["dense", "csr"])
+    def test_unconverged_cg_raises(self, monkeypatch, caplog, n):
         monkeypatch.setattr(glr, "MAX_ITER_FACTOR", 0)  # CG stops before its first step
         rng = np.random.default_rng(8)
-        lap = random_weighted_laplacian(rng, 30)
-        y = rng.uniform(-1, 1, 30)
-        with caplog.at_level(logging.WARNING, logger="dynglr.glr"):
-            got = denoise(lap, y)
-        assert [r.getMessage() for r in caplog.records] == [
-            "CG did not converge in 0 iterations; dense fallback"]
-        expected = np.linalg.solve(np.eye(30) + default_mu(lap) * dense(lap), y)
-        assert np.array_equal(got, expected)
-
-    def test_unconverged_cg_above_node_guard_raises(self, monkeypatch, caplog):
-        monkeypatch.setattr(glr, "DENSE_NODE_GUARD", 29)
-        monkeypatch.setattr(glr, "MAX_ITER_FACTOR", 0)
-        rng = np.random.default_rng(8)
-        lap = random_weighted_laplacian(rng, 30)
-        y = rng.uniform(-1, 1, 30)
+        lap = random_weighted_laplacian(rng, n)
+        assert isinstance(lap, np.ndarray) == (n <= graphs.DENSE_BACKING_MAX)
+        y = rng.uniform(-1, 1, n)
         # with no CG step the iterate is still y, so its residual is mu ||L y|| / ||y||
         residual = default_mu(lap) * np.linalg.norm(lap @ y) / np.linalg.norm(y)
-        with pytest.raises(SolverError, match=fr"N=30 nodes in 0 iterations "
+        with pytest.raises(SolverError, match=fr"N={n} nodes in 0 iterations "
                                               fr"\(relative residual {residual:.3g}\)"):
             denoise(lap, y)
         assert not caplog.records

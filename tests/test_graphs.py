@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import dense, edge_sq, kernel_graph, kernel_margin, pair_graph
+from conftest import dense, edge_pairs, edge_sq, kernel_graph, kernel_margin, pair_graph
 from dynglr import graphs
 from dynglr.errors import ValidationError
-from dynglr.graphs import (EdgePartition, assign_weights, auto_sigma,
+from dynglr.graphs import (assign_weights, auto_sigma,
                            build_laplacian, directed_knn, gft_spectrum,
                            graph_update, knn_edges,
                            partition_edges, surviving_edge_budgets)
@@ -25,7 +25,7 @@ class TestKnnEdges:
     def test_line_points_or_rule(self):
         points = np.array([[0.0], [1.0], [3.0]])
         g = knn_edges(points, 1)
-        pairs = {tuple(p) for p in g.edge_pairs}
+        pairs = {tuple(p) for p in edge_pairs(g)}
         assert pairs == {(0, 1), (1, 2)}
 
     def test_full_budget_gives_complete_graph(self):
@@ -50,7 +50,7 @@ class TestKnnEdges:
         for i, nbrs in enumerate(oracle):
             for j in nbrs:
                 expected.add((min(i, j), max(i, j)))
-        assert {tuple(p) for p in g.edge_pairs} == expected
+        assert {tuple(p) for p in edge_pairs(g)} == expected
 
     def test_directed_selection_has_exact_degrees(self):
         rng = np.random.default_rng(3)
@@ -104,32 +104,32 @@ class TestPartition:
     def test_basic_split(self):
         points = np.array([[0.0], [1.0], [3.0]])
         g = knn_edges(points, 1)
-        part = partition_edges(g, np.array([1.0, 1.0, -1.0]))
-        assert {tuple(p) for p in g.edge_pairs[part.same]} == {(0, 1)}
-        assert {tuple(p) for p in g.edge_pairs[part.opposite]} == {(1, 2)}
+        same, opposite = partition_edges(g, np.array([1.0, 1.0, -1.0]))
+        assert {tuple(p) for p in edge_pairs(g)[same]} == {(0, 1)}
+        assert {tuple(p) for p in edge_pairs(g)[opposite]} == {(1, 2)}
 
     def test_uniform_labels_leave_q_empty(self):
         rng = np.random.default_rng(6)
         g = knn_edges(rng.normal(size=(10, 2)), 2)
-        part = partition_edges(g, np.ones(10))
-        assert not part.opposite.any()
-        assert part.same.sum() == g.edge_pairs.shape[0]
+        same, opposite = partition_edges(g, np.ones(10))
+        assert not opposite.any()
+        assert same.sum() == edge_pairs(g).shape[0]
 
     def test_zero_label_edges_unclassified(self):
         points = np.array([[0.0], [1.0], [3.0]])
         g = knn_edges(points, 1)
-        part = partition_edges(g, np.array([1.0, 0.0, -1.0]))
-        assert not part.same.any() and not part.opposite.any()
+        same, opposite = partition_edges(g, np.array([1.0, 0.0, -1.0]))
+        assert not same.any() and not opposite.any()
 
     def test_p_q_disjoint_and_cover_labeled_edges(self):
         rng = np.random.default_rng(7)
         g = knn_edges(rng.normal(size=(30, 3)), 3)
         labels = rng.choice([-1.0, 0.0, 1.0], size=30)
-        part = partition_edges(g, labels)
-        same = {tuple(p) for p in g.edge_pairs[part.same]}
-        opp = {tuple(p) for p in g.edge_pairs[part.opposite]}
+        same_mask, opposite_mask = partition_edges(g, labels)
+        same = {tuple(p) for p in edge_pairs(g)[same_mask]}
+        opp = {tuple(p) for p in edge_pairs(g)[opposite_mask]}
         assert not same & opp
-        labeled_edges = {tuple(p) for p in g.edge_pairs
+        labeled_edges = {tuple(p) for p in edge_pairs(g)
                          if labels[p[0]] != 0 and labels[p[1]] != 0}
         assert same | opp == labeled_edges
 
@@ -144,11 +144,11 @@ def grid_search_sigma(w_p, w_q, resolution=1e-4, limit=None):
 
 # a same-label edge (0, 1) and an opposite-label edge (0, 2)
 TRIANGLE_HALF = pair_graph(3, [(0, 1), (0, 2)])
-P_AND_Q = EdgePartition(same=np.array([True, False]), opposite=np.array([False, True]))
+P_AND_Q = (np.array([True, False]), np.array([False, True]))
 
 
 def sigma_of(emb, g=TRIANGLE_HALF, part=P_AND_Q):
-    return auto_sigma(g, edge_sq(g, emb), part)
+    return auto_sigma(g, edge_sq(g, emb), *part)
 
 
 class TestAutoSigma:
@@ -178,7 +178,7 @@ class TestAutoSigma:
 
     def test_empty_partition_falls_back_to_mean_distance(self, caplog):
         g = pair_graph(2, [(0, 1)])
-        part = EdgePartition(same=np.array([True]), opposite=np.array([False]))
+        part = (np.array([True]), np.array([False]))
         emb = np.array([[0.0], [3.0]])
         with caplog.at_level("WARNING"):
             assert sigma_of(emb, g, part) == pytest.approx(3.0)
@@ -201,7 +201,7 @@ class TestAutoSigma:
 
 
 def unlabeled(g):
-    """A partition with no classified edge: assign_weights then weights at
+    """Masks with no classified edge: assign_weights then weights at
     auto_sigma's unit fallback scale."""
     return partition_edges(g, np.zeros(g.n_nodes))
 
@@ -210,26 +210,26 @@ class TestWeights:
     def test_zero_distance_edge_weight_one(self):
         emb = np.array([[0.0], [0.0], [5.0]])
         g = knn_edges(emb, 1)
-        gw = assign_weights(g, emb, unlabeled(g))
+        gw = assign_weights(g, emb, *unlabeled(g))
         assert dense(gw)[0, 1] == pytest.approx(1.0)
 
     def test_distance_sq_twice_sigma_sq(self):
         emb = np.array([[0.0], [np.sqrt(2.0)]])
         g = knn_edges(emb, 1)
-        gw = assign_weights(g, emb, unlabeled(g))  # sigma 1
+        gw = assign_weights(g, emb, *unlabeled(g))  # sigma 1
         assert dense(gw)[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_monotone_decreasing_in_distance(self):
         emb = np.array([[0.0], [1.0], [2.5]])
         g = knn_edges(emb, 2)
-        gw = assign_weights(g, emb, unlabeled(g))
+        gw = assign_weights(g, emb, *unlabeled(g))
         assert dense(gw)[0, 1] > dense(gw)[0, 2]
 
     def test_weights_only_on_existing_edges(self):
         rng = np.random.default_rng(9)
         emb = rng.normal(size=(15, 2))
         g = knn_edges(emb, 2)
-        gw = assign_weights(g, emb, unlabeled(g))
+        gw = assign_weights(g, emb, *unlabeled(g))
         on_edges = dense(g.edges) != 0
         assert np.array_equal(dense(gw) != 0, on_edges)
         assert dense(gw)[on_edges].min() > 0
@@ -240,8 +240,8 @@ class TestWeights:
         # 3 lies 300 away, where the kernel exp(-2e4) is exactly 0
         emb = np.array([[0.0], [0.0], [3.0], [300.0]])
         g = pair_graph(4, [(0, 1), (0, 2), (0, 3)])
-        gw = assign_weights(g, emb, partition_edges(g, np.array([1.0, 1.0, -1.0, 0.0])))
-        assert {tuple(p) for p in gw.edge_pairs} == {(0, 1), (0, 2)}
+        gw = assign_weights(g, emb, *partition_edges(g, np.array([1.0, 1.0, -1.0, 0.0])))
+        assert {tuple(p) for p in edge_pairs(gw)} == {(0, 1), (0, 2)}
         assert np.array_equal(dense(gw)[0], [0.0, 1.0, np.exp(-2.0), 0.0])
         assert np.array_equal(dense(gw), dense(gw).T)
 

@@ -12,10 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import dense, edge_sq, kernel_graph, kernel_margin, pair_graph
+from conftest import dense, edge_pairs, edge_sq, kernel_graph, kernel_margin, pair_graph
 from dynglr import graphs
 from dynglr.glr import denoise
-from dynglr.graphs import (EdgePartition, assign_weights, auto_sigma, build_laplacian,
+from dynglr.graphs import (assign_weights, auto_sigma, build_laplacian,
                            directed_knn, graph_update, knn_edges, nearest,
                            pairwise_sq_dists, partition_edges)
 
@@ -86,7 +86,7 @@ def three_step_weights(g, emb, labels):
     same- and opposite-label pair arrays, their lengths gathered apart, the
     closed-form scale with its fallbacks, then the kernel of every edge in
     both directions."""
-    pairs = g.edge_pairs
+    pairs = edge_pairs(g)
     si, sj = np.sign(labels[pairs[:, 0]]), np.sign(labels[pairs[:, 1]])
     classified = (si != 0) & (sj != 0)
 
@@ -173,8 +173,8 @@ def test_knn_edges_match_sparse_constructions(points):
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     coo = sp.triu(expected, k=1).tocoo()
     expected_pairs = np.column_stack([coo.row, coo.col])
-    assert g.edge_pairs.dtype == np.intp
-    assert np.array_equal(g.edge_pairs, expected_pairs)
+    assert edge_pairs(g).dtype == np.intp
+    assert np.array_equal(edge_pairs(g), expected_pairs)
     assert np.array_equal(dense(g), expected.toarray())
 
 
@@ -201,7 +201,7 @@ def test_edge_lists_are_canonical(points, sigma, beta, data):
     g = knn_edges(emb, gamma)
     assert_canonical(g)
     labels = data.draw(arrays(np.float64, emb.shape[0], elements=st.sampled_from([-1.0, 0.0, 1.0])))
-    assert_canonical(assign_weights(g, emb, partition_edges(g, labels)))
+    assert_canonical(assign_weights(g, emb, *partition_edges(g, labels)))
     gw = kernel_graph(g, emb, sigma)
     assert_canonical(gw)
     y = data.draw(arrays(np.float64, emb.shape[0], elements=st.floats(-1.0, 1.0)))
@@ -217,7 +217,7 @@ def test_auto_sigma_beats_log_grid(points, data):
     n = emb.shape[0]
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
     g = pair_graph(n, data.draw(st.lists(pair, min_size=2, max_size=20, unique=True)))
-    m = g.edge_pairs.shape[0]
+    m = edge_pairs(g).shape[0]
     in_a = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
     assume(in_a.any() and not in_a.all())
     sq = edge_sq(g, emb)
@@ -225,7 +225,7 @@ def test_auto_sigma_beats_log_grid(points, data):
     assume(min(w_a, w_b) >= 1e-12 and w_a != w_b)
     same = in_a if w_a < w_b else ~in_a
     w_p, w_q = min(w_a, w_b), max(w_a, w_b)
-    sigma = auto_sigma(g, sq, EdgePartition(same=same, opposite=~same))
+    sigma = auto_sigma(g, sq, same, ~same)
     grid = np.logspace(np.log10(w_p) - 3, np.log10(w_q) + 3, 2001)
     best = max(kernel_margin(s, w_p, w_q) for s in grid)
     assert kernel_margin(sigma, w_p, w_q) >= best - 1e-12
@@ -244,7 +244,7 @@ def test_assign_weights_equals_three_step_weighting(points, data):
     g = knn_edges(emb, gamma)
     labels = data.draw(arrays(np.float64, emb.shape[0],
                               elements=st.sampled_from([-1.0, 0.0, 0.0, 1.0, 2.5, -0.5])))
-    got = assign_weights(g, emb, partition_edges(g, labels))
+    got = assign_weights(g, emb, *partition_edges(g, labels))
     want = three_step_weights(g, emb, labels)
     for name in ("rows", "cols", "weights", "gamma"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
