@@ -15,9 +15,12 @@ combinatorial Laplacian L = D - A feeds the signal-restoration solver, and
 the update rule recounts per-node degree budgets from edges that stayed
 reliable after denoising.
 
-Only the Laplacian is a matrix. build_laplacian forms it as a dense (n, n)
-array for graphs of at most DENSE_BACKING_MAX nodes (the per-batch and
-frozen-chain graphs) and as a csr matrix above (a train+val working set).
+A graph of C equal blocks of b nodes is C graphs built, weighted and
+denoised in one pass: each node ranks its own block's nodes, each block
+gets its own kernel scale, and a single graph is one block. Only the
+Laplacian is a matrix: the dense (b, b) blocks stacked into a (C*b, b) array
+for b up to DENSE_BACKING_MAX (batch graphs and frozen-chain stacks), a csr
+matrix above (a train+val working set).
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ logger = logging.getLogger(__name__)
 _DIST_CHUNK = 512
 # largest graph for which the spectrum's dense (N, N) eigendecomposition runs
 DENSE_NODE_GUARD = 4000
-# largest graph whose Laplacian is a dense (n, n) array instead of a csr
-# matrix. Batch graphs have 100 nodes and frozen-chain graphs 100-120; at
+# largest block whose Laplacian is dense instead of csr, and of a graph of
+# several blocks. Batch graphs and frozen-chain blocks have 100-120 nodes; at
 # that size scipy's per-call overhead outweighs the arithmetic. One Laplacian
 # build and denoise (16-dim embeddings, gamma 10, BLAS on 1 thread, medians
 # of three probes) took dense 0.25 vs csr 0.97 ms at 100 nodes, 0.49 vs 1.03
@@ -51,12 +54,14 @@ DENSE_BACKING_MAX = 150
 class Graph:
     """Undirected graph: the nonzero entries of its symmetric weight matrix
     (unit weights before any kernel is assigned) in row-major order, each
-    edge once per direction, and per-node neighbor budgets."""
+    edge once per direction, per-node neighbor budgets, and the number of
+    equal diagonal blocks, which no edge joins."""
 
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
     gamma: np.ndarray
+    blocks: int = 1
 
     def __post_init__(self):
         rows, cols, weights = self.rows, self.cols, self.weights
@@ -65,6 +70,7 @@ class Graph:
             raise ValidationError(
                 "a graph needs equal-length 1-D rows, cols and weights and a 1-D gamma, got "
                 f"shapes {rows.shape}, {cols.shape}, {weights.shape} and {self.gamma.shape}")
+        block_size(self.n_nodes, self.blocks)
 
     @property
     def n_nodes(self) -> int:
@@ -93,11 +99,20 @@ class Graph:
         return build_laplacian(self)
 
 
+def block_size(n: int, blocks: int) -> int:
+    """Nodes per block of n nodes in equal blocks; several blocks hold at
+    most DENSE_BACKING_MAX nodes each, so that their Laplacian is dense."""
+    if blocks < 1 or n % blocks or (blocks > 1 and n // blocks > DENSE_BACKING_MAX):
+        raise ValidationError(f"{n} nodes do not split into {blocks} equal blocks of at "
+                              f"most {DENSE_BACKING_MAX} nodes")
+    return n // blocks
+
+
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between rows of a and rows of b."""
-    aa = (a * a).sum(axis=1)[:, None]
-    bb = (b * b).sum(axis=1)[None, :]
-    d = aa + bb - 2.0 * (a @ b.T)
+    """Squared Euclidean distances between rows of a and rows of b, per slice of stacks."""
+    aa = (a * a).sum(axis=-1)[..., :, None]
+    bb = (b * b).sum(axis=-1)[..., None, :]
+    d = aa + bb - 2.0 * (a @ b.swapaxes(-1, -2))
     np.maximum(d, 0.0, out=d)
     return d
 
@@ -126,49 +141,57 @@ def nearest(d: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(idx, order, axis=1)
 
 
-def directed_knn(embeddings: np.ndarray, gamma) -> np.ndarray:
+def directed_knn(embeddings: np.ndarray, gamma, blocks: int = 1) -> np.ndarray:
     """Flat row-major keys i * n + j of the selected pairs, ascending: row i
-    selects its gamma_i nearest other rows, ties broken by index, and lists
-    them by column, not by distance. Its gamma_i-th smallest distance bounds
-    its candidates; only rows with more candidates (ties, NaN) are ranked."""
+    selects its gamma_i nearest other rows of its block, ties broken by
+    index, and lists them by column, not by distance. Its gamma_i-th
+    smallest distance bounds its candidates; only rows with more candidates
+    (ties, NaN) are ranked. All blocks' distances are one stacked product."""
     n = embeddings.shape[0]
-    if n < 2:
+    b = block_size(n, blocks)
+    if b < 2:
         raise ValidationError("need at least 2 nodes to build a graph")
     gamma = np.full(n, gamma, dtype=np.int64)
     if gamma.min() < 1:
         raise ValidationError("every gamma_i must be >= 1")
-    gamma = np.minimum(gamma, n - 1)
+    gamma = np.minimum(gamma, b - 1).reshape(blocks, b)
+    stacked = embeddings.reshape(blocks, b, -1)
     keys = []
-    for start in range(0, n, _DIST_CHUNK):
-        stop = min(start + _DIST_CHUNK, n)
+    for start in range(0, b, _DIST_CHUNK):
+        stop = min(start + _DIST_CHUNK, b)
         m = stop - start
-        d = pairwise_sq_dists(embeddings[start:stop], embeddings)
-        d[np.arange(m), np.arange(start, stop)] = np.inf
-        budget = gamma[start:stop]
+        d = pairwise_sq_dists(stacked[:, start:stop], stacked)
+        d[:, np.arange(m), np.arange(start, stop)] = np.inf
+        # one row per (block, row of the chunk), one column per node of the block
+        d = d.reshape(blocks * m, b)
+        budget = gamma[:, start:stop].ravel()
         kmax = int(budget.max())
         # each row's kmax smallest distances, sorted only when budgets differ;
-        # rebinding frees the (m, n) partition before the next chunk's distances
+        # rebinding frees the partition before the next chunk's distances
         bound = np.partition(d, kmax - 1, axis=1)[:, :kmax]
         if budget.min() < kmax:
             bound.sort(axis=1)
-        bound = bound[np.arange(m), budget - 1]
+        bound = bound[np.arange(d.shape[0]), budget - 1]
         # candidates as flat keys (a 1-D search is faster than a 2-D one);
         # NaN compares false, so a NaN bound or entry stays one
         flat = np.flatnonzero(~(d > bound[:, None]))
-        over = np.flatnonzero(np.bincount(flat // n, minlength=m) > budget)
+        over = np.flatnonzero(np.bincount(flat // b, minlength=d.shape[0]) > budget)
         if over.size:
             ranked = nearest(d[over], int(budget[over].max()))
             chosen = np.arange(ranked.shape[1]) < budget[over][:, None]
-            flat = np.sort(np.concatenate([flat[~np.isin(flat // n, over)],
-                                           np.repeat(over * n, budget[over]) + ranked[chosen]]))
+            flat = np.sort(np.concatenate([flat[~np.isin(flat // b, over)],
+                                           np.repeat(over * b, budget[over]) + ranked[chosen]]))
+        if blocks > 1:
+            # blocks come in one chunk, so row r of d is node r, whose block starts at r // b * b
+            flat = flat + flat // b * (n - b) + flat // (b * b) * b
         keys.append(flat + start * n)
     return np.concatenate(keys)
 
 
-def knn_edges(embeddings: np.ndarray, gamma) -> Graph:
+def knn_edges(embeddings: np.ndarray, gamma, blocks: int = 1) -> Graph:
     """Symmetric KNN graph: e_ij = 1 iff j in i's gamma_i nearest or vice
-    versa."""
-    keys = directed_knn(embeddings, gamma)
+    versa, i and j in one of the graph's equal blocks."""
+    keys = directed_knn(embeddings, gamma, blocks)
     n = embeddings.shape[0]
     # each undirected edge once per direction, in row-major order: the keys
     # and their transposes, sorted, repeats dropped (np.unique is 10x slower)
@@ -176,7 +199,7 @@ def knn_edges(embeddings: np.ndarray, gamma) -> Graph:
     keys = np.sort(np.concatenate([keys, cols * n + rows]))
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     rows, cols = np.divmod(keys, n)
-    return Graph(rows, cols, np.ones(keys.size), np.full(n, gamma, dtype=np.int64))
+    return Graph(rows, cols, np.ones(keys.size), np.full(n, gamma, dtype=np.int64), blocks)
 
 
 def partition_edges(g: Graph, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,33 +240,38 @@ def auto_sigma(g: Graph, sq: np.ndarray, same: np.ndarray, opposite: np.ndarray)
 
 def assign_weights(g: Graph, embeddings: np.ndarray, same: np.ndarray,
                    opposite: np.ndarray) -> Graph:
-    """Gaussian-kernel weights on the existing edge set, at the auto_sigma
-    scale of the partition_edges masks. Each undirected edge's length and
-    kernel value are computed once and mirrored onto both directions. Edges
-    whose kernel value underflows to exactly 0 leave the graph."""
+    """Gaussian-kernel weights on the existing edge set, at each block's
+    auto_sigma scale of the partition_edges masks. Each undirected edge's
+    length and kernel value are computed once and mirrored onto both
+    directions. Edges whose kernel underflows to exactly 0 leave the graph."""
     i, j = g.rows[g.upper], g.cols[g.upper]
     diff = embeddings[i] - embeddings[j]
     sq = (diff * diff).sum(axis=1)
-    kernel = np.exp(-sq / (2.0 * auto_sigma(g, sq, same, opposite)**2))
+    # a block's upper entries are contiguous, since its rows are
+    ends = np.searchsorted(i, np.arange(g.blocks + 1) * (g.n_nodes // g.blocks)).tolist()
+    kernel = np.empty(sq.size)
+    for a, z in zip(ends, ends[1:]):
+        kernel[a:z] = np.exp(-sq[a:z] / (2.0 * auto_sigma(g, sq[a:z], same[a:z], opposite[a:z])**2))
     # entry k of the lower triangle, in row-major order, is the transpose of
     # the k-th upper entry in column-major order
     values = np.empty(g.rows.size)
     values[g.upper] = kernel
     values[~g.upper] = kernel[np.argsort(j * g.n_nodes + i)]
     kept = values != 0
-    return Graph(g.rows[kept], g.cols[kept], values[kept], g.gamma)
+    return Graph(g.rows[kept], g.cols[kept], values[kept], g.gamma, g.blocks)
 
 
 def build_laplacian(g: Graph) -> np.ndarray | sp.csr_matrix:
-    """L = D - A, with the symmetric weight matrix as A: a dense array up to
-    DENSE_BACKING_MAX nodes, a csr matrix above. The diagonal of L holds the
-    degrees, since A has no self-loops."""
+    """L = D - A, with the symmetric weight matrix as A: the dense (b, b)
+    blocks stacked into a (C*b, b) array up to DENSE_BACKING_MAX nodes per
+    block, a csr matrix above. Its diagonal holds the degrees (no self-loops)."""
     n = g.n_nodes
-    if n <= DENSE_BACKING_MAX:
-        w = np.zeros((n, n))
-        w[g.rows, g.cols] = g.weights
+    b = n // g.blocks
+    if b <= DENSE_BACKING_MAX:
+        w = np.zeros((n, b))
+        w[g.rows, g.cols % b] = g.weights
         lap = -w
-        np.fill_diagonal(lap, w.sum(axis=1))
+        lap.reshape(g.blocks, b * b)[:, ::b + 1] = w.sum(axis=1).reshape(g.blocks, b)
         return lap
     w = g._csr(g.weights)
     degrees = np.asarray(w.sum(axis=1)).ravel()
@@ -276,7 +304,7 @@ def graph_update(g: Graph, denoised: np.ndarray, embeddings_new: np.ndarray,
     Returns an unweighted graph (weights identically 1) whose per-node budgets
     are the survivor counts.
     """
-    return knn_edges(embeddings_new, surviving_edge_budgets(g, denoised, beta))
+    return knn_edges(embeddings_new, surviving_edge_budgets(g, denoised, beta), g.blocks)
 
 
 def gft_spectrum(laplacian: np.ndarray | sp.csr_matrix, signal: np.ndarray

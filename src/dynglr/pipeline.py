@@ -30,12 +30,13 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import dataio, glr
+from . import dataio, glr, graphs
 from .dataio import TRAIN, VAL, Dataset
 from .errors import ConfigError, SamplingError, UsageError
 from .glr import denoise
@@ -111,6 +112,9 @@ BETA = 0.1
 GRAPHS_PER_EPOCH = 16
 LABELED_PER_GRAPH = 80
 UNLABELED_PER_GRAPH = 20
+# most nodes in a stack of frozen-chain graphs; predict time is flat from
+# about 8 blocks of 100 nodes, and bigger stacks only raise peak memory
+STACK_NODES = 1000
 TRIPLETS_PER_GRAPH = 80
 # neighbors whose label encodings the update net sees
 UNET_NEIGHBORS = 6
@@ -140,6 +144,9 @@ class PipelineConfig:
             raise ConfigError("rank_sample_k and rank_sample_batches must be at least 1")
         if self.rank_sample_k % self.rank_sample_batches != 0:
             raise ConfigError("rank_sample_k must divide into rank_sample_batches")
+        cov = self.rank_coverage
+        if isinstance(cov, bool) or not (isinstance(cov, numbers.Real) and 0 < cov < math.inf):
+            raise ConfigError(f"rank_coverage must be a finite number above 0, not {cov!r}")
 
     @classmethod
     def for_dataset(cls, dataset_id: str, **overrides) -> "PipelineConfig":
@@ -395,16 +402,22 @@ def run_stage_unet(state: PipelineState, inputs: np.ndarray, y: np.ndarray,
 # the frozen chain
 
 def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.ndarray,
-              train_missing: bool = False) -> list[StageRecord]:
+              train_missing: bool = False, layout: np.ndarray | None = None
+              ) -> list[StageRecord]:
     """Run a variant's steps (CHAIN_STEPS) on a node set with signal y0.
 
     Returns one record after the KNN step and one after each denoising pass.
     With train_missing, the node set must be the train+val working set, and
     each net not yet in state.nets is trained there just before the step
-    that first uses it.
+    that first uses it. A (C, b) layout of row indices into features and y0
+    runs it on C graphs at once, graph k on the rows layout[k], and the
+    records hold their C * b nodes in order. The nets forward each row once
+    until the first denoising pass, before which its input is block-free.
     """
-    graph = emb = shallow = None
-    y = y0
+    layout = np.arange(features.shape[0])[None] if layout is None else layout
+    nodes = layout.ravel()
+    graph = emb = shallow = y_prev = None
+    y = y0[nodes]
     records = []
     for step in CHAIN_STEPS[chain]:
         if step == "denoise":
@@ -414,9 +427,9 @@ def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.nda
         if step == "embed":
             x = features
         elif step == "update":
-            x = unet_inputs(features, y, graph, UNET_NEIGHBORS)
+            x = unet_inputs(features[nodes], y, graph, UNET_NEIGHBORS)
         else:
-            x = np.hstack([features, shallow])
+            x = np.hstack([features if y_prev is None else features[nodes], shallow])
         if step not in state.nets:
             if not train_missing:
                 raise UsageError(f"chain {chain} needs the untrained {step} net")
@@ -427,8 +440,10 @@ def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.nda
             else:
                 run_stage_wnet(state, int(step[-1]), x, emb, graph.gamma, y)
         emb, tap = state.nets[step].forward_batch(x)
+        if y_prev is None:
+            emb = emb[nodes]
         if step == "embed":
-            graph, shallow = knn_edges(emb, state.gamma0), tap
+            graph, shallow = knn_edges(emb, state.gamma0, layout.shape[0]), tap
             records.append(StageRecord(graph, y))
         elif step == "update":
             graph, shallow = graph_update(graph, y, emb, BETA), tap
@@ -504,7 +519,7 @@ def _transduce(state: PipelineState, chain: str, refs: np.ndarray, targets: np.n
     The baseline's signal is the sign of the vote of each target's gamma0
     nearest references in the embedding space (neighbor sums 0). A graph
     chain runs on the references, which carry their noisy labels, joined by
-    each chunk of targets, which carry 0.
+    each chunk of targets, which carry 0, as blocks of stacked graphs.
     """
     ds = state.dataset
     if chain == "DML-KNN":
@@ -514,19 +529,28 @@ def _transduce(state: PipelineState, chain: str, refs: np.ndarray, targets: np.n
         d = pairwise_sq_dists(emb_targets, emb_refs)
         votes = ds.noisy_labels[refs][nearest(d, state.gamma0)].sum(axis=1)
         return np.sign(votes), np.zeros(targets.size)
-    signal = np.empty(targets.size)
-    neighbor_sum = np.empty(targets.size)
-    for start in range(0, targets.size, UNLABELED_PER_GRAPH):
-        chunk = slice(start, start + UNLABELED_PER_GRAPH)
-        nodes = np.concatenate([refs, targets[chunk]])
-        y0 = np.concatenate([ds.noisy_labels[refs], np.zeros(nodes.size - refs.size)])
-        final = run_chain(state, chain, ds.features[nodes], y0)[-1]
-        signal[chunk] = final.y[refs.size:]
+    r, chunk = refs.size, UNLABELED_PER_GRAPH
+    # full chunks in stacks of at most STACK_NODES nodes, the short last one alone
+    step = chunk * (STACK_NODES // (r + chunk) if r + chunk <= graphs.DENSE_BACKING_MAX else 1)
+    whole = targets.size - targets.size % chunk
+    bounds = sorted({*range(0, whole, step), whole, targets.size})
+    signal, neighbor_sum = np.empty(targets.size), np.empty(targets.size)
+    for start, stop in zip(bounds, bounds[1:]):
+        size = min(chunk, stop - start)
+        blocks = (stop - start) // size
+        # block k: every reference, then the k-th chunk of the stack's targets
+        layout = np.hstack([np.broadcast_to(np.arange(r), (blocks, r)),
+                            r + np.arange(stop - start).reshape(blocks, size)])
+        nodes = np.concatenate([refs, targets[start:stop]])
+        y0 = np.concatenate([ds.noisy_labels[refs], np.zeros(stop - start)])
+        final = run_chain(state, chain, ds.features[nodes], y0, layout=layout)[-1]
+        signal[start:stop] = final.y.reshape(blocks, r + size)[:, r:].ravel()
         g = final.graph
-        tail = slice(np.searchsorted(g.rows, refs.size), None)  # the targets' entries
-        neighbor_sum[chunk] = np.bincount(g.rows[tail] - refs.size,
-                                          g.weights[tail] * final.y[g.cols[tail]],
-                                          minlength=nodes.size - refs.size)
+        block, row = np.divmod(g.rows, r + size)
+        tail = row >= r  # the targets' entries
+        neighbor_sum[start:stop] = np.bincount(block[tail] * size + row[tail] - r,
+                                               g.weights[tail] * final.y[g.cols[tail]],
+                                               minlength=stop - start)
     return signal, neighbor_sum
 
 

@@ -41,7 +41,7 @@ def kernel_graph(g: Graph, emb: np.ndarray, sigma: float) -> Graph:
     diff = emb[g.rows] - emb[g.cols]
     values = np.exp(-(diff * diff).sum(axis=1) / (2.0 * sigma**2))
     kept = values != 0
-    return Graph(g.rows[kept], g.cols[kept], values[kept], g.gamma)
+    return Graph(g.rows[kept], g.cols[kept], values[kept], g.gamma, g.blocks)
 
 
 def pair_graph(n: int, pairs) -> Graph:

@@ -22,7 +22,7 @@ from dynglr.bench import (ExperimentGrid, cell_seed, error_rate, load_dataset,
                           mean_edge_weight_proportion, residual_noise, run_grid,
                           split_seed, subsample_dataset)
 from dynglr.dataio import NoiseSpec, TEST, TRAIN
-from dynglr.glr import SOLVER_TOL, _conjugate_gradient, _system, denoise, mu_max
+from dynglr.glr import denoise, mu_max
 from dynglr.graphs import auto_sigma, build_laplacian, gft_spectrum, knn_edges
 from dynglr.metricnet import MetricNet, NetConfig, triplet_loss_E, triplet_loss_W
 from dynglr.pipeline import PipelineConfig, predict, rank_sampling, run_variant
@@ -68,11 +68,10 @@ def test_criterion_1_solver_oracle_equivalence():
         lap = random_lap(rng, n, gamma)
         y = rng.uniform(-1, 1, n)
         mu = 0.67 * mu_max(60.0, lap.diagonal().max())
-        # I + mu L in the backing of L: dense up to 150 nodes, csr above
-        system = _system(lap, mu)
-        x_cg, converged = _conjugate_gradient(system, y, y, SOLVER_TOL, 10 * n)
-        assert converged
-        x_direct = np.linalg.solve(dense(system), y)
+        # CG on I + mu L in the backing of L (dense up to 150 nodes, csr
+        # above) from y, to SOLVER_TOL within 10 n steps, else SolverError
+        x_cg = denoise(lap, y, mu=mu)
+        x_direct = np.linalg.solve(np.eye(n) + mu * dense(lap), y)
         worst = max(worst, np.linalg.norm(x_cg - x_direct) / np.linalg.norm(x_direct))
     elapsed = time.perf_counter() - start
     report(1, worst <= 1e-8 and elapsed < 5.0,
@@ -90,7 +89,7 @@ def test_criterion_2_conditioning():
         n = int(rng.integers(30, 501))
         lap = random_lap(rng, n, int(rng.integers(2, 9)))
         mu = 0.67 * mu_max(60.0, lap.diagonal().max())
-        eig = np.linalg.eigvalsh(dense(_system(lap, mu)))
+        eig = np.linalg.eigvalsh(np.eye(n) + mu * dense(lap))
         lo, hi = min(lo, eig.min()), max(hi, eig.max())
     report(2, lo >= 1.0 - 1e-6 and hi <= 60.0 + 1e-6,
            f"20 graphs, eigenvalue range [{lo:.6f}, {hi:.4f}] within [1, 60] (tol 1e-6)")

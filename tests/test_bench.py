@@ -166,7 +166,11 @@ class TestRunGrid:
         ({"arch": {"metric_hidden": [8, 4]}}, "arch must be an ArchPreset, not dict"),
         ({"rank_sample_batches": 0}, "must be at least 1"),
         ({"rank_sample_batches": -6}, "must be at least 1"),
-        ({"rank_sample_k": -12}, "must be at least 1")])
+        ({"rank_sample_k": -12}, "must be at least 1"),
+        ({"rank_coverage": float("nan")}, "rank_coverage must be a finite number above 0"),
+        ({"rank_coverage": -5.0}, "rank_coverage must be a finite number above 0"),
+        ({"rank_coverage": 0.0}, "rank_coverage must be a finite number above 0"),
+        ({"rank_coverage": "3"}, "rank_coverage must be a finite number above 0")])
     def test_invalid_override_value_rejected_before_any_cell(self, toy_csv_dir, tmp_path,
                                                              override, message):
         grid = tiny_grid(toy_csv_dir, variants=("DML-KNN",))

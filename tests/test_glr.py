@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,17 +122,59 @@ class TestDenoise:
         denoise(lap, rng.uniform(-1, 1, 25), residual_log=residuals)
         assert residuals and residuals[-1] <= residuals[0]
 
-    @pytest.mark.parametrize("n", [30, graphs.DENSE_BACKING_MAX + 1], ids=["dense", "csr"])
-    def test_unconverged_cg_raises(self, monkeypatch, caplog, n):
+    @pytest.mark.parametrize("n, blocks", [(30, 1), (graphs.DENSE_BACKING_MAX + 1, 1), (30, 3)],
+                             ids=["dense", "csr", "stack"])
+    def test_unconverged_cg_raises(self, monkeypatch, caplog, n, blocks):
         monkeypatch.setattr(glr, "MAX_ITER_FACTOR", 0)  # CG stops before its first step
         rng = np.random.default_rng(8)
-        lap = random_weighted_laplacian(rng, n)
-        assert isinstance(lap, np.ndarray) == (n <= graphs.DENSE_BACKING_MAX)
-        y = rng.uniform(-1, 1, n)
-        # with no CG step the iterate is still y, so its residual is mu ||L y|| / ||y||
-        residual = default_mu(lap) * np.linalg.norm(lap @ y) / np.linalg.norm(y)
+        laps = [random_weighted_laplacian(rng, n) for _ in range(blocks)]
+        assert isinstance(laps[0], np.ndarray) == (n <= graphs.DENSE_BACKING_MAX)
+        ys = [rng.uniform(-1, 1, n) for _ in range(blocks)]
+        # with no CG step the iterate is still y, so its residual is mu ||L y|| / ||y||;
+        # a stack reports its worst block
+        residual = max(default_mu(lap) * np.linalg.norm(lap @ y) / np.linalg.norm(y)
+                       for lap, y in zip(laps, ys))
+        lap = laps[0] if blocks == 1 else np.vstack(laps)
         with pytest.raises(SolverError, match=fr"N={n} nodes in 0 iterations "
                                               fr"\(relative residual {residual:.3g}\)"):
-            denoise(lap, y)
+            denoise(lap, np.concatenate(ys))
         assert not caplog.records
+
+
+class TestStackedDenoise:
+    """A (C*b, b) stack of dense Laplacians is solved block by block."""
+
+    def test_stack_equals_blocks_solved_alone(self):
+        rng = np.random.default_rng(9)
+        b = 40
+        laps = [random_weighted_laplacian(rng, b, gamma, sigma)
+                for gamma, sigma in ((2, 0.3), (8, 3.0), (4, 1.0))]
+        g = knn_edges(rng.normal(size=(b, 3)), 3)
+        edgeless = build_laplacian(dataclasses.replace(g, weights=0.0 * g.weights))
+        laps += [laps[0], edgeless]
+        ys = [rng.uniform(-1, 1, b) for _ in laps]
+        ys[3] = np.zeros(b)  # a zero signal on a graph with edges
+        alone, lengths = [], []
+        for lap, y in zip(laps, ys):
+            residuals = []
+            alone.append(denoise(lap, y, residual_log=residuals))
+            lengths.append(len(residuals))
+        # the blocks stop at different iterations; the zero signal passes the
+        # first residual test, and an edgeless graph needs none
+        assert len(set(lengths[:3])) == 3 and lengths[3:] == [1, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residuals = []
+            got = denoise(np.vstack(laps), np.concatenate(ys), residual_log=residuals)
+        assert len(residuals) == max(lengths)
+        for k, want in enumerate(alone):
+            assert got[k * b:(k + 1) * b].tobytes() == want.tobytes(), k
+
+    def test_explicit_mu_applies_to_every_block(self):
+        rng = np.random.default_rng(10)
+        laps = [random_weighted_laplacian(rng, 20) for _ in range(3)]
+        ys = [rng.uniform(-1, 1, 20) for _ in laps]
+        got = denoise(np.vstack(laps), np.concatenate(ys), mu=0.2)
+        want = np.concatenate([denoise(lap, y, mu=0.2) for lap, y in zip(laps, ys)])
+        assert got.tobytes() == want.tobytes()
 

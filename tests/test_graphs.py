@@ -245,8 +245,50 @@ class TestWeights:
         assert np.array_equal(dense(gw)[0], [0.0, 1.0, np.exp(-2.0), 0.0])
         assert np.array_equal(dense(gw), dense(gw).T)
 
+    def test_stack_weights_each_block_at_its_own_scale(self, caplog):
+        # block 1 carries one label only, so it has no opposite-label edge
+        rng = np.random.default_rng(13)
+        b, blocks = 25, 3
+        emb = rng.normal(size=(blocks * b, 3))
+        labels = rng.choice([-1.0, 1.0], size=blocks * b)
+        labels[b:2 * b] = 1.0
+        stack = knn_edges(emb, 4, blocks)
+        with caplog.at_level("WARNING", logger="dynglr.graphs"):
+            got = assign_weights(stack, emb, *partition_edges(stack, labels))
+        assert [r.getMessage().startswith("empty edge class") for r in caplog.records] == [True]
+        caplog.clear()
+        alone = []
+        with caplog.at_level("WARNING", logger="dynglr.graphs"):
+            for k in range(blocks):
+                part = slice(k * b, (k + 1) * b)
+                g = knn_edges(emb[part], 4)
+                alone.append(assign_weights(g, emb[part], *partition_edges(g, labels[part])))
+        assert len(caplog.records) == 1
+        assert got.blocks == blocks
+        assert np.array_equal(got.rows, np.concatenate([g.rows + k * b for k, g in enumerate(alone)]))
+        assert np.array_equal(got.cols, np.concatenate([g.cols + k * b for k, g in enumerate(alone)]))
+        assert got.weights.tobytes() == np.concatenate([g.weights for g in alone]).tobytes()
+
 
 class TestLaplacian:
+    def test_stack_is_the_blocks_laplacians_stacked(self):
+        rng = np.random.default_rng(14)
+        b, blocks = 30, 4
+        emb = rng.normal(size=(blocks * b, 2))
+        stack = knn_edges(emb, 3, blocks)
+        lap = build_laplacian(kernel_graph(stack, emb, 0.9))
+        assert isinstance(lap, np.ndarray) and lap.shape == (blocks * b, b)
+        for k in range(blocks):
+            part = slice(k * b, (k + 1) * b)
+            alone = build_laplacian(kernel_graph(knn_edges(emb[part], 3), emb[part], 0.9))
+            assert lap[part].tobytes() == alone.tobytes(), k
+
+    @pytest.mark.parametrize("n, blocks", [(10, 3), (10, 0),
+                                           (2 * (graphs.DENSE_BACKING_MAX + 1), 2)])
+    def test_blocks_must_be_equal_and_dense(self, n, blocks):
+        with pytest.raises(ValidationError, match="equal blocks"):
+            knn_edges(np.arange(float(n))[:, None], 1, blocks)
+
     def test_two_node_unit_weight(self):
         g = knn_edges(np.array([[0.0], [1.0]]), 1)
         lap = build_laplacian(g)

@@ -422,6 +422,33 @@ class TestPredict:
         six = predict(state, test_idx, cfg)
         assert np.array_equal(single, six)
 
+    def test_stacked_transduction_equals_per_chunk_chain(self, trained_full, blobs,
+                                                         monkeypatch):
+        """Every target gets the signal and neighbour sum of its own chunk's
+        chain, bit for bit, when the chunks run as blocks of one stack; the
+        short last chunk is a stack of its own."""
+        state, cfg = trained_full
+        refs = np.random.default_rng(23).choice(blobs.indices(TRAIN), 30, replace=False)
+        targets = blobs.indices(TEST)[:67]
+        assert targets.size == 67  # three chunks of 20, then one of 7
+        stacks = []
+        run_chain = pipeline.run_chain
+        monkeypatch.setattr(pipeline, "run_chain",
+                            lambda *a, **k: stacks.append(k["layout"].shape) or run_chain(*a, **k))
+        signal, neighbor_sum = pipeline._transduce(state, "G-12312", refs, targets)
+        assert stacks == [(3, 50), (1, 37)]
+        for start in range(0, targets.size, pipeline.UNLABELED_PER_GRAPH):
+            chunk = slice(start, start + pipeline.UNLABELED_PER_GRAPH)
+            nodes = np.concatenate([refs, targets[chunk]])
+            y0 = np.concatenate([blobs.noisy_labels[refs], np.zeros(nodes.size - refs.size)])
+            final = run_chain(state, "G-12312", blobs.features[nodes], y0)[-1]
+            g = final.graph
+            tail = g.rows >= refs.size
+            sums = np.bincount(g.rows[tail] - refs.size, g.weights[tail] * final.y[g.cols[tail]],
+                               minlength=nodes.size - refs.size)
+            assert signal[chunk].tobytes() == final.y[refs.size:].tobytes(), start
+            assert neighbor_sum[chunk].tobytes() == sums.tobytes(), start
+
     def test_untrained_state_rejected(self, blobs):
         cfg = tiny_config()
         state = PipelineState.fresh(blobs, cfg)

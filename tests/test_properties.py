@@ -55,6 +55,18 @@ def tied_point_sets(draw):
     return emb, gamma
 
 
+@st.composite
+def block_stacks(draw):
+    """(embeddings, per-node budgets, block count): equal blocks on a coarse
+    integer lattice, so many distances tie, with budgets up to past b - 1."""
+    blocks = draw(st.integers(1, 6))
+    b = draw(st.integers(2, 20))
+    dim = draw(st.integers(1, 3))
+    emb = draw(arrays(np.float64, (blocks * b, dim), elements=st.integers(0, 3).map(float)))
+    gamma = draw(arrays(np.int64, blocks * b, elements=st.integers(1, b + 2)))
+    return emb, gamma, blocks
+
+
 def loop_directed_knn(emb, gamma):
     """The per-row selection kernel replaced: one stable argsort of each
     distance row, self excluded, first gamma_i columns, nearest first."""
@@ -176,6 +188,21 @@ def test_knn_edges_match_sparse_constructions(points):
     assert edge_pairs(g).dtype == np.intp
     assert np.array_equal(edge_pairs(g), expected_pairs)
     assert np.array_equal(dense(g), expected.toarray())
+
+
+@PROPERTY
+@given(block_stacks())
+def test_knn_edges_of_a_stack_are_its_blocks_shifted(stack):
+    """Each node ranks only its own block: the stack's edge list is the
+    blocks' edge lists, each shifted by its block's first node."""
+    emb, gamma, blocks = stack
+    b = emb.shape[0] // blocks
+    g = knn_edges(emb, gamma, blocks)
+    alone = [knn_edges(emb[k * b:(k + 1) * b], gamma[k * b:(k + 1) * b]) for k in range(blocks)]
+    assert g.blocks == blocks and np.array_equal(g.gamma, gamma)
+    assert np.array_equal(g.rows, np.concatenate([a.rows + k * b for k, a in enumerate(alone)]))
+    assert np.array_equal(g.cols, np.concatenate([a.cols + k * b for k, a in enumerate(alone)]))
+    assert (g.weights == 1.0).all()
 
 
 def assert_canonical(g):
