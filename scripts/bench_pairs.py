@@ -73,6 +73,26 @@ def summarise(runs: list) -> dict:
     return out
 
 
+def judge(summary: dict, name: str) -> dict:
+    """A claimed metric's summary, and whether the claim is met: the change
+    won at least nine tenths of the pairs, and its median beats the parent's
+    by more than the parent's interquartile range."""
+    m = summary[name]
+    sign = 1 if END_TO_END[name] == "lower" else -1
+    gain = sign * (m["parent_median"] - m["change_median"])
+    return {**m, "met": m["change_wins"] >= 0.9 * summary["pairs"] and gain > m["parent_iqr"]}
+
+
+def command(args) -> str:
+    """The invocation, with the checkouts written as PARENT_DIR and CHANGE_DIR
+    so that the record names no directory of the machine that ran it."""
+    parts = ["python3", "scripts/bench_pairs.py", "--parent", "PARENT_DIR",
+             "--change", "CHANGE_DIR", "--pairs", *args.pairs]
+    if args.claim:
+        parts += ["--claim", args.claim]
+    return " ".join(parts + ["--out", args.out.name])
+
+
 def parse_pairs(specs: list) -> dict:
     """{"workload": [seeds]} from "workload=first-last" arguments."""
     pairs = {}
@@ -93,7 +113,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs = parse_pairs(args.pairs)
-    result = {"command": " ".join(["python3", "scripts/bench_pairs.py"] + (argv or sys.argv[1:])),
+    result = {"command": command(args),
               "protocol": f"perfbench/run.py --seconds {SECONDS} --trace 0 from each "
                           "checkout, one run at a time, alternating which side goes first",
               "end_to_end": {}}
@@ -114,13 +134,8 @@ def main(argv=None) -> int:
         result["end_to_end"][workload] = {"summary": summarise(runs), "runs": runs}
     if args.claim:
         workload, _, name = args.claim.partition(":")
-        summary = result["end_to_end"][workload]["summary"]
-        m = summary[name]
-        sign = 1 if END_TO_END[name] == "lower" else -1
-        gain = sign * (m["parent_median"] - m["change_median"])
-        result["claim"] = {"workload": workload, "metric": name, **m,
-                           "met": m["change_wins"] >= 0.9 * summary["pairs"]
-                           and gain > m["parent_iqr"]}
+        result["claim"] = {"workload": workload, "metric": name,
+                           **judge(result["end_to_end"][workload]["summary"], name)}
     result["per_layer_trace"] = {"seed": TRACE_SEED}
     for workload in pairs:
         result["per_layer_trace"][workload] = {}

@@ -40,8 +40,8 @@ from . import dataio, glr, graphs
 from .dataio import TRAIN, VAL, Dataset
 from .errors import ConfigError, SamplingError, UsageError
 from .glr import denoise
-from .graphs import (Graph, assign_weights, graph_update, knn_edges, nearest,
-                     pairwise_sq_dists, partition_edges)
+from .graphs import (Graph, assign_weights, graph_update, knn_edges, nearest_rows,
+                     partition_edges)
 from .metricnet import (MetricNet, NetConfig, load_checkpoint, node_attention_matrix,
                         sample_triplets, save_checkpoint, train, triplet_loss_E,
                         triplet_loss_W)
@@ -186,13 +186,15 @@ def build_batches(split: np.ndarray, seed: int) -> list[np.ndarray]:
     disjoint within the epoch; split is the working set's split array.
 
     If a split cannot cover the epoch without reuse, nodes are drawn with
-    replacement (logged once per call).
+    replacement (logged once per call); an empty split raises SamplingError.
     """
     rng = substream(seed, "batches")
     pools = []
     for code, per_graph in ((TRAIN, LABELED_PER_GRAPH), (VAL, UNLABELED_PER_GRAPH)):
         pos = np.flatnonzero(split == code)
         need = GRAPHS_PER_EPOCH * per_graph
+        if pos.size == 0:
+            raise SamplingError(f"empty {dataio.SPLIT_NAMES[code]} split; {need} slots to fill")
         if pos.size < need:
             logger.info("split of %d cannot fill %d slots; sampling with replacement",
                         pos.size, need)
@@ -245,13 +247,15 @@ def grid_search_gamma(embeddings: np.ndarray, train_pos: np.ndarray,
     """Neighbor budget maximizing KNN-vote accuracy on validation nodes.
 
     Train nodes vote with their (noisy) labels; accuracy is measured against
-    the (noisy) validation labels. Ties prefer the smaller candidate.
+    the (noisy) validation labels. Ties prefer the smaller candidate. The one
+    val x train product is the memory floor; splitting it would change bits.
     """
     candidates = sorted(int(c) for c in candidates)
     if not candidates:
         raise ConfigError("gamma candidate set is empty")
-    d = pairwise_sq_dists(embeddings[val_pos], embeddings[train_pos])
-    order = nearest(d, candidates[-1])
+    if not (len(train_pos) and len(val_pos)):
+        raise SamplingError(f"gamma search: {len(train_pos)} train, {len(val_pos)} val nodes")
+    order = nearest_rows(embeddings[val_pos], embeddings[train_pos], candidates[-1])
     best_gamma, best_acc = None, -1.0
     for gamma in candidates:
         nn = order[:, :gamma]
@@ -526,8 +530,8 @@ def _transduce(state: PipelineState, chain: str, refs: np.ndarray, targets: np.n
         net = state.nets["embed"]
         emb_refs, _ = net.forward_batch(ds.features[refs])
         emb_targets, _ = net.forward_batch(ds.features[targets])
-        d = pairwise_sq_dists(emb_targets, emb_refs)
-        votes = ds.noisy_labels[refs][nearest(d, state.gamma0)].sum(axis=1)
+        nn = nearest_rows(emb_targets, emb_refs, state.gamma0)
+        votes = ds.noisy_labels[refs][nn].sum(axis=1)
         return np.sign(votes), np.zeros(targets.size)
     r, chunk = refs.size, UNLABELED_PER_GRAPH
     # full chunks in stacks of at most STACK_NODES nodes, the short last one alone

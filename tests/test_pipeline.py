@@ -180,6 +180,15 @@ class TestBatches:
             build_batches(work_split(blobs), seed=0)
         assert "replacement" in caplog.text
 
+    def test_empty_split_raises(self):
+        # 2 rows per class split into 2 train, 0 val and 2 test nodes
+        ds = dataio.from_arrays(np.arange(8.0).reshape(4, 2) * [1, 3], [0, 0, 1, 1])
+        assert not (ds.split == VAL).any()
+        with pytest.raises(SamplingError, match="empty val split; 320 slots"):
+            build_batches(work_split(ds), seed=0)
+        with pytest.raises(SamplingError, match="empty val split"):
+            run_variant(ds, tiny_config("G-2"))
+
 
 class TestGammaGrid:
     def test_separated_clusters_tie_break_smallest(self):
@@ -202,6 +211,13 @@ class TestGammaGrid:
         labels = np.array([1.0, 1.0, -1.0, -1.0])
         assert grid_search_gamma(emb, np.array([0, 2]), labels[[0, 2]],
                                  np.array([1, 3]), labels[[1, 3]], (5,)) == 5
+
+    @pytest.mark.parametrize("train_pos, val_pos", [([], [1]), ([0], [])])
+    def test_empty_positions_rejected(self, train_pos, val_pos):
+        train_pos, val_pos = np.array(train_pos, dtype=int), np.array(val_pos, dtype=int)
+        with pytest.raises(SamplingError, match="gamma search"):
+            grid_search_gamma(np.zeros((2, 1)), train_pos, np.ones(train_pos.size),
+                              val_pos, np.ones(val_pos.size), (1, 2))
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ConfigError):
