@@ -4,10 +4,10 @@ The smoothed signal minimizes ||y - b||^2 + mu * b' L b, an unconstrained
 convex quadratic whose unique minimizer solves (I + mu L) b = y. The system
 is symmetric positive definite; choosing mu <= (kappa - 1) / (2 d_max) keeps
 its spectral condition number at or below kappa, so plain conjugate gradients
-converge fast and stably; a solve that still fails to converge raises
-SolverError. One CG loop solves each block of a block-diagonal graph with
-its own d_max, mu, step sizes and residual test; a converged block takes
-zero steps, so every block computes exactly what it would alone.
+converge fast and stably; a solve that fails to converge raises SolverError.
+One CG loop solves each block of a block-diagonal graph with its own d_max,
+mu, step sizes and residual test; a converged block steps by 0, as if alone.
+On an edge list, (I + mu L) v is one np.bincount, adding rows as csr does.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import functools
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import SolverError, ValidationError
+from .graphs import EdgeLaplacian
 
 # the paper's condition bound, and the share of the largest mu it allows
 KAPPA = 60.0
@@ -39,12 +39,12 @@ def mu_max(kappa: float, d_max: float) -> float:
     return (kappa - 1.0) / (2.0 * d_max)
 
 
-def denoise(laplacian: np.ndarray | sp.csr_matrix, y_prev: np.ndarray, mu: float | None = None,
-            residual_log: list | None = None) -> np.ndarray:
+def denoise(laplacian: np.ndarray | EdgeLaplacian, y_prev: np.ndarray,
+            mu: float | None = None, residual_log: list | None = None) -> np.ndarray:
     """Solve (I + mu L) y = y_prev with mu = MU_FRACTION * mu_max(KAPPA, d_max).
 
-    L is a csr matrix or a dense (C*b, b) stack of C blocks of b nodes, and
-    CG runs on I + mu L in the same backing. Each block's d_max is its
+    L is an EdgeLaplacian or a dense (C*b, b) stack of C blocks of b nodes,
+    and CG runs on I + mu L in the same backing. Each block's d_max is its
     largest degree; an explicit nonnegative mu overrides every block's (0 is
     the identity), and edgeless blocks keep their signal. residual_log gets
     the largest relative residual of each residual test. Raises SolverError
@@ -53,27 +53,33 @@ def denoise(laplacian: np.ndarray | sp.csr_matrix, y_prev: np.ndarray, mu: float
     y_prev = np.asarray(y_prev, dtype=np.float64)
     if not np.all(np.isfinite(y_prev)):
         raise ValidationError("input signal contains non-finite values")
-    if mu is not None and mu < 0:
-        raise ValidationError("mu must be nonnegative")
-    n, b = y_prev.shape[0], laplacian.shape[1]
+    if mu is not None and not 0.0 <= mu < math.inf:
+        raise ValidationError(f"mu must be finite and nonnegative, got {mu}")
+    edge_list = isinstance(laplacian, EdgeLaplacian)
+    n, b = (laplacian.n_nodes,) * 2 if edge_list else laplacian.shape
+    if y_prev.shape != (n,):
+        raise ValidationError(f"signal of shape {y_prev.shape} on a {n}-node Laplacian")
     c = n // b
-    if isinstance(laplacian, np.ndarray):
+    if edge_list:
+        diag = laplacian.rows == laplacian.cols
+        d_max = np.array([laplacian.values[diag].max(initial=0.0)])
+    else:
         lap = laplacian.reshape(c, b * b)  # block k's diagonal: row k, every (b + 1)-th
         d_max = lap[:, ::b + 1].max(axis=1, initial=0.0)
-    else:
-        d_max = np.array([laplacian.diagonal().max(initial=0.0)])
     if not d_max.any() or mu == 0.0:
         return y_prev.copy()
     mu = np.full(c, mu) if mu is not None else np.array(
         [MU_FRACTION * mu_max(KAPPA, float(d)) if d else 0.0 for d in d_max])
     # one block runs on a vector with float steps (numpy's scalar fast path), a stack on rows
     shape = (c, b) if c > 1 else (n,)
-    if isinstance(laplacian, np.ndarray):
+    if edge_list:
+        system = mu[0] * laplacian.values
+        system[diag] += 1.0
+        matvec = lambda v: np.bincount(laplacian.rows, system * v[laplacian.cols], minlength=n)
+    else:
         system = mu[:, None] * lap
         system[:, ::b + 1] += 1.0
         matvec = functools.partial(np.matvec, system.reshape(shape[:-1] + (b, b)))
-    else:
-        matvec = (sp.identity(n, format="csr") + mu[0] * laplacian).tocsr().dot
     col = (lambda a: a[:, None]) if c > 1 else float
     y = y_prev.reshape(shape)
     b_norm = np.sqrt(np.vecdot(y, y))

@@ -17,10 +17,10 @@ reliable after denoising.
 
 A graph of C equal blocks of b nodes is C graphs built, weighted and
 denoised in one pass: each node ranks its own block's nodes, each block
-gets its own kernel scale, and a single graph is one block. Only the
-Laplacian is a matrix: the dense (b, b) blocks stacked into a (C*b, b) array
-for b up to DENSE_BACKING_MAX (batch graphs and frozen-chain stacks), a csr
-matrix above (a train+val working set).
+gets its own kernel scale, and a single graph is one block. The Laplacian
+is the dense (b, b) blocks stacked into a (C*b, b) array for b up to
+DENSE_BACKING_MAX (batch graphs and frozen-chain stacks), and an edge list,
+its entries in csr's order, above (a train+val working set).
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ValidationError
 
 logger = logging.getLogger(__name__)
 
-# rows of one product in directed_knn; it fixes the product's shape, and BLAS
-# gives an entry other bits at another row count, so changing it moves results
+# rows of one distance product; it fixes the product's shape, and BLAS gives
+# an entry other bits at another row count, so changing it moves results
 _DIST_CHUNK = 512
 # entries per slice of a distance product: at 2**16 (512 KiB) a 3,600-node KNN
 # build took 138 ms, against 144-157 ms at 2**15 and at 2**17-2**19. It is at
@@ -46,13 +45,12 @@ _DIST_CHUNK = 512
 _SLICE_ENTRIES = 2**16
 # largest graph for which the spectrum's dense (N, N) eigendecomposition runs
 DENSE_NODE_GUARD = 4000
-# largest block whose Laplacian is dense instead of csr, and of a graph of
-# several blocks. Batch graphs and frozen-chain blocks have 100-120 nodes; at
-# that size scipy's per-call overhead outweighs the arithmetic. One Laplacian
-# build and denoise (16-dim embeddings, gamma 10, BLAS on 1 thread, medians
-# of three probes) took dense 0.25 vs csr 0.97 ms at 100 nodes, 0.49 vs 1.03
-# at 150, 0.63 vs 1.11 at 200 and 1.07 vs 1.20 at 250; the two were even at
-# 300 (1.57 ms). No workload graph has between 150 and 2,760 nodes.
+# largest block whose Laplacian is dense instead of an edge list, and of a
+# graph of several blocks; batch graphs and frozen-chain blocks have 100-120
+# nodes. One Laplacian build and denoise (16-dim embeddings, gamma 10, BLAS on
+# 1 thread, medians of three probes of 20 calls) took dense 0.40 vs edge list
+# 0.65 ms at 100 nodes and 0.49 vs 0.74 at 150; the two were even at 200-250,
+# and the edge list was faster from 300. No workload graph has 151-2,758 nodes.
 DENSE_BACKING_MAX = 150
 
 
@@ -82,16 +80,13 @@ class Graph:
     def n_nodes(self) -> int:
         return self.gamma.shape[0]
 
-    def _csr(self, data: np.ndarray) -> sp.csr_matrix:
-        """The (n, n) csr matrix with data on the graph's entries."""
-        counts = np.bincount(self.rows, minlength=self.n_nodes)
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        return sp.csr_matrix((data, self.cols, indptr), shape=(self.n_nodes, self.n_nodes))
-
     @property
-    def edges(self) -> sp.csr_matrix:
-        """The int8 edge pattern as a csr matrix."""
-        return self._csr(np.ones(self.cols.size, dtype=np.int8))
+    def edges(self):
+        """The int8 edge pattern as a scipy csr matrix, which perfbench's tracer
+        and the tests read; scipy is imported here so that a run does not load it."""
+        import scipy.sparse as sp
+        return sp.csr_matrix((np.ones(self.cols.size, dtype=np.int8), (self.rows, self.cols)),
+                             shape=(self.n_nodes, self.n_nodes))
 
     @cached_property
     def upper(self) -> np.ndarray:
@@ -99,10 +94,21 @@ class Graph:
         return self.cols > self.rows
 
     @cached_property
-    def laplacian(self) -> np.ndarray | sp.csr_matrix:
+    def laplacian(self) -> np.ndarray | EdgeLaplacian:
         """Built on first use: most frozen-chain graphs are reweighted
         before any denoising pass needs their Laplacian."""
         return build_laplacian(self)
+
+
+@dataclass(frozen=True)
+class EdgeLaplacian:
+    """L = D - A of an n_nodes graph: its entries in row-major order, each diagonal
+    entry in column order as in csr, an isolated node's an explicit 0."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    n_nodes: int
 
 
 def block_size(n: int, blocks: int) -> int:
@@ -135,9 +141,11 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray, visit=lambda k, r, s: None) 
 
 
 def nearest_rows(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """nearest(pairwise_sq_dists(a, b), k), selected slice by slice."""
+    """nearest(pairwise_sq_dists(a, b), k), a product per _DIST_CHUNK rows, slice by slice."""
     parts = [np.empty((0, min(int(k), b.shape[0])), dtype=np.intp)]
-    pairwise_sq_dists(a, b, lambda _k, _r, s: parts.append(nearest(s[0], k)))
+    for start in range(0, a.shape[0], _DIST_CHUNK):
+        pairwise_sq_dists(a[start:start + _DIST_CHUNK], b,
+                          lambda _k, _r, s: parts.append(nearest(s[0], k)))
     return np.concatenate(parts)
 
 
@@ -287,10 +295,11 @@ def assign_weights(g: Graph, embeddings: np.ndarray, same: np.ndarray,
     return Graph(g.rows[kept], g.cols[kept], values[kept], g.gamma, g.blocks)
 
 
-def build_laplacian(g: Graph) -> np.ndarray | sp.csr_matrix:
+def build_laplacian(g: Graph) -> np.ndarray | EdgeLaplacian:
     """L = D - A, with the symmetric weight matrix as A: the dense (b, b)
     blocks stacked into a (C*b, b) array up to DENSE_BACKING_MAX nodes per
-    block, a csr matrix above. Its diagonal holds the degrees (no self-loops)."""
+    block, an EdgeLaplacian above. Its diagonal holds the degrees (no self-loops),
+    summed by np.add.reduceat, as scipy sums a csr row; bincount gives other bits."""
     n = g.n_nodes
     b = n // g.blocks
     if b <= DENSE_BACKING_MAX:
@@ -299,9 +308,15 @@ def build_laplacian(g: Graph) -> np.ndarray | sp.csr_matrix:
         lap = -w
         lap.reshape(g.blocks, b * b)[:, ::b + 1] = w.sum(axis=1).reshape(g.blocks, b)
         return lap
-    w = g._csr(g.weights)
-    degrees = np.asarray(w.sum(axis=1)).ravel()
-    return (sp.diags(degrees) - w).tocsr()
+    nodes = np.arange(n)
+    starts = np.searchsorted(g.rows, nodes)
+    linked = starts < np.append(starts[1:], g.rows.size)
+    degrees = np.zeros(n)
+    degrees[linked] = np.add.reduceat(g.weights, starts[linked])
+    # each diagonal entry goes before the row's first entry right of it
+    slots = np.searchsorted(g.rows * n + g.cols, nodes * (n + 1))
+    return EdgeLaplacian(np.insert(g.rows, slots, nodes), np.insert(g.cols, slots, nodes),
+                         np.insert(-g.weights, slots, degrees), n)
 
 
 def surviving_edge_budgets(g: Graph, denoised: np.ndarray, beta: float) -> np.ndarray:
@@ -333,21 +348,28 @@ def graph_update(g: Graph, denoised: np.ndarray, embeddings_new: np.ndarray,
     return knn_edges(embeddings_new, surviving_edge_budgets(g, denoised, beta), g.blocks)
 
 
-def gft_spectrum(laplacian: np.ndarray | sp.csr_matrix, signal: np.ndarray
+def gft_spectrum(laplacian: np.ndarray | EdgeLaplacian, signal: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of L (ascending) and |projection| of the signal on each mode.
 
     Dense eigendecomposition; refuses above the node guard so callers
-    subsample instead of stalling.
+    subsample instead of stalling, and a signal of another length.
     """
-    n = laplacian.shape[0]
+    edge_list = isinstance(laplacian, EdgeLaplacian)
+    n = laplacian.n_nodes if edge_list else laplacian.shape[0]
+    signal = np.asarray(signal, dtype=np.float64)
+    if signal.shape != (n,):
+        raise ValidationError(f"signal of shape {signal.shape} on a {n}-node Laplacian")
     if n > DENSE_NODE_GUARD:
         raise ValidationError(
             f"spectrum needs a dense eigendecomposition; N={n} exceeds the "
             f"{DENSE_NODE_GUARD}-node guard - subsample the graph first")
-    dense = laplacian if isinstance(laplacian, np.ndarray) else laplacian.toarray()
-    eigvals, eigvecs = np.linalg.eigh(dense)
-    coefs = eigvecs.T @ np.asarray(signal, dtype=np.float64)
+    if edge_list:
+        dense = np.zeros((n, n))
+        dense[laplacian.rows, laplacian.cols] = laplacian.values
+        laplacian = dense
+    eigvals, eigvecs = np.linalg.eigh(laplacian)
+    coefs = eigvecs.T @ signal
     return eigvals, np.abs(coefs)
 
 

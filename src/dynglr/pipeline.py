@@ -247,8 +247,8 @@ def grid_search_gamma(embeddings: np.ndarray, train_pos: np.ndarray,
     """Neighbor budget maximizing KNN-vote accuracy on validation nodes.
 
     Train nodes vote with their (noisy) labels; accuracy is measured against
-    the (noisy) validation labels. Ties prefer the smaller candidate. The one
-    val x train product is the memory floor; splitting it would change bits.
+    the (noisy) validation labels. Ties prefer the smaller candidate. The
+    val x train distances are taken _DIST_CHUNK val rows at a time.
     """
     candidates = sorted(int(c) for c in candidates)
     if not candidates:
@@ -654,7 +654,9 @@ def _ordinal_rank(values: np.ndarray) -> np.ndarray:
 
 def write_run_manifest(path, cfg: PipelineConfig, ds_manifest: dict,
                        extra: dict | None = None) -> None:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     payload = {
+        "numpy": {"version": np.__version__, "blas": f"{blas['name']} {blas['version']}"},
         "variant": cfg.variant,
         "seed": cfg.seed,
         "margins": {"triplet": MARGIN_E, "weighted": MARGIN_W},

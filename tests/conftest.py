@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from dynglr import dataio
-from dynglr.graphs import Graph
+from dynglr.graphs import EdgeLaplacian, Graph
 from dynglr.metricnet import MetricNet
 from dynglr.pipeline import ArchPreset, PipelineConfig
 
@@ -24,12 +24,11 @@ def tiny_config(variant="G-12312", seed=0, **overrides):
 
 
 def dense(m) -> np.ndarray:
-    """A graph's weight matrix, scattered from its edge list, or a Laplacian
-    or system of either backing (a dense array for graphs of at most
-    graphs.DENSE_BACKING_MAX nodes, csr above), as a dense array."""
-    if isinstance(m, Graph):
+    """A graph's weight matrix or an EdgeLaplacian, scattered from its
+    entries, or a dense or scipy sparse matrix, as a dense array."""
+    if isinstance(m, (Graph, EdgeLaplacian)):
         w = np.zeros((m.n_nodes, m.n_nodes))
-        w[m.rows, m.cols] = m.weights
+        w[m.rows, m.cols] = m.weights if isinstance(m, Graph) else m.values
         return w
     return m.toarray() if sp.issparse(m) else np.asarray(m)
 

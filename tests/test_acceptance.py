@@ -67,9 +67,9 @@ def test_criterion_1_solver_oracle_equivalence():
         gamma = int(rng.integers(2, 9))
         lap = random_lap(rng, n, gamma)
         y = rng.uniform(-1, 1, n)
-        mu = 0.67 * mu_max(60.0, lap.diagonal().max())
-        # CG on I + mu L in the backing of L (dense up to 150 nodes, csr
-        # above) from y, to SOLVER_TOL within 10 n steps, else SolverError
+        mu = 0.67 * mu_max(60.0, dense(lap).diagonal().max())
+        # CG on I + mu L in the backing of L (dense up to 150 nodes, an edge
+        # list above) from y, to SOLVER_TOL within 10 n steps, else SolverError
         x_cg = denoise(lap, y, mu=mu)
         x_direct = np.linalg.solve(np.eye(n) + mu * dense(lap), y)
         worst = max(worst, np.linalg.norm(x_cg - x_direct) / np.linalg.norm(x_direct))
@@ -88,7 +88,7 @@ def test_criterion_2_conditioning():
     for _ in range(20):
         n = int(rng.integers(30, 501))
         lap = random_lap(rng, n, int(rng.integers(2, 9)))
-        mu = 0.67 * mu_max(60.0, lap.diagonal().max())
+        mu = 0.67 * mu_max(60.0, dense(lap).diagonal().max())
         eig = np.linalg.eigvalsh(np.eye(n) + mu * dense(lap))
         lo, hi = min(lo, eig.min()), max(hi, eig.max())
     report(2, lo >= 1.0 - 1e-6 and hi <= 60.0 + 1e-6,

@@ -55,6 +55,10 @@ class TestTrainEvalSpectrumReport:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["variant"] == "G-2"
         assert "test_error_rate" in manifest
+        # the bits depend on numpy and its BLAS, the runtime's only native code
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["numpy"]["version"] == np.__version__
+        assert manifest["numpy"]["blas"].split() == [blas["name"], blas["version"]]
 
         rc = main(["eval", "--run", str(run_dir)])
         assert rc == 0

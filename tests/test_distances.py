@@ -178,3 +178,24 @@ class TestPeakMemory:
         peak = traced_peak(grid_search_gamma, emb, train_pos, labels[train_pos], val_pos,
                            labels[val_pos], range(1, 41))
         assert peak < 1.3 * product
+
+    def test_gamma_search_holds_one_chunk(self):
+        """1,500 val rows against 2,000 train rows: three 512-row products, one at a time."""
+        emb, _ = embedding_with_ties(3500, 16, seed=8)
+        labels = np.where(emb[:, 0] > 0, 1.0, -1.0)
+        train_pos, val_pos = np.arange(2000), np.arange(2000, 3500)
+        product = graphs._DIST_CHUNK * 2000 * 8
+        peak = traced_peak(grid_search_gamma, emb, train_pos, labels[train_pos], val_pos,
+                           labels[val_pos], range(1, 41))
+        assert peak < 1.3 * product
+
+    def test_dml_knn_vote_holds_one_chunk(self):
+        """2,000 test targets voted by 2,000 train references, 512 targets at a time."""
+        ds = blob_dataset(n=5000, seed=9)
+        cfg = tiny_config("DML-KNN", seed=9)
+        state = PipelineState.fresh(ds, cfg)
+        state.nets["embed"], state.gamma0 = MetricNet(ds.features.shape[1], cfg.net_config("embed")), 9
+        refs, targets = ds.indices(TRAIN), ds.indices(TEST)
+        assert refs.size == targets.size == 2000
+        product = graphs._DIST_CHUNK * refs.size * 8
+        assert traced_peak(pipeline._transduce, state, "DML-KNN", refs, targets) < 1.3 * product

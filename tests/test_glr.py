@@ -13,7 +13,7 @@ from dynglr.graphs import build_laplacian, knn_edges
 
 
 def default_mu(lap):
-    return MU_FRACTION * mu_max(KAPPA, lap.diagonal().max())
+    return MU_FRACTION * mu_max(KAPPA, dense(lap).diagonal().max())
 
 
 def random_weighted_laplacian(rng, n, gamma=None, sigma=1.0):
@@ -123,7 +123,7 @@ class TestDenoise:
         assert residuals and residuals[-1] <= residuals[0]
 
     @pytest.mark.parametrize("n, blocks", [(30, 1), (graphs.DENSE_BACKING_MAX + 1, 1), (30, 3)],
-                             ids=["dense", "csr", "stack"])
+                             ids=["dense", "edges", "stack"])
     def test_unconverged_cg_raises(self, monkeypatch, caplog, n, blocks):
         monkeypatch.setattr(glr, "MAX_ITER_FACTOR", 0)  # CG stops before its first step
         rng = np.random.default_rng(8)
@@ -132,13 +132,35 @@ class TestDenoise:
         ys = [rng.uniform(-1, 1, n) for _ in range(blocks)]
         # with no CG step the iterate is still y, so its residual is mu ||L y|| / ||y||;
         # a stack reports its worst block
-        residual = max(default_mu(lap) * np.linalg.norm(lap @ y) / np.linalg.norm(y)
+        residual = max(default_mu(lap) * np.linalg.norm(dense(lap) @ y) / np.linalg.norm(y)
                        for lap, y in zip(laps, ys))
         lap = laps[0] if blocks == 1 else np.vstack(laps)
         with pytest.raises(SolverError, match=fr"N={n} nodes in 0 iterations "
                                               fr"\(relative residual {residual:.3g}\)"):
             denoise(lap, np.concatenate(ys))
         assert not caplog.records
+
+
+@pytest.mark.parametrize("n", [30, graphs.DENSE_BACKING_MAX + 50], ids=["dense", "edges"])
+class TestBadInputs:
+    """A bad mu or a signal of the wrong length is refused before any CG step."""
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_non_finite_mu_rejected(self, n, mu):
+        lap = random_weighted_laplacian(np.random.default_rng(11), n)
+        residuals = []
+        with pytest.raises(ValidationError, match=f"mu must be finite and nonnegative, got {mu}"):
+            denoise(lap, np.ones(n), mu=mu, residual_log=residuals)
+        assert residuals == []
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_signal_length_must_match(self, n, delta):
+        lap = random_weighted_laplacian(np.random.default_rng(12), n)
+        residuals = []
+        with pytest.raises(ValidationError, match=fr"signal of shape \({n + delta},\) "
+                                                  fr"on a {n}-node Laplacian"):
+            denoise(lap, np.ones(n + delta), residual_log=residuals)
+        assert residuals == []
 
 
 class TestStackedDenoise:

@@ -445,6 +445,13 @@ class TestSpectrum:
             _, mags = gft_spectrum(lap, signal)
             assert np.sum(mags**2) == pytest.approx(np.sum(signal**2), abs=1e-6)
 
+    @pytest.mark.parametrize("n", [20, graphs.DENSE_BACKING_MAX + 10], ids=["dense", "edges"])
+    def test_short_signal_rejected(self, n):
+        emb = np.random.default_rng(16).normal(size=(n, 3))
+        lap = build_laplacian(kernel_graph(knn_edges(emb, 3), emb, 1.0))
+        with pytest.raises(ValidationError, match=fr"signal of shape \({n - 1},\) on a {n}-node"):
+            gft_spectrum(lap, np.zeros(n - 1))
+
     def test_node_guard(self):
         none = np.zeros(0, dtype=np.int64)
         big = graphs.Graph(none, none, np.zeros(0), np.ones(4001, dtype=np.int64))

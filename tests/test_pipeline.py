@@ -583,6 +583,7 @@ class TestConfig:
         path = tmp_path / "m.json"
         pipeline.write_run_manifest(path, PipelineConfig.for_dataset("spambase"),
                                     {"id": "ds"})
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         expected = {
             "batching": {"graphs_per_epoch": 16, "labeled_per_graph": 80,
                          "unlabeled_per_graph": 20},
@@ -591,6 +592,7 @@ class TestConfig:
             "gamma_candidates": [2, 4, 6, 8, 10, 12, 14, 16, 18, 20],
             "glr": {"kappa": 60.0, "mu_fraction": 0.67, "solver_tol": 1e-10},
             "margins": {"triplet": 10.0, "weighted": 10.0},
+            "numpy": {"version": np.__version__, "blas": f"{blas['name']} {blas['version']}"},
             "rank_sampling": {"batches": 6, "k": 480},
             "seed": 0,
             "thresholds": {"beta": 0.1, "eps1": 0.6, "eps2": 0.15},

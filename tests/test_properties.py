@@ -1,7 +1,7 @@
 """Property tests of the graph layer every chain step builds on: the
 neighbour-selection kernel and the KNN rule, the canonical edge list, the
 kernel scale and weights, the Laplacian, the GLR denoiser, and the agreement
-of the Laplacian's dense and csr backings."""
+of the Laplacian's dense and edge-list backings."""
 
 from contextlib import contextmanager
 
@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import dense, edge_pairs, edge_sq, kernel_graph, kernel_margin, pair_graph
 from dynglr import graphs
 from dynglr.glr import denoise
-from dynglr.graphs import (assign_weights, auto_sigma, build_laplacian,
+from dynglr.graphs import (EdgeLaplacian, assign_weights, auto_sigma, build_laplacian,
                            directed_knn, graph_update, knn_edges, nearest,
                            pairwise_sq_dists, partition_edges)
 
@@ -86,10 +86,10 @@ def loop_directed_knn(emb, gamma):
 
 @contextmanager
 def backing(kind):
-    """build_laplacian builds every Laplacian in the named backing: "csr" or
+    """build_laplacian builds every Laplacian in the named backing: "edges" or
     "dense"."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "DENSE_BACKING_MAX", 0 if kind == "csr" else 10**6)
+        mp.setattr(graphs, "DENSE_BACKING_MAX", 0 if kind == "edges" else 10**6)
         yield
 
 
@@ -327,24 +327,24 @@ def test_denoise_stays_within_input_range(points, sigma, data):
 
 @PROPERTY
 @given(point_sets(), st.floats(0.1, 5.0), st.data())
-def test_dense_and_csr_backings_agree(points, sigma, data):
+def test_dense_and_edge_list_backings_agree(points, sigma, data):
     """The Laplacian of either backing, and the signal denoised on it,
     differ only by summation order."""
     emb, gamma = points
     y0 = data.draw(arrays(np.float64, emb.shape[0], elements=st.floats(-1.0, 1.0)))
     g = kernel_graph(knn_edges(emb, gamma), emb, sigma)
-    with backing("csr"):
-        lap_c = build_laplacian(g)
+    with backing("edges"):
+        lap_e = build_laplacian(g)
     with backing("dense"):
         lap_d = build_laplacian(g)
-    assert sp.issparse(lap_c) and isinstance(lap_d, np.ndarray)
-    assert np.abs(lap_d - dense(lap_c)).max() <= 1e-14 * lap_c.diagonal().max(initial=0.0)
-    y_c, y_d = denoise(lap_c, y0), denoise(lap_d, y0)
-    assert np.linalg.norm(y_d - y_c) <= 1e-10 * np.linalg.norm(y_c)
+    assert isinstance(lap_e, EdgeLaplacian) and isinstance(lap_d, np.ndarray)
+    assert np.abs(lap_d - dense(lap_e)).max() <= 1e-14 * dense(lap_e).diagonal().max(initial=0.0)
+    y_e, y_d = denoise(lap_e, y0), denoise(lap_d, y0)
+    assert np.linalg.norm(y_d - y_e) <= 1e-10 * np.linalg.norm(y_e)
 
 
 def test_backing_switches_above_dense_backing_max():
     rng = np.random.default_rng(0)
     n = graphs.DENSE_BACKING_MAX
     assert isinstance(build_laplacian(knn_edges(rng.normal(size=(n, 3)), 5)), np.ndarray)
-    assert sp.issparse(build_laplacian(knn_edges(rng.normal(size=(n + 1, 3)), 5)))
+    assert isinstance(build_laplacian(knn_edges(rng.normal(size=(n + 1, 3)), 5)), EdgeLaplacian)
