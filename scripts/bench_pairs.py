@@ -14,9 +14,13 @@ side once with `--trace 1` at seed 21, for the per-layer figures, and once at
 
 Per workload and end-to-end metric the output holds every run's value, each
 side's median and quartiles, and the number of pairs the change won (ties
-count for neither side). A claimed metric is met when the change wins at
-least nine tenths of the pairs and its median is better than the parent's
-by more than the parent's interquartile range.
+count for neither side). It also holds the signed relative change of the
+medians (positive means worse), whether that change is inside the metric's
+`bound` in BENCHMARK.json, and whether the two sides' quartile ranges are
+apart: where they overlap, the runs cannot tell the sides apart, and the
+metric is unresolved rather than unchanged. A claimed metric is met when the
+change wins at least nine tenths of the pairs and its median is better than
+the parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ TRACE_SEED = 21
 DIGEST_SEEDS = (21, 22)
 END_TO_END = {"setup_s": "lower", "train_s": "lower", "predict_s": "lower",
               "cell_s": "lower", "peak_rss_mb": "lower", "ok_frac": "higher"}
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> list:
@@ -57,19 +62,32 @@ def quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4, method="inclusive")[::2]
 
 
+def bounds() -> dict:
+    """Each end-to-end metric's bound on a relative regression, from BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+
+
 def summarise(runs: list) -> dict:
-    """Medians, quartiles and wins per end-to-end metric over the pairs."""
+    """Medians, quartiles, wins and the change against the bound per
+    end-to-end metric over the pairs."""
     out = {"pairs": len(runs)}
+    bound = bounds()
     for name, better in END_TO_END.items():
         parent = [r["parent"][name] for r in runs]
         change = [r["change"][name] for r in runs]
         sign = 1 if better == "lower" else -1
         q_parent, q_change = quartiles(parent), quartiles(change)
-        out[name] = {"parent_median": statistics.median(parent),
-                     "change_median": statistics.median(change),
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        worse = sign * (c_med - p_med)
+        # relative to the parent's median; None where that median is 0
+        rel = worse / abs(p_med) if p_med else None
+        out[name] = {"parent_median": p_med, "change_median": c_med,
                      "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
                      "parent_q1_q3": q_parent, "change_q1_q3": q_change,
-                     "parent_iqr": q_parent[1] - q_parent[0]}
+                     "parent_iqr": q_parent[1] - q_parent[0],
+                     "worse_by": rel, "bound": bound[name],
+                     "within_bound": worse <= 0 if rel is None else rel <= bound[name],
+                     "resolved": q_change[1] < q_parent[0] or q_change[0] > q_parent[1]}
     return out
 
 
@@ -132,6 +150,9 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed}: predict_s {record['parent']['predict_s']:.3f} -> "
                   f"{record['change']['predict_s']:.3f}", file=sys.stderr, flush=True)
         result["end_to_end"][workload] = {"summary": summarise(runs), "runs": runs}
+    result["outside_bounds"] = [f"{workload}:{name}"
+                                for workload, rec in result["end_to_end"].items()
+                                for name in END_TO_END if not rec["summary"][name]["within_bound"]]
     if args.claim:
         workload, _, name = args.claim.partition(":")
         result["claim"] = {"workload": workload, "metric": name,

@@ -16,11 +16,9 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bench, dataio, graphs, pipeline
 from .dataio import NoiseSpec
-from .errors import ConfigError, DynglrError
+from .errors import ConfigError, DynglrError, ParseError, UsageError
 
 
 def _cmd_prepare(args) -> int:
@@ -30,8 +28,6 @@ def _cmd_prepare(args) -> int:
     manifest = dataio.dataset_manifest(ds, seed=args.seed)
     manifest["source_csv"] = str(args.csv)
     dataio.write_manifest(manifest, out / "dataset.json")
-    np.savez(out / "dataset.npz", features=ds.features, clean_labels=ds.clean_labels,
-             noisy_labels=ds.noisy_labels, split=ds.split)
     print(f"prepared {ds.n_nodes} nodes x {ds.n_features} features -> {out}")
     return 0
 
@@ -68,6 +64,9 @@ def _reload_run(run: str):
     run_path = Path(run)
     if run_path.name == "manifest.json":
         run_path = run_path.parent
+    for name in ("manifest.json", "state.json"):
+        if not (run_path / name).is_file():
+            raise UsageError(f"{run_path} holds no {name}; pass a directory written by train")
     manifest = json.loads((run_path / "manifest.json").read_text())
     dataset_id = manifest["dataset"]["dataset_id"]
     seed = manifest["seed"]
@@ -121,6 +120,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if not Path(args.grid_results).is_file():
+        raise ParseError(f"no such file: {args.grid_results}")
     rows = bench._read_results(Path(args.grid_results))
     report = bench.Report(rows=rows)
     text = report.to_markdown() if args.format == "md" else report.to_csv()

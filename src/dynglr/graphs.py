@@ -120,32 +120,34 @@ def block_size(n: int, blocks: int) -> int:
     return n // blocks
 
 
-def pairwise_sq_dists(a: np.ndarray, b: np.ndarray, visit=lambda k, r, s: None) -> np.ndarray:
-    """Squared Euclidean distances between rows of a and rows of b, per slice of stacks:
-    one product a @ b^T (its bits depend on its shape and on whether a is b),
-    finished in place a slice of rows or of whole stacked matrices at a time;
-    visit(k, r, s) reads each finished slice s (matrices k.., rows r..) in cache."""
-    d = a @ b.swapaxes(-1, -2)
-    aa = (a * a).sum(axis=-1)[..., :, None]
-    bb = (b * b).sum(axis=-1)[..., None, :]
-    d3, aa, bb = (x if d.ndim == 3 else x[None] for x in (d, aa, bb))
-    rows = max(1, _SLICE_ENTRIES // max(1, d3.shape[2]))
-    per = max(1, rows // max(1, d3.shape[1]))
-    for k in range(0, d3.shape[0], per):
-        for r in range(0, d3.shape[1], rows):
-            s = d3[k:k + per, r:r + rows]
-            s *= 2.0
-            np.subtract(aa[k:k + per, r:r + rows] + bb[k:k + per], s, out=s)
-            visit(k, r, np.maximum(s, 0.0, out=s))
-    return d
+def pairwise_sq_dists(a: np.ndarray, b: np.ndarray, visit) -> None:
+    """Squared Euclidean distances between the rows of a[k] and of b[k], for (C, m, f)
+    and (C, n, f) stacks: one product a @ b^T per _DIST_CHUNK rows of a (its bits
+    depend on its shape and on whether a is b), finished in place a slice of rows
+    or of whole stacked matrices at a time; visit(k, r, s) reads each finished
+    slice s (matrices k.., rows r.. of a) in cache."""
+    bt = b.swapaxes(-1, -2)
+    bb = (b * b).sum(axis=-1)[:, None, :]
+    for start in range(0, a.shape[1], _DIST_CHUNK):
+        chunk = a[:, start:start + _DIST_CHUNK]
+        d = chunk @ bt
+        aa = (chunk * chunk).sum(axis=-1)[:, :, None]
+        rows = max(1, _SLICE_ENTRIES // max(1, d.shape[2]))
+        per = max(1, rows // d.shape[1])
+        for k in range(0, d.shape[0], per):
+            for r in range(0, d.shape[1], rows):
+                s = d[k:k + per, r:r + rows]
+                s *= 2.0
+                np.subtract(aa[k:k + per, r:r + rows] + bb[k:k + per], s, out=s)
+                visit(k, start + r, np.maximum(s, 0.0, out=s))
+        # free this product (s views it) before the next one is taken
+        del d, s
 
 
 def nearest_rows(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """nearest(pairwise_sq_dists(a, b), k), a product per _DIST_CHUNK rows, slice by slice."""
+    """nearest(distances of a's rows to b's, k), slice by slice of pairwise_sq_dists."""
     parts = [np.empty((0, min(int(k), b.shape[0])), dtype=np.intp)]
-    for start in range(0, a.shape[0], _DIST_CHUNK):
-        pairwise_sq_dists(a[start:start + _DIST_CHUNK], b,
-                          lambda _k, _r, s: parts.append(nearest(s[0], k)))
+    pairwise_sq_dists(a[None], b[None], lambda _k, _r, s: parts.append(nearest(s[0], k)))
     return np.concatenate(parts)
 
 
@@ -178,8 +180,8 @@ def directed_knn(embeddings: np.ndarray, gamma, blocks: int = 1) -> np.ndarray:
     selects its gamma_i nearest other rows of its block, ties broken by
     index, and lists them by column, not by distance. Its gamma_i-th
     smallest distance bounds its candidates; only rows with more candidates
-    (ties, NaN) are ranked. Per _DIST_CHUNK rows (a count that fixes the bits),
-    all blocks' distances are one stacked product, selected slice by slice."""
+    (ties, NaN) are ranked. All blocks' distances are one stacked product per
+    _DIST_CHUNK rows, selected slice by slice."""
     n = embeddings.shape[0]
     b = block_size(n, blocks)
     if b < 2:
@@ -191,8 +193,8 @@ def directed_knn(embeddings: np.ndarray, gamma, blocks: int = 1) -> np.ndarray:
     stacked = embeddings.reshape(blocks, b, -1)
     keys = []
 
-    def select(k, r, d):
-        m, first = d.shape[1], start + r
+    def select(k, first, d):
+        m = d.shape[1]
         d[:, np.arange(m), np.arange(first, first + m)] = np.inf
         budget = gamma[k:k + len(d), first:first + m].ravel()
         # one row per (block, row of the slice), one column per node of the block
@@ -217,8 +219,7 @@ def directed_knn(embeddings: np.ndarray, gamma, blocks: int = 1) -> np.ndarray:
             flat = flat + flat // b * (n - b) + flat // (b * b) * b + k * b * (n + 1)
         keys.append(flat + first * n)
 
-    for start in range(0, b, _DIST_CHUNK):
-        pairwise_sq_dists(stacked[:, start:start + _DIST_CHUNK], stacked, select)
+    pairwise_sq_dists(stacked, stacked, select)
     return np.concatenate(keys)
 
 
@@ -352,10 +353,13 @@ def gft_spectrum(laplacian: np.ndarray | EdgeLaplacian, signal: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of L (ascending) and |projection| of the signal on each mode.
 
-    Dense eigendecomposition; refuses above the node guard so callers
-    subsample instead of stalling, and a signal of another length.
+    Dense eigendecomposition of a one-block graph; refuses a stack of blocks,
+    a graph above the node guard (callers subsample instead of stalling) and
+    a signal of another length.
     """
     edge_list = isinstance(laplacian, EdgeLaplacian)
+    if not edge_list and laplacian.shape[0] != laplacian.shape[1]:
+        raise ValidationError(f"spectrum needs one block, got a {laplacian.shape} stack")
     n = laplacian.n_nodes if edge_list else laplacian.shape[0]
     signal = np.asarray(signal, dtype=np.float64)
     if signal.shape != (n,):

@@ -12,7 +12,7 @@ differences in the test suite.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -319,24 +319,18 @@ def save_checkpoint(net: MetricNet, path) -> None:
     np.savez(path, **arrays)
 
 
-# the NetConfig fields a version-1 checkpoint kept at its top level
-_V1_FIELDS = ("layer_widths", "embedding_dim", "lr_start", "lr_end", "epochs",
-              "shallow_tap_index", "skip_to_layer", "seed")
-
-
 def load_checkpoint(path) -> MetricNet:
-    """Reads every checkpoint version. The shallow tap is always the last
-    hidden layer: a file that put it elsewhere is refused."""
+    """Reads the version-2 layout save_checkpoint writes; refuses any other
+    version, and a config whose keys are not exactly NetConfig's fields."""
     with np.load(Path(path), allow_pickle=False) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        fields = dict(meta.get("config") or {k: meta[k] for k in _V1_FIELDS})
-        tap = fields.pop("shallow_tap_index", None)
-        if tap not in (None, max(len(fields["layer_widths"]) - 1, 0)):
-            raise ConfigError(f"{path}: shallow tap at layer {tap}, not the last hidden one")
-        for key in ("adam_beta1", "adam_beta2", "adam_eps"):  # training-only, now fixed
-            fields.pop(key, None)
-        config = NetConfig(**{**fields, "layer_widths": tuple(fields["layer_widths"])})
-        net = MetricNet(meta["in_dim"], config)
+        config = meta.get("config")
+        names = {f.name for f in fields(NetConfig)}
+        if meta.get("version") != 2 or not isinstance(config, dict) or set(config) != names:
+            raise ConfigError(f"{path}: not a version-2 checkpoint with config keys "
+                              f"{sorted(names)}")
+        net = MetricNet(meta["in_dim"],
+                        NetConfig(**{**config, "layer_widths": tuple(config["layer_widths"])}))
         net.weights = [data[f"w{k}"] for k in range(net.n_layers)]
         net.biases = [data[f"b{k}"] for k in range(net.n_layers)]
     return net

@@ -270,46 +270,41 @@ def grid_search_gamma(embeddings: np.ndarray, train_pos: np.ndarray,
 # ---------------------------------------------------------------------------
 # stage training
 
-def _train_net(state: PipelineState, stage: str, net: MetricNet, loss_of_batch) -> None:
-    """Fit net on fresh batch graphs each epoch and store it under stage."""
+def _train_net(state: PipelineState, stage: str, inputs: np.ndarray, labels: np.ndarray,
+               step) -> MetricNet:
+    """Fit the stage's net on fresh batch graphs each epoch and store it and its
+    epoch losses under stage. Each batch's triplets are drawn from labels[pos]
+    (a single-class batch is skipped, logged), then step(net, pos, triplets,
+    epoch) returns the batch's loss and gradients, or None to skip it."""
     cfg = state.config
     split = state.dataset.split[state.work_ids]
+    net = MetricNet(inputs.shape[1], cfg.net_config(stage))
 
     def batches(epoch):
         return build_batches(split, substream_seed(cfg.seed, stage, "epoch", epoch))
 
+    def loss_of_batch(pos, epoch, b_idx):
+        try:
+            trips = sample_triplets(labels[pos], TRIPLETS_PER_GRAPH,
+                                    substream_seed(cfg.seed, stage, "trip", epoch, b_idx))
+        except SamplingError:
+            logger.info("%s: single-class batch skipped (epoch %d)", stage, epoch)
+            return None
+        return step(net, pos, trips, epoch)
+
     state.stage_losses[stage] = train(net, batches, loss_of_batch, stage)
     state.nets[stage] = net
-
-
-def _triplets_or_skip(labels: np.ndarray, cfg: PipelineConfig, stage: str, epoch: int,
-                      b_idx: int):
-    """The batch's triplets, or None (logged) when a class lacks members."""
-    try:
-        return sample_triplets(labels, TRIPLETS_PER_GRAPH,
-                               substream_seed(cfg.seed, stage, "trip", epoch, b_idx))
-    except SamplingError:
-        logger.info("%s: single-class batch skipped (epoch %d)", stage, epoch)
-        return None
+    return net
 
 
 def run_stage_gnet(state: PipelineState, inputs: np.ndarray) -> MetricNet:
     """Train the embedding net and grid-search the neighbor budget on its
     embedding of the working-set inputs."""
-    cfg, ds = state.config, state.dataset
-    net = MetricNet(inputs.shape[1], cfg.net_config("embed"))
-    y0 = state.work_signal0
-
-    def loss_of_batch(pos, epoch, b_idx):
-        trips = _triplets_or_skip(y0[pos], cfg, "embed", epoch, b_idx)
-        if trips is None:
-            return None
-        return triplet_loss_E(net, inputs[pos], trips, MARGIN_E)
-
-    _train_net(state, "embed", net, loss_of_batch)
+    net = _train_net(state, "embed", inputs, state.work_signal0,
+                     lambda net, pos, trips, _: triplet_loss_E(net, inputs[pos], trips, MARGIN_E))
     emb_work, _ = net.forward_batch(inputs)
-    split_work = ds.split[state.work_ids]
-    labels_work = ds.noisy_labels[state.work_ids]
+    split_work = state.dataset.split[state.work_ids]
+    labels_work = state.dataset.noisy_labels[state.work_ids]
     train_pos = np.flatnonzero(split_work == TRAIN)
     val_pos = np.flatnonzero(split_work == VAL)
     state.gamma0 = grid_search_gamma(emb_work, train_pos, labels_work[train_pos], val_pos,
@@ -323,12 +318,10 @@ def run_stage_wnet(state: PipelineState, r: int, inputs: np.ndarray,
     """Train weighting net r on working-set batch graphs: KNN in the preceding
     net's space (embeddings, per-node budgets gamma), learned kernel weights,
     denoise of y_prev, attention from the signal change, one loss step."""
-    cfg = state.config
     eps = EPS1 if r == 1 else EPS2
     stage = f"weight{r}"
-    net = MetricNet(inputs.shape[1], cfg.net_config(stage))
 
-    def loss_of_batch(pos, epoch, b_idx):
+    def step(net, pos, trips, epoch):
         x_in, y_b = inputs[pos], y_prev[pos]
         g_b = knn_edges(embeddings[pos], gamma[pos])
         same, opposite = partition_edges(g_b, y_b)
@@ -339,13 +332,9 @@ def run_stage_wnet(state: PipelineState, r: int, inputs: np.ndarray,
         forward = net.forward_cached(x_in)
         g_w = assign_weights(g_b, forward[0], same, opposite)
         att = node_attention_matrix(node_phi(y_b, denoise(g_w.laplacian, y_b), eps))
-        trips = _triplets_or_skip(y_b, cfg, stage, epoch, b_idx)
-        if trips is None:
-            return None
         return triplet_loss_W(net, x_in, trips, MARGIN_W, att, forward)
 
-    _train_net(state, stage, net, loss_of_batch)
-    return net
+    return _train_net(state, stage, inputs, y_prev, step)
 
 
 def unet_inputs(features: np.ndarray, y: np.ndarray, g: Graph, k: int) -> np.ndarray:
@@ -388,18 +377,8 @@ def run_stage_unet(state: PipelineState, inputs: np.ndarray, y: np.ndarray,
     """Train the update net on neighborhood-encoded inputs, with triplets
     labeled by the sign of the denoised signal y and gated by the per-node
     reliability phi of the first denoising pass."""
-    cfg = state.config
-    net = MetricNet(inputs.shape[1], cfg.net_config("update"))
-
-    def loss_of_batch(pos, epoch, b_idx):
-        att = node_attention_matrix(phi[pos])
-        trips = _triplets_or_skip(y[pos], cfg, "update", epoch, b_idx)
-        if trips is None:
-            return None
-        return triplet_loss_W(net, inputs[pos], trips, MARGIN_W, att)
-
-    _train_net(state, "update", net, loss_of_batch)
-    return net
+    return _train_net(state, "update", inputs, y, lambda net, pos, trips, _: triplet_loss_W(
+        net, inputs[pos], trips, MARGIN_W, node_attention_matrix(phi[pos])))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +485,7 @@ def _reference_sets(state: PipelineState, cfg: PipelineConfig, chain: str,
                     sampling: bool) -> list[np.ndarray]:
     ds = state.dataset
     if sampling:
-        top = rank_sampling(state, cfg.rank_sample_k, cfg)
+        top = rank_sampling(state, cfg)
         rng = substream(cfg.seed, "predict", "rank-batches")
         return _stratified_batches(top, ds.noisy_labels[top], cfg.rank_sample_batches, rng)
     if chain == "DML-KNN":
@@ -588,9 +567,8 @@ def predict(state: PipelineState, test_indices, cfg: PipelineConfig | None = Non
 # ---------------------------------------------------------------------------
 # rank sampling
 
-def rank_sampling(state: PipelineState, k: int | None = None,
-                  cfg: PipelineConfig | None = None) -> np.ndarray:
-    """Top-k trusted training nodes by rank-fused accuracy and stability.
+def rank_sampling(state: PipelineState, cfg: PipelineConfig | None = None) -> np.ndarray:
+    """The rank_sample_k most trusted training nodes by rank-fused accuracy and stability.
 
     Accuracy: each train node inherits the validation accuracy of the random
     reference batches it appeared in (measured against noisy validation
@@ -602,7 +580,7 @@ def rank_sampling(state: PipelineState, k: int | None = None,
     if not state.stages:
         raise UsageError("rank sampling needs a trained pipeline")
     chain, _ = parse_variant(cfg.variant)
-    k = cfg.rank_sample_k if k is None else int(k)
+    k = cfg.rank_sample_k
     train_ids = ds.indices(TRAIN)
     m = train_ids.size
     if k > m:
@@ -629,14 +607,10 @@ def rank_sampling(state: PipelineState, k: int | None = None,
     acc_score = np.full(m, acc_sum[seen].sum() / acc_cnt[seen].sum() if seen.any() else 0.0)
     acc_score[seen] = acc_sum[seen] / acc_cnt[seen]
 
+    fused = _ordinal_rank(-acc_score)
     if len(state.stages) >= 2:
         delta = np.abs(state.stages[-1].y - state.stages[-2].y)
-        instability = delta[np.searchsorted(state.work_ids, train_ids)]
-        rank_acc = _ordinal_rank(-acc_score)
-        rank_stab = _ordinal_rank(instability)
-        fused = rank_acc + rank_stab
-    else:
-        fused = _ordinal_rank(-acc_score)
+        fused = fused + _ordinal_rank(delta[np.searchsorted(state.work_ids, train_ids)])
     order = np.lexsort((np.arange(m), fused))
     return np.sort(train_ids[order[:k]])
 
@@ -671,9 +645,7 @@ def write_run_manifest(path, cfg: PipelineConfig, ds_manifest: dict,
         "embedding_dim": EMBEDDING_DIM,
         "dataset": ds_manifest,
     }
-    if extra:
-        payload.update(extra)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    dataio.write_manifest({**payload, **(extra or {})}, path)
 
 
 def save_state(state: PipelineState, run_dir) -> None:
@@ -683,9 +655,8 @@ def save_state(state: PipelineState, run_dir) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     for name, net in state.nets.items():
         save_checkpoint(net, run_dir / f"net_{name}.npz")
-    meta = {"gamma0": state.gamma0, "variant": state.config.variant,
-            "seed": state.config.seed}
-    (run_dir / "state.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    dataio.write_manifest({"gamma0": state.gamma0, "variant": state.config.variant,
+                           "seed": state.config.seed}, run_dir / "state.json")
 
 
 def load_state(run_dir, ds: Dataset, cfg: PipelineConfig) -> PipelineState:

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from dynglr import dataio
-from dynglr.graphs import EdgeLaplacian, Graph
+from dynglr.graphs import EdgeLaplacian, Graph, pairwise_sq_dists
 from dynglr.metricnet import MetricNet
 from dynglr.pipeline import ArchPreset, PipelineConfig
 
@@ -31,6 +31,18 @@ def dense(m) -> np.ndarray:
         w[m.rows, m.cols] = m.weights if isinstance(m, Graph) else m.values
         return w
     return m.toarray() if sp.issparse(m) else np.asarray(m)
+
+
+def visited_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (C, m, n) distances of (C, m, f) and (C, n, f) stacks, assembled
+    from the slices pairwise_sq_dists hands its visitor."""
+    out = np.full((a.shape[0], a.shape[1], b.shape[1]), np.nan)
+
+    def visit(k, r, s):
+        out[k:k + s.shape[0], r:r + s.shape[1]] = s
+
+    pairwise_sq_dists(a, b, visit)
+    return out
 
 
 def kernel_graph(g: Graph, emb: np.ndarray, sigma: float) -> Graph:

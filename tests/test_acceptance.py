@@ -264,7 +264,7 @@ def test_criterion_7_denoising_trend(spambase_runs):
         train_m = ds25.split[state.work_ids] == TRAIN
         residuals.append(residual_noise(state.stages[1].y, clean_w, train_m))
         cfg_rank = dataclasses.replace(run["cfg25"], variant="G-12s")
-        top = rank_sampling(state, cfg_rank.rank_sample_k, cfg_rank)
+        top = rank_sampling(state, cfg_rank)
         top_mask = np.zeros(state.work_ids.size, dtype=bool)
         top_mask[np.searchsorted(state.work_ids, top)] = True
         residuals_top.append(residual_noise(state.stages[1].y, clean_w, top_mask))

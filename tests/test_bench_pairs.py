@@ -1,6 +1,6 @@
-"""scripts/bench_pairs.py: pair parsing, per-metric summaries, the claim rule
-and the recorded command line. The script is loaded by path; nothing here
-runs perfbench."""
+"""scripts/bench_pairs.py: pair parsing, per-metric summaries, the change
+against BENCHMARK.json's bounds, the claim rule and the recorded command
+line. The script is loaded by path; nothing here runs perfbench."""
 
 import importlib.util
 from pathlib import Path
@@ -42,6 +42,29 @@ def test_summarise_counts_ties_for_neither_side(bp):
     assert s["train_s"]["change_wins"] == 0  # all tied
     # higher is better for ok_frac
     assert bp.summarise(runs_of([0.5, 1.0], [1.0, 1.0], "ok_frac"))["ok_frac"]["change_wins"] == 1
+
+
+def test_change_against_the_bound(bp):
+    # the bounds BENCHMARK.json sets: 0.25 on times and memory, 0.05 on ok_frac
+    assert bp.bounds()["train_s"] == 0.25 and bp.bounds()["ok_frac"] == 0.05
+    m = bp.summarise(runs_of([10] * 4, [12] * 4, "train_s"))["train_s"]
+    assert m["worse_by"] == pytest.approx(0.2)
+    assert m["within_bound"] and m["resolved"]
+    m = bp.summarise(runs_of([10] * 4, [13] * 4, "train_s"))["train_s"]
+    assert m["worse_by"] == pytest.approx(0.3) and not m["within_bound"]
+    # a better median reads negative
+    assert bp.summarise(runs_of([10] * 4, [8] * 4, "train_s"))["train_s"]["worse_by"] == \
+        pytest.approx(-0.2)
+    # higher is better for ok_frac: a fall of a tenth is worse by 0.1, past its bound
+    m = bp.summarise(runs_of([1.0] * 4, [0.9] * 4, "ok_frac"))["ok_frac"]
+    assert m["worse_by"] == pytest.approx(0.1) and not m["within_bound"]
+    # overlapping quartile ranges leave the metric unresolved
+    m = bp.summarise(runs_of([9, 10, 11, 12], [10, 11, 12, 13], "train_s"))["train_s"]
+    assert m["worse_by"] == pytest.approx(0.095238, rel=1e-4)
+    assert m["within_bound"] and not m["resolved"]
+    # a parent median of 0 has no relative change; any rise is outside the bound
+    m = bp.summarise(runs_of([0.0] * 2, [0.1] * 2, "setup_s"))["setup_s"]
+    assert m["worse_by"] is None and not m["within_bound"]
 
 
 def test_claim_needs_nine_tenths_of_pairs_and_a_gain_above_the_parent_iqr(bp):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dynglr.cli import main
+from dynglr.metricnet import load_checkpoint
 
 
 @pytest.fixture()
@@ -22,13 +23,13 @@ def toy_data_dir(tmp_path):
 
 
 class TestPrepare:
-    def test_writes_manifest_and_arrays(self, toy_data_dir, tmp_path, capsys):
+    def test_writes_only_the_manifest(self, toy_data_dir, tmp_path, capsys):
         out = tmp_path / "prepared"
         rc = main(["prepare", str(toy_data_dir / "toy.csv"), "--out", str(out)])
         assert rc == 0
         manifest = json.loads((out / "dataset.json").read_text())
         assert manifest["n_nodes"] == 300
-        assert (out / "dataset.npz").exists()
+        assert [p.name for p in out.iterdir()] == ["dataset.json"]
         assert "300 nodes" in capsys.readouterr().out
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
@@ -78,6 +79,33 @@ class TestTrainEvalSpectrumReport:
         out = capsys.readouterr().out
         assert f"test error {recorded:.2f}%" in out
 
+    def test_eval_refuses_a_retired_checkpoint(self, toy_data_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run3"
+        main(["train", "--dataset", "toy", "--variant", "G-2", "--seed", "3",
+              "--out", str(run_dir), "--data-dir", str(toy_data_dir)])
+        path = run_dir / "net_embed.npz"
+        net = load_checkpoint(path)
+        meta = {"version": 3, "in_dim": net.in_dim, "config": {}}
+        arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
+        arrays.update({f"w{k}": w for k, w in enumerate(net.weights)})
+        arrays.update({f"b{k}": b for k, b in enumerate(net.biases)})
+        np.savez(path, **arrays)
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run_dir)]) == 2
+        assert "not a version-2 checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "spectrum"])
+    @pytest.mark.parametrize("missing", ["manifest.json", "state.json"])
+    def test_missing_run_file_is_a_usage_error(self, tmp_path, capsys, command, missing):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name in {"manifest.json", "state.json"} - {missing}:
+            (run_dir / name).write_text("{}\n")
+        argv = [command, "--run", str(run_dir)]
+        rc = main(argv + (["--out", str(tmp_path / "spec.csv")] if command == "spectrum" else []))
+        assert rc == 5
+        assert f"holds no {missing}" in capsys.readouterr().err
+
 
 class TestAblateReport:
     def test_grid_and_report(self, toy_data_dir, tmp_path, capsys):
@@ -105,6 +133,11 @@ class TestAblateReport:
                    "--out", str(report_file)])
         assert rc == 0
         assert report_file.read_text().startswith("dataset,variant")
+
+    def test_report_on_a_missing_file_is_a_parse_error(self, tmp_path, capsys):
+        rc = main(["report", "--grid-results", str(tmp_path / "nope.csv")])
+        assert rc == 3
+        assert "no such file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides", [{"esp1": 0.5}, {"eps1": 0.5, "rank_coverage": 1.0},
                                            {"seed": 3}])

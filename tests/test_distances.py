@@ -1,11 +1,12 @@
 """The distance product and the selections that read it slice by slice.
 
-pairwise_sq_dists finishes its one product in place, a slice at a time, and
-directed_knn, the gamma search and the DML-KNN vote select from each slice
-as it is finished. These tests hold the result to the whole-matrix code it
-replaced, kept here as the oracle, bit for bit: BLAS gives an entry other
-bits when the product's row count changes, so a product split the wrong way
-shows as a changed byte. They also bound the memory a selection holds.
+pairwise_sq_dists takes one product per 512 rows and finishes it in place,
+a slice at a time, and directed_knn, the gamma search and the DML-KNN vote
+select from each slice as it is finished. These tests hold the result to the
+whole-matrix code it replaced, run on the same 512-row chunks and kept here
+as the oracle, bit for bit: BLAS gives an entry other bits when the
+product's row count changes, so a product split the wrong way shows as a
+changed byte. They also bound the memory a selection holds.
 """
 
 import tracemalloc
@@ -13,10 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import blob_dataset, tiny_config
+from conftest import blob_dataset, tiny_config, visited_sq_dists
 from dynglr import graphs, pipeline
 from dynglr.dataio import TEST, TRAIN
-from dynglr.graphs import directed_knn, nearest, nearest_rows, pairwise_sq_dists
+from dynglr.graphs import directed_knn, nearest, nearest_rows
 from dynglr.metricnet import MetricNet
 from dynglr.pipeline import PipelineState, grid_search_gamma
 
@@ -28,6 +29,12 @@ def whole_sq_dists(a, b):
     d = aa + bb - 2.0 * (a @ b.swapaxes(-1, -2))
     np.maximum(d, 0.0, out=d)
     return d
+
+
+def chunked_sq_dists(a, b):
+    """whole_sq_dists of each 512-row chunk of the (C, m, f) stack a, joined."""
+    return np.concatenate([whole_sq_dists(a[:, s:s + 512], b)
+                           for s in range(0, a.shape[1], 512)], axis=1)
 
 
 def whole_directed_knn(embeddings, gamma, blocks=1):
@@ -81,17 +88,15 @@ class TestOracle:
         """A 2,759 x 16 working set: six 512-row chunks, each finished and
         selected in slices of 23 rows."""
         emb, gamma = embedding_with_ties(2759, 16, seed=0)
-        for start in range(0, 2759, graphs._DIST_CHUNK):
-            chunk = emb[None, start:start + graphs._DIST_CHUNK]
-            assert same_bytes(pairwise_sq_dists(chunk, emb[None]),
-                              whole_sq_dists(chunk, emb[None]))
+        assert same_bytes(visited_sq_dists(emb[None], emb[None]),
+                          chunked_sq_dists(emb[None], emb[None]))
         assert same_bytes(directed_knn(emb, gamma), whole_directed_knn(emb, gamma))
 
     def test_stack_equals_whole_matrix_code(self):
         """Ten 100-node blocks, two slices of whole blocks."""
         emb, gamma = embedding_with_ties(1000, 16, seed=1)
         stacked = emb.reshape(10, 100, 16)
-        assert same_bytes(pairwise_sq_dists(stacked, stacked), whole_sq_dists(stacked, stacked))
+        assert same_bytes(visited_sq_dists(stacked, stacked), whole_sq_dists(stacked, stacked))
         assert same_bytes(directed_knn(emb, gamma, 10), whole_directed_knn(emb, gamma, 10))
 
     def test_stack_in_slices_of_whole_blocks(self, monkeypatch):
@@ -105,7 +110,8 @@ class TestOracle:
     def test_gamma_search_product_equals_whole_matrix_code(self):
         emb, _ = embedding_with_ties(2759, 16, seed=3)
         val, train = emb[::5], np.delete(emb, np.s_[::5], axis=0)
-        assert same_bytes(pairwise_sq_dists(val, train), whole_sq_dists(val, train))
+        assert same_bytes(visited_sq_dists(val[None], train[None]),
+                          chunked_sq_dists(val[None], train[None]))
 
 
 class TestSlicedNearest:

@@ -452,6 +452,25 @@ class TestSpectrum:
         with pytest.raises(ValidationError, match=fr"signal of shape \({n - 1},\) on a {n}-node"):
             gft_spectrum(lap, np.zeros(n - 1))
 
+    def test_stack_of_blocks_refused(self):
+        emb = np.random.default_rng(17).normal(size=(30, 3))
+        lap = build_laplacian(knn_edges(emb, 3, 3))
+        assert lap.shape == (30, 10)
+        with pytest.raises(ValidationError, match=r"one block, got a \(30, 10\) stack"):
+            gft_spectrum(lap, np.zeros(30))
+
+    @pytest.mark.parametrize("n", [20, graphs.DENSE_BACKING_MAX + 10], ids=["dense", "edges"])
+    def test_one_block_spectrum_on_either_backing(self, n):
+        rng = np.random.default_rng(18)
+        emb = rng.normal(size=(n, 3))
+        g = kernel_graph(knn_edges(emb, 3), emb, 1.0)
+        signal = rng.normal(size=n)
+        eigvals, mags = gft_spectrum(build_laplacian(g), signal)
+        w = dense(g)
+        np.testing.assert_allclose(eigvals, np.linalg.eigvalsh(np.diag(w.sum(axis=1)) - w),
+                                   atol=1e-9)
+        assert np.sum(mags**2) == pytest.approx(np.sum(signal**2), rel=1e-9)
+
     def test_node_guard(self):
         none = np.zeros(0, dtype=np.int64)
         big = graphs.Graph(none, none, np.zeros(0), np.ones(4001, dtype=np.int64))

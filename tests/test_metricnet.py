@@ -510,6 +510,29 @@ def older_v2_meta(net, **retired):
     return {"version": 2, "in_dim": net.in_dim, "config": config}
 
 
+def version_1_meta(net):
+    """The flat meta of the first release, without weight decay."""
+    return {"version": 1, "in_dim": net.in_dim, "layer_widths": list(net.config.layer_widths),
+            "embedding_dim": net.config.embedding_dim, "shallow_tap_index": 0,
+            "skip_to_layer": None, "lr_start": 0.02, "lr_end": 0.01, "epochs": 60,
+            "seed": net.config.seed, "adam_t": 0, "rng_state": None}
+
+
+def retired_meta(net, layout):
+    """A meta block in a layout load_checkpoint refuses."""
+    current = {"version": 2, "in_dim": net.in_dim, "config": dataclasses.asdict(net.config)}
+    config = current["config"]
+    return {"version-1": version_1_meta(net),
+            "version-3": {**current, "version": 3},
+            "adam-keys": {**current, "config": {**config, "adam_beta1": 0.9}},
+            "missing-field": {**current, "config": {k: v for k, v in config.items()
+                                                    if k != "weight_decay"}},
+            "older-v2": older_v2_meta(net)}[layout]
+
+
+RETIRED_LAYOUTS = ("version-1", "version-3", "adam-keys", "missing-field", "older-v2")
+
+
 @st.composite
 def net_configs(draw):
     widths = tuple(draw(st.lists(st.integers(1, 6), max_size=3)))
@@ -530,21 +553,25 @@ class TestCheckpoint:
         x = rng.normal(size=(5, in_dim))
         with tempfile.TemporaryDirectory() as tmp:
             save_checkpoint(net, Path(tmp) / "net.npz")
-            write_checkpoint(Path(tmp) / "older.npz", older_v2_meta(net), net)
-            for name in ("net.npz", "older.npz"):
-                loaded = load_checkpoint(Path(tmp) / name)
-                assert loaded.config == config
-                for got, want in zip(loaded.forward_batch(x), net.forward_batch(x)):
-                    assert np.array_equal(got, want)
+            loaded = load_checkpoint(Path(tmp) / "net.npz")
+        assert loaded.config == config
+        for got, want in zip(loaded.forward_batch(x), net.forward_batch(x)):
+            assert np.array_equal(got, want)
 
     def test_tap_off_the_last_hidden_layer_refused(self, tmp_path):
         net = MetricNet(3, NetConfig(layer_widths=(4, 3), embedding_dim=2))
         write_checkpoint(tmp_path / "net.npz", older_v2_meta(net, shallow_tap_index=0), net)
-        with pytest.raises(ConfigError, match="shallow tap at layer 0"):
+        with pytest.raises(ConfigError, match="not a version-2 checkpoint"):
             load_checkpoint(tmp_path / "net.npz")
-        # the adaptive-moment constants only shaped training
-        write_checkpoint(tmp_path / "adam.npz", older_v2_meta(net, adam_beta1=0.8), net)
-        assert load_checkpoint(tmp_path / "adam.npz").config == net.config
+
+    @pytest.mark.parametrize("layout", RETIRED_LAYOUTS)
+    def test_retired_layout_refused(self, tmp_path, layout):
+        """Only the layout save_checkpoint writes loads: no other version, and
+        a config with exactly NetConfig's fields."""
+        net = MetricNet(3, NetConfig(layer_widths=(4,), embedding_dim=2, seed=17))
+        write_checkpoint(tmp_path / "net.npz", retired_meta(net, layout), net)
+        with pytest.raises(ConfigError, match="not a version-2 checkpoint"):
+            load_checkpoint(tmp_path / "net.npz")
 
     def test_roundtrip(self, tmp_path):
         cfg = NetConfig(layer_widths=(4, 3), embedding_dim=2, seed=14, skip_to_layer=1)
@@ -566,14 +593,3 @@ class TestCheckpoint:
         net = MetricNet(7, cfg)
         save_checkpoint(net, tmp_path / "net.npz")
         assert load_checkpoint(tmp_path / "net.npz").config == net.config
-
-    def test_version_1_checkpoint_loads(self, tmp_path):
-        # the layout earlier releases wrote: a flat meta without weight decay
-        net = MetricNet(3, NetConfig(layer_widths=(4,), embedding_dim=2, seed=17))
-        meta = {"version": 1, "in_dim": 3, "layer_widths": [4], "embedding_dim": 2,
-                "shallow_tap_index": 0, "skip_to_layer": None, "lr_start": 0.02,
-                "lr_end": 0.01, "epochs": 60, "seed": 17, "adam_t": 0, "rng_state": None}
-        write_checkpoint(tmp_path / "v1.npz", meta, net)
-        loaded = load_checkpoint(tmp_path / "v1.npz")
-        x = np.random.default_rng(18).normal(size=(4, 3))
-        np.testing.assert_array_equal(loaded.forward_batch(x)[0], net.forward_batch(x)[0])

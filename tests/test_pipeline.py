@@ -10,9 +10,8 @@ from conftest import blob_dataset, dense, kernel_graph, tiny_config
 from dynglr import dataio, pipeline
 from dynglr.dataio import TRAIN, VAL, TEST
 from dynglr.errors import ConfigError, SamplingError, TrainingError, UsageError
-from dynglr.graphs import (Graph, knn_edges, pairwise_sq_dists,
-                           surviving_edge_budgets)
-from dynglr.metricnet import node_attention_matrix
+from dynglr.graphs import Graph, knn_edges, surviving_edge_budgets
+from dynglr.metricnet import MetricNet, node_attention_matrix
 from dynglr.pipeline import (PipelineConfig, PipelineState, build_batches,
                              grid_search_gamma, load_state, node_phi, parse_variant,
                              predict, rank_sampling, run_chain, run_variant, save_state,
@@ -201,7 +200,7 @@ class TestGammaGrid:
                                    labels[val_pos], candidates=(2, 4, 6, 8))
         # several budgets reach perfect accuracy; brute-force confirms and the
         # tie breaks to the smallest candidate
-        d = pairwise_sq_dists(emb[val_pos], emb[train_pos])
+        d = ((emb[val_pos][:, None] - emb[train_pos][None]) ** 2).sum(axis=2)
         nn2 = np.argsort(d, axis=1)[:, :2]
         assert (np.sign(labels[train_pos][nn2].sum(axis=1)) == labels[val_pos]).all()
         assert picked == 2
@@ -365,6 +364,48 @@ class TestRunVariant:
             run_variant(blobs, tiny_config("G-12", seed=7))
 
 
+def logged(caplog, template):
+    """The arguments of each dynglr.pipeline record with the given message template."""
+    return [r.args for r in caplog.records if r.name == "dynglr.pipeline" and r.msg == template]
+
+
+class TestStageTraining:
+    """The skip paths every stage's training shares: a skipped batch is logged
+    by the templates perfbench counts, takes no step, and an epoch whose
+    batches were all skipped records a 0.0 loss."""
+
+    def test_single_class_signal_skips_every_batch(self, blobs, caplog):
+        ds = dataclasses.replace(blobs, noisy_labels=np.ones(blobs.n_nodes))
+        cfg = tiny_config("G-2", seed=3)
+        state = PipelineState.fresh(ds, cfg)
+        inputs = ds.features[state.work_ids]
+        untrained = MetricNet(inputs.shape[1], cfg.net_config("embed"))
+        with caplog.at_level("INFO", logger="dynglr.pipeline"):
+            net = pipeline.run_stage_gnet(state, inputs)
+        epochs = cfg.net_config("embed").epochs
+        assert logged(caplog, "%s: single-class batch skipped (epoch %d)") == [
+            ("embed", e) for e in range(epochs) for _ in range(pipeline.GRAPHS_PER_EPOCH)]
+        assert state.stage_losses["embed"] == [0.0] * epochs
+        assert state.nets["embed"] is net
+        for got, init in zip(net.parameters(), untrained.parameters(), strict=True):
+            assert np.array_equal(got, init)
+
+    def test_weighting_batch_without_opposite_edges_skipped(self, blobs, caplog):
+        cfg = tiny_config("G-12", seed=3)
+        state = PipelineState.fresh(blobs, cfg)
+        y_prev = blobs.noisy_labels[state.work_ids]
+        # the classes 100 apart and one neighbor each: every edge joins one class
+        emb = 100.0 * y_prev[:, None] + np.random.default_rng(3).normal(size=(y_prev.size, 2))
+        gamma = np.ones(y_prev.size, dtype=np.int64)
+        with caplog.at_level("INFO", logger="dynglr.pipeline"):
+            pipeline.run_stage_wnet(state, 1, blobs.features[state.work_ids], emb, gamma, y_prev)
+        epochs = cfg.net_config("weight1").epochs
+        assert logged(caplog, "%s: batch without both edge classes skipped (epoch %d)") == [
+            ("weight1", e) for e in range(epochs) for _ in range(pipeline.GRAPHS_PER_EPOCH)]
+        assert not logged(caplog, "%s: single-class batch skipped (epoch %d)")
+        assert state.stage_losses["weight1"] == [0.0] * epochs
+
+
 class TestChain:
     @pytest.mark.parametrize("chain", ["G-2", "G-12", "G-1232", "G-12312"])
     def test_replay_reproduces_training_records(self, blobs, chain):
@@ -513,12 +554,12 @@ class TestRankSampling:
     def test_clamp_rule(self, blobs, trained_g12):
         state, cfg = trained_g12
         # train size 120: k > M -> largest multiple of 6 at or below 72
-        selected = rank_sampling(state, k=500, cfg=cfg)
+        selected = rank_sampling(state, dataclasses.replace(cfg, rank_sample_k=504))
         assert selected.size == 72
 
     def test_returns_sorted_train_subset(self, blobs, trained_g12):
         state, cfg = trained_g12
-        selected = rank_sampling(state, k=48, cfg=cfg)
+        selected = rank_sampling(state, dataclasses.replace(cfg, rank_sample_k=48))
         assert selected.size == 48
         assert np.array_equal(selected, np.sort(selected))
         assert np.isin(selected, blobs.indices(TRAIN)).all()
@@ -528,12 +569,13 @@ class TestRankSampling:
         # 120 train nodes: 0.6 * 120 = 72 holds no batch of 80 references
         cfg = tiny_config("G-12s", seed=7, rank_sample_k=160, rank_sample_batches=80)
         with pytest.raises(SamplingError, match="fewer than"):
-            rank_sampling(state, cfg=cfg)
+            rank_sampling(state, cfg)
 
     def test_deterministic(self, blobs, trained_g12):
         state, cfg = trained_g12
-        a = rank_sampling(state, k=24, cfg=cfg)
-        b = rank_sampling(state, k=24, cfg=cfg)
+        cfg = dataclasses.replace(cfg, rank_sample_k=24)
+        a = rank_sampling(state, cfg)
+        b = rank_sampling(state, cfg)
         assert np.array_equal(a, b)
 
 

@@ -12,12 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import dense, edge_pairs, edge_sq, kernel_graph, kernel_margin, pair_graph
+from conftest import (dense, edge_pairs, edge_sq, kernel_graph, kernel_margin, pair_graph,
+                      visited_sq_dists)
 from dynglr import graphs
 from dynglr.glr import denoise
 from dynglr.graphs import (EdgeLaplacian, assign_weights, auto_sigma, build_laplacian,
-                           directed_knn, graph_update, knn_edges, nearest,
-                           pairwise_sq_dists, partition_edges)
+                           directed_knn, graph_update, knn_edges, nearest, partition_edges)
 
 # fixed example sequence, so a failure reproduces on every run
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -75,7 +75,7 @@ def loop_directed_knn(emb, gamma):
     rows, cols = [], []
     for start in range(0, n, 512):
         stop = min(start + 512, n)
-        d = pairwise_sq_dists(emb[start:stop], emb)
+        d = visited_sq_dists(emb[None, start:stop], emb[None])[0]
         for local, i in enumerate(range(start, stop)):
             d[local, i] = np.inf
             chosen = np.argsort(d[local], kind="stable")[: gamma[i]]
