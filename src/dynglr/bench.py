@@ -49,8 +49,6 @@ def error_rate(pred: np.ndarray, truth: np.ndarray) -> float:
 def mean_edge_weight_proportion(g: Graph, labels_clean: np.ndarray) -> float:
     """Total weight on opposite-label edges over the count of positive-weight
     edges; a graph-cleanliness diagnostic (clean labels, evaluation only)."""
-    if not g.upper.any():
-        return 0.0
     w = g.weights[g.upper]
     opposite = labels_clean[g.rows[g.upper]] != labels_clean[g.cols[g.upper]]
     positive = w > 0
@@ -142,15 +140,12 @@ class Report:
         rows = _row_order(means)
         lines = []
         for dataset_id in dict.fromkeys(d for d, _ in rows):
-            lines.append(f"## {dataset_id}")
-            header = "| variant | " + " | ".join(f"{100 * nz:g}%" for nz in noises) + " |"
-            lines.append(header)
-            lines.append("|" + "---|" * (len(noises) + 1))
+            lines += [f"## {dataset_id}",
+                      "| variant | " + " | ".join(f"{100 * nz:g}%" for nz in noises) + " |",
+                      "|" + "---|" * (len(noises) + 1)]
             for variant in (v for d, v in rows if d == dataset_id):
-                cells = []
-                for nz in noises:
-                    val = means.get((dataset_id, variant, nz))
-                    cells.append(f"{val:.2f}" if val is not None else "-")
+                vals = [means.get((dataset_id, variant, nz)) for nz in noises]
+                cells = [f"{v:.2f}" if v is not None else "-" for v in vals]
                 lines.append(f"| {variant} | " + " | ".join(cells) + " |")
             lines.append("")
         return "\n".join(lines)
@@ -267,8 +262,8 @@ def run_grid(grid: ExperimentGrid, out_csv, config_overrides: dict | None = None
                 logger.info("dataset %s from %s (N=%d)", dataset_id, source,
                             datasets[dataset_id].n_nodes)
             seed = cell_seed(grid.base_seed, dataset_id, noise, repeat)
-            row = {"dataset": dataset_id, "noise": f"{noise:g}", "repeat": repeat,
-                   "variant": variant, "seed": seed}
+            row = {**dict.fromkeys(RESULT_FIELDS, ""), "dataset": dataset_id,
+                   "noise": f"{noise:g}", "repeat": repeat, "variant": variant, "seed": seed}
             try:
                 ds_cell = prepare_cell(datasets[dataset_id], grid, dataset_id,
                                        noise, repeat)
@@ -280,9 +275,7 @@ def run_grid(grid: ExperimentGrid, out_csv, config_overrides: dict | None = None
                            diag_rho=result["diag_rho"])
             except Exception as exc:  # cell isolation: record and continue
                 logger.exception("cell %s failed", (dataset_id, noise, repeat, variant))
-                row.update(status=f"error:{type(exc).__name__}", error_rate="",
-                           n_test="", runtime_s="", diag_residual_noise="",
-                           diag_rho="")
+                row["status"] = f"error:{type(exc).__name__}"
             writer.writerow(row)
             fh.flush()
             rows[dataset_id, noise, repeat, variant] = {k: str(v) for k, v in row.items()}

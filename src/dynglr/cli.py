@@ -67,7 +67,9 @@ def _reload_run(run: str):
     for name in ("manifest.json", "state.json"):
         if not (run_path / name).is_file():
             raise UsageError(f"{run_path} holds no {name}; pass a directory written by train")
-    manifest = json.loads((run_path / "manifest.json").read_text())
+    manifest = dataio.read_manifest(run_path / "manifest.json", (
+        "dataset.dataset_id", "dataset.noise.rate", "dataset.noise.seed", "seed", "variant",
+        "test_error_rate"))
     dataset_id = manifest["dataset"]["dataset_id"]
     seed = manifest["seed"]
     ds, _ = bench.load_dataset(dataset_id, manifest.get("data_dir"), seed=seed,

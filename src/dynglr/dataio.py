@@ -233,6 +233,21 @@ def write_manifest(manifest: dict, path) -> None:
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def read_manifest(path, keys) -> dict:
+    """The JSON object at path; ConfigError names the file and any key (a dotted path) it lacks."""
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not JSON: {exc}") from None
+    for key in keys:
+        node = manifest
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise ConfigError(f"{path} has no {key!r}")
+            node = node[part]
+    return manifest
+
+
 # Published shapes of the three benchmark tables, used when the real CSVs are
 # not on disk: (rows, feature columns, positive-class fraction, class margin,
 # cluster spread). Margins are calibrated so a 7-NN vote on the standardized

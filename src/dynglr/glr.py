@@ -3,16 +3,14 @@
 The smoothed signal minimizes ||y - b||^2 + mu * b' L b, an unconstrained
 convex quadratic whose unique minimizer solves (I + mu L) b = y. The system
 is symmetric positive definite; choosing mu <= (kappa - 1) / (2 d_max) keeps
-its spectral condition number at or below kappa, so plain conjugate gradients
-converge fast and stably; a solve that fails to converge raises SolverError.
-One CG loop solves each block of a block-diagonal graph with its own d_max,
-mu, step sizes and residual test; a converged block steps by 0, as if alone.
-On an edge list, (I + mu L) v is one np.bincount, adding rows as csr does.
+its spectral condition number at or below kappa. A dense stack of blocks is
+solved exactly by one batched np.linalg.solve, an edge list by conjugate
+gradients, whose product (I + mu L) v is one np.bincount, adding rows as csr
+does. A residual above SOLVER_TOL raises SolverError.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -23,7 +21,7 @@ from .graphs import EdgeLaplacian
 # the paper's condition bound, and the share of the largest mu it allows
 KAPPA = 60.0
 MU_FRACTION = 0.67
-# CG stops at this relative residual, or after MAX_ITER_FACTOR * N iterations
+# a solve must reach this relative residual; CG gets MAX_ITER_FACTOR * N iterations
 SOLVER_TOL = 1e-10
 MAX_ITER_FACTOR = 10
 
@@ -43,12 +41,15 @@ def denoise(laplacian: np.ndarray | EdgeLaplacian, y_prev: np.ndarray,
             mu: float | None = None, residual_log: list | None = None) -> np.ndarray:
     """Solve (I + mu L) y = y_prev with mu = MU_FRACTION * mu_max(KAPPA, d_max).
 
-    L is an EdgeLaplacian or a dense (C*b, b) stack of C blocks of b nodes,
-    and CG runs on I + mu L in the same backing. Each block's d_max is its
-    largest degree; an explicit nonnegative mu overrides every block's (0 is
-    the identity), and edgeless blocks keep their signal. residual_log gets
-    the largest relative residual of each residual test. Raises SolverError
-    if a block misses SOLVER_TOL after MAX_ITER_FACTOR * b iterations.
+    L is a dense (C*b, b) stack of C blocks of b nodes, each block solved
+    directly to the bits it gets alone, or an EdgeLaplacian, solved by CG.
+    Each block's d_max is its largest degree; an explicit nonnegative mu
+    overrides every block's (0 is the identity), and edgeless blocks keep
+    their signal. residual_log gets the largest relative residual over the
+    blocks of each residual test: CG's, one per iteration; a direct solve's,
+    one before it (a block that passes keeps its signal) and one after it.
+    Raises SolverError if a block misses SOLVER_TOL (CG gets MAX_ITER_FACTOR * b
+    iterations).
     """
     y_prev = np.asarray(y_prev, dtype=np.float64)
     if not np.all(np.isfinite(y_prev)):
@@ -70,49 +71,51 @@ def denoise(laplacian: np.ndarray | EdgeLaplacian, y_prev: np.ndarray,
         return y_prev.copy()
     mu = np.full(c, mu) if mu is not None else np.array(
         [MU_FRACTION * mu_max(KAPPA, float(d)) if d else 0.0 for d in d_max])
-    # one block runs on a vector with float steps (numpy's scalar fast path), a stack on rows
-    shape = (c, b) if c > 1 else (n,)
-    if edge_list:
+    log = residual_log.append if residual_log is not None else lambda residual: None
+    if edge_list:  # conjugate gradients on one system, from x = y_prev
         system = mu[0] * laplacian.values
         system[diag] += 1.0
         matvec = lambda v: np.bincount(laplacian.rows, system * v[laplacian.cols], minlength=n)
-    else:
-        system = mu[:, None] * lap
-        system[:, ::b + 1] += 1.0
-        matvec = functools.partial(np.matvec, system.reshape(shape[:-1] + (b, b)))
-    col = (lambda a: a[:, None]) if c > 1 else float
-    y = y_prev.reshape(shape)
-    b_norm = np.sqrt(np.vecdot(y, y))
-    bound = SOLVER_TOL * b_norm
-    scale = np.where(b_norm > 0.0, b_norm, 1.0)
-    x, r = y.copy(), y - matvec(y)
-    d, rr = r.copy(), np.vecdot(r, r)
-    iters = MAX_ITER_FACTOR * b
-    # a converged block's step sizes may be 0/0 before they are zeroed
-    with np.errstate(divide="ignore", invalid="ignore"):
+        b_norm = np.sqrt(np.vecdot(y_prev, y_prev))
+        scale = b_norm if b_norm > 0.0 else 1.0
+        x, r = y_prev.copy(), y_prev - matvec(y_prev)
+        d, rr = r.copy(), np.vecdot(r, r)
+        iters = MAX_ITER_FACTOR * n
         for it in range(iters + 1):
             res = np.sqrt(rr)
-            if residual_log is not None:
-                residual_log.append(float((res / scale).max()))
-            done = res <= bound
-            n_done = np.count_nonzero(done)
-            if n_done == c:
-                return x.reshape(n)
+            log(float(res / scale))
+            if res <= SOLVER_TOL * b_norm:
+                return x
             if it == iters:
                 break
             sd = matvec(d)
-            alpha = rr / np.vecdot(d, sd)
-            if n_done:
-                alpha[done] = 0.0
-            x += col(alpha) * d
-            r -= col(alpha) * sd
+            alpha = float(rr / np.vecdot(d, sd))
+            x += alpha * d
+            r -= alpha * sd
             rr_next = np.vecdot(r, r)
-            beta = rr_next / rr
-            if n_done:
-                beta[done] = 0.0
-            d = r + col(beta) * d
+            d = r + float(rr_next / rr) * d
             rr = rr_next
-    r = y - matvec(x)
-    residual = (np.sqrt(np.vecdot(r, r)) / scale)[~done].max()
-    raise SolverError(f"CG did not converge on N={b} nodes in {iters} iterations "
-                      f"(relative residual {residual:.3g})")
+        raise SolverError(f"CG did not converge on N={n} nodes in {iters} iterations "
+                          f"(relative residual {np.linalg.norm(y_prev - matvec(x)) / scale:.3g})")
+    system = mu[:, None] * lap
+    system[:, ::b + 1] += 1.0
+    system = system.reshape(c, b, b)
+    y = y_prev.reshape(c, b)
+    scale = np.sqrt(np.vecdot(y, y))
+    scale[scale == 0.0] = 1.0
+
+    def residual(x):
+        r = y - np.matvec(system, x)
+        res = np.sqrt(np.vecdot(r, r)) / scale
+        log(float(res.max()))
+        return res
+
+    kept = residual(y) <= SOLVER_TOL
+    if kept.all():
+        return y_prev.copy()
+    x = np.linalg.solve(system, y[..., None])[..., 0]  # LAPACK gesv, block by block
+    x[kept] = y[kept]
+    worst = residual(x).max()
+    if not worst <= SOLVER_TOL:  # NaN included
+        raise SolverError(f"direct solve failed on N={b} nodes (relative residual {worst:.3g})")
+    return x.reshape(n)

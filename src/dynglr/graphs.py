@@ -45,12 +45,12 @@ _DIST_CHUNK = 512
 _SLICE_ENTRIES = 2**16
 # largest graph for which the spectrum's dense (N, N) eigendecomposition runs
 DENSE_NODE_GUARD = 4000
-# largest block whose Laplacian is dense instead of an edge list, and of a
-# graph of several blocks; batch graphs and frozen-chain blocks have 100-120
-# nodes. One Laplacian build and denoise (16-dim embeddings, gamma 10, BLAS on
-# 1 thread, medians of three probes of 20 calls) took dense 0.40 vs edge list
-# 0.65 ms at 100 nodes and 0.49 vs 0.74 at 150; the two were even at 200-250,
-# and the edge list was faster from 300. No workload graph has 151-2,758 nodes.
+# largest block whose Laplacian is dense (solved directly) instead of an edge
+# list (CG), and of a graph of several blocks; batch graphs and frozen-chain
+# blocks have 100-120 nodes. One Laplacian build and denoise (16-dim
+# embeddings, gamma 10, BLAS on 1 thread, medians of three probes of 20 calls)
+# took dense 0.32 vs edge list 1.0 ms at 100 nodes and 0.73-0.88 vs 1.26-1.31
+# at 150; the edge list was faster from 250. No workload graph has 151-2,758 nodes.
 DENSE_BACKING_MAX = 150
 
 

@@ -312,10 +312,8 @@ def save_checkpoint(net: MetricNet, path) -> None:
     """Versioned npz checkpoint: input width, full NetConfig, parameters."""
     meta = {"version": 2, "in_dim": net.in_dim, "config": asdict(net.config)}
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
-    for k, w in enumerate(net.weights):
-        arrays[f"w{k}"] = w
-    for k, b in enumerate(net.biases):
-        arrays[f"b{k}"] = b
+    arrays.update({f"w{k}": w for k, w in enumerate(net.weights)})
+    arrays.update({f"b{k}": b for k, b in enumerate(net.biases)})
     np.savez(path, **arrays)
 
 

@@ -27,7 +27,6 @@ graphs per epoch; test nodes never appear in training.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import numbers
@@ -256,15 +255,9 @@ def grid_search_gamma(embeddings: np.ndarray, train_pos: np.ndarray,
     if not (len(train_pos) and len(val_pos)):
         raise SamplingError(f"gamma search: {len(train_pos)} train, {len(val_pos)} val nodes")
     order = nearest_rows(embeddings[val_pos], embeddings[train_pos], candidates[-1])
-    best_gamma, best_acc = None, -1.0
-    for gamma in candidates:
-        nn = order[:, :gamma]
-        votes = train_labels[nn].sum(axis=1)
-        pred = np.where(votes >= 0, 1.0, -1.0)
-        acc = float(np.mean(pred == np.sign(val_labels)))
-        if acc > best_acc:
-            best_gamma, best_acc = gamma, acc
-    return best_gamma
+    acc = [np.mean(np.where(train_labels[order[:, :gamma]].sum(axis=1) >= 0, 1.0, -1.0)
+                   == np.sign(val_labels)) for gamma in candidates]
+    return candidates[int(np.argmax(acc))]  # the first of equal maxima
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +465,9 @@ def _stratified_train_sample(ds: Dataset, size: int, rng) -> np.ndarray:
 def _stratified_batches(ids: np.ndarray, labels: np.ndarray, n_batches: int,
                         rng) -> list[np.ndarray]:
     """Deal ids into n_batches groups, class-balanced, shuffled per class."""
-    groups = [[] for _ in range(n_batches)]
-    for cls in (1, -1):
-        members = ids[labels == cls]
-        members = members[rng.permutation(members.size)]
-        for k, node in enumerate(members):
-            groups[k % n_batches].append(node)
-    return [np.asarray(g, dtype=np.int64) for g in groups]
+    dealt = [m[rng.permutation(m.size)] for m in (ids[labels == 1], ids[labels == -1])]
+    return [np.concatenate([m[k::n_batches] for m in dealt]).astype(np.int64)
+            for k in range(n_batches)]
 
 
 def _reference_sets(state: PipelineState, cfg: PipelineConfig, chain: str,
@@ -665,7 +654,7 @@ def load_state(run_dir, ds: Dataset, cfg: PipelineConfig) -> PipelineState:
     variant's chain on the working set. Other files in the directory are
     ignored."""
     run_dir = Path(run_dir)
-    meta = json.loads((run_dir / "state.json").read_text())
+    meta = dataio.read_manifest(run_dir / "state.json", ("gamma0", "variant"))
     state = PipelineState.fresh(ds, cfg)
     state.gamma0 = meta["gamma0"]
     for path in sorted(run_dir.glob("net_*.npz")):

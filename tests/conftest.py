@@ -33,6 +33,15 @@ def dense(m) -> np.ndarray:
     return m.toarray() if sp.issparse(m) else np.asarray(m)
 
 
+def edge_laplacian(lap) -> EdgeLaplacian:
+    """A Laplacian's nonzero entries and every diagonal entry, zeros included,
+    in row-major order: the edge-list form, which denoise solves by CG at any
+    node count."""
+    m = dense(lap)
+    rows, cols = np.nonzero((m != 0) | np.eye(len(m), dtype=bool))
+    return EdgeLaplacian(rows, cols, m[rows, cols], len(m))
+
+
 def visited_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The (C, m, n) distances of (C, m, f) and (C, n, f) stacks, assembled
     from the slices pairwise_sq_dists hands its visitor."""

@@ -106,6 +106,29 @@ class TestTrainEvalSpectrumReport:
         assert rc == 5
         assert f"holds no {missing}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("{}\n", "has no 'dataset.dataset_id'"),
+        ("[1, 2]\n", "has no 'dataset.dataset_id'"),
+        ('{"dataset": {"dataset_id": "toy", "noise": {}}}\n', "has no 'dataset.noise.rate'"),
+        ("{not json\n", "is not JSON"),
+    ], ids=["empty", "not-an-object", "no-noise-rate", "not-json"])
+    def test_malformed_manifest_is_a_config_error(self, tmp_path, capsys, text, message):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(text)
+        (run_dir / "state.json").write_text("{}\n")
+        assert main(["eval", "--run", str(run_dir)]) == 2
+        assert f"manifest.json {message}" in capsys.readouterr().err
+
+    def test_malformed_state_is_a_config_error(self, toy_data_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run4"
+        main(["train", "--dataset", "toy", "--variant", "G-2", "--seed", "4",
+              "--out", str(run_dir), "--data-dir", str(toy_data_dir)])
+        (run_dir / "state.json").write_text('{"variant": "G-2"}\n')
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run_dir)]) == 2
+        assert "state.json has no 'gamma0'" in capsys.readouterr().err
+
 
 class TestAblateReport:
     def test_grid_and_report(self, toy_data_dir, tmp_path, capsys):

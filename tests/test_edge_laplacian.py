@@ -94,12 +94,14 @@ def test_denoise_equals_csr_cg():
 
 
 def test_runtime_does_not_import_scipy():
-    """Importing the command line and solving a working-set-size system loads no scipy module."""
+    """Importing the command line and solving a working-set-size system, a 100-node
+    dense system and a 10-block stack loads no scipy module."""
     code = ("import sys, numpy as np, dynglr.cli\n"
             "from dynglr import glr, graphs\n"
-            "emb = np.random.default_rng(0).normal(size=(400, 4))\n"
-            "g = graphs.knn_edges(emb, 5)\n"
-            "glr.denoise(graphs.build_laplacian(g), np.sign(emb[:, 0]))\n"
+            "emb = np.random.default_rng(0).normal(size=(1000, 4))\n"
+            "for n, blocks in ((400, 1), (100, 1), (1000, 10)):\n"
+            "    g = graphs.knn_edges(emb[:n], 5, blocks)\n"
+            "    glr.denoise(graphs.build_laplacian(g), np.sign(emb[:n, 0]))\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
     src = str(Path(dynglr.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

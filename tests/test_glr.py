@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import dense, kernel_graph
+from conftest import dense, edge_laplacian, kernel_graph
 from dynglr import glr, graphs
 from dynglr.errors import SolverError, ValidationError
-from dynglr.glr import KAPPA, MU_FRACTION, denoise, mu_max
-from dynglr.graphs import build_laplacian, knn_edges
+from dynglr.glr import KAPPA, MU_FRACTION, SOLVER_TOL, denoise, mu_max
+from dynglr.graphs import EdgeLaplacian, build_laplacian, knn_edges
 
 
 def default_mu(lap):
@@ -82,9 +82,10 @@ class TestDenoise:
             y = rng.uniform(-1, 1, n)
             system = np.eye(n) + default_mu(lap) * dense(lap)
             expected = np.linalg.solve(system, y)
-            got = denoise(lap, y)
-            rel = np.linalg.norm(got - expected) / np.linalg.norm(expected)
-            assert rel <= 1e-8
+            # the Laplacian's own backing, and CG on its edge-list form
+            for got in (denoise(lap, y), denoise(edge_laplacian(lap), y)):
+                rel = np.linalg.norm(got - expected) / np.linalg.norm(expected)
+                assert rel <= 1e-8
 
     def test_output_bounded_by_input_range(self):
         rng = np.random.default_rng(4)
@@ -118,26 +119,44 @@ class TestDenoise:
     def test_residual_log_written(self):
         rng = np.random.default_rng(7)
         lap = random_weighted_laplacian(rng, 25)
+        y = rng.uniform(-1, 1, 25)
+        # CG on the edge-list form logs one residual test per iteration
         residuals = []
-        denoise(lap, rng.uniform(-1, 1, 25), residual_log=residuals)
-        assert residuals and residuals[-1] <= residuals[0]
+        denoise(edge_laplacian(lap), y, residual_log=residuals)
+        assert len(residuals) > 2 and residuals[-1] <= min(residuals[0], SOLVER_TOL)
+        # a direct solve logs its test before and after the solve
+        residuals = []
+        denoise(lap, y, residual_log=residuals)
+        assert len(residuals) == 2 and residuals[-1] <= SOLVER_TOL
 
-    @pytest.mark.parametrize("n, blocks", [(30, 1), (graphs.DENSE_BACKING_MAX + 1, 1), (30, 3)],
-                             ids=["dense", "edges", "stack"])
-    def test_unconverged_cg_raises(self, monkeypatch, caplog, n, blocks):
+    @pytest.mark.parametrize("n", [graphs.DENSE_BACKING_MAX + 1], ids=["edges"])
+    def test_unconverged_cg_raises(self, monkeypatch, caplog, n):
         monkeypatch.setattr(glr, "MAX_ITER_FACTOR", 0)  # CG stops before its first step
         rng = np.random.default_rng(8)
-        laps = [random_weighted_laplacian(rng, n) for _ in range(blocks)]
-        assert isinstance(laps[0], np.ndarray) == (n <= graphs.DENSE_BACKING_MAX)
-        ys = [rng.uniform(-1, 1, n) for _ in range(blocks)]
-        # with no CG step the iterate is still y, so its residual is mu ||L y|| / ||y||;
-        # a stack reports its worst block
-        residual = max(default_mu(lap) * np.linalg.norm(dense(lap) @ y) / np.linalg.norm(y)
-                       for lap, y in zip(laps, ys))
-        lap = laps[0] if blocks == 1 else np.vstack(laps)
+        lap = random_weighted_laplacian(rng, n)
+        assert isinstance(lap, EdgeLaplacian)
+        y = rng.uniform(-1, 1, n)
+        # with no CG step the iterate is still y, so its residual is mu ||L y|| / ||y||
+        residual = default_mu(lap) * np.linalg.norm(dense(lap) @ y) / np.linalg.norm(y)
         with pytest.raises(SolverError, match=fr"N={n} nodes in 0 iterations "
                                               fr"\(relative residual {residual:.3g}\)"):
-            denoise(lap, np.concatenate(ys))
+            denoise(lap, y)
+        assert not caplog.records
+
+    @pytest.mark.parametrize("blocks", [1, 3], ids=["dense", "stack"])
+    def test_nan_weight_fails_the_direct_solve(self, caplog, blocks):
+        rng = np.random.default_rng(8)
+        gs = [kernel_graph(knn_edges(emb, 4), emb, 1.0)
+              for emb in rng.normal(size=(blocks, 30, 3))]
+        bad = gs[blocks // 2]  # both directions of its first edge
+        i, j = bad.rows[0], bad.cols[0]
+        bad.weights[(bad.rows == i) & (bad.cols == j) | (bad.rows == j) & (bad.cols == i)] = np.nan
+        lap = np.vstack([build_laplacian(g) for g in gs])
+        residuals = []
+        with pytest.raises(SolverError, match=r"direct solve failed on N=30 nodes "
+                                              r"\(relative residual nan\)"):
+            denoise(lap, rng.uniform(-1, 1, 30 * blocks), residual_log=residuals)
+        assert len(residuals) == 2 and math.isnan(residuals[-1])
         assert not caplog.records
 
 
@@ -181,9 +200,9 @@ class TestStackedDenoise:
             residuals = []
             alone.append(denoise(lap, y, residual_log=residuals))
             lengths.append(len(residuals))
-        # the blocks stop at different iterations; the zero signal passes the
-        # first residual test, and an edgeless graph needs none
-        assert len(set(lengths[:3])) == 3 and lengths[3:] == [1, 0]
+        # a direct solve logs a residual test before and after it; the zero
+        # signal passes the first, and an edgeless graph needs none
+        assert lengths == [2, 2, 2, 1, 0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             residuals = []
@@ -191,6 +210,15 @@ class TestStackedDenoise:
         assert len(residuals) == max(lengths)
         for k, want in enumerate(alone):
             assert got[k * b:(k + 1) * b].tobytes() == want.tobytes(), k
+
+    def test_signals_that_solve_their_block_come_back_unchanged(self):
+        rng = np.random.default_rng(13)
+        laps = [random_weighted_laplacian(rng, 40, 4) for _ in range(3)]
+        # L 1 = 0, so a zero and a constant signal pass the first residual test
+        ys = [rng.uniform(-1, 1, 40), np.zeros(40), np.full(40, 0.7)]
+        got = denoise(np.vstack(laps), np.concatenate(ys))
+        assert got[40:].tobytes() == np.concatenate(ys[1:]).tobytes()
+        assert not np.array_equal(got[:40], ys[0])
 
     def test_explicit_mu_applies_to_every_block(self):
         rng = np.random.default_rng(10)
