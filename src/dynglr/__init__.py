@@ -10,8 +10,7 @@ from .dataio import Dataset, NoiseSpec, inject_label_noise, load_csv, stratified
 from .glr import denoise, mu_max
 from .graphs import (Graph, assign_weights, auto_sigma, build_laplacian, gft_spectrum,
                      graph_update, knn_edges, partition_edges)
-from .metricnet import (MetricNet, NetConfig, sample_triplets, train, triplet_loss_E,
-                        triplet_loss_W)
+from .metricnet import MetricNet, NetConfig, sample_triplets, triplet_loss_E, triplet_loss_W
 from .pipeline import (PipelineConfig, PipelineState, predict, rank_sampling,
                        run_variant)
 from .bench import (ExperimentGrid, Report, error_rate,
@@ -24,8 +23,7 @@ __all__ = [
     "mu_max", "denoise",
     "Graph", "knn_edges", "partition_edges", "auto_sigma",
     "assign_weights", "build_laplacian", "graph_update", "gft_spectrum",
-    "MetricNet", "NetConfig", "triplet_loss_E", "triplet_loss_W",
-    "sample_triplets", "train",
+    "MetricNet", "NetConfig", "triplet_loss_E", "triplet_loss_W", "sample_triplets",
     "PipelineConfig", "PipelineState", "run_variant", "predict", "rank_sampling",
     "ExperimentGrid", "Report", "error_rate", "mean_edge_weight_proportion",
     "residual_noise", "run_grid",

@@ -32,28 +32,24 @@ def _cmd_prepare(args) -> int:
     return 0
 
 
-def _load_for_run(args):
-    ds, source = bench.load_dataset(args.dataset, args.data_dir, seed=args.seed,
-                                    desk_scale=args.desk_scale)
-    spec = NoiseSpec(rate=args.noise, seed=args.seed)
-    return dataio.inject_label_noise(ds, spec), source, spec
+def _noisy_dataset(dataset_id: str, data_dir, seed: int, desk_scale: bool, noise: NoiseSpec):
+    """A run's dataset, loaded, split and noised the same way for train and eval."""
+    ds, source = bench.load_dataset(dataset_id, data_dir, seed=seed, desk_scale=desk_scale)
+    return dataio.inject_label_noise(ds, noise), source
 
 
 def _cmd_train(args) -> int:
-    ds, source, spec = _load_for_run(args)
+    spec = NoiseSpec(rate=args.noise, seed=args.seed)
+    ds, source = _noisy_dataset(args.dataset, args.data_dir, args.seed, args.desk_scale, spec)
     result = bench.run_cell(ds, args.dataset, args.variant, args.seed)
     state, err = result["state"], result["error_rate"]
-    run_dir = Path(args.out)
-    pipeline.save_state(state, run_dir)
     manifest = dataio.dataset_manifest(ds, noise=spec, seed=args.seed)
     manifest["source"] = source
     manifest["dataset_id"] = args.dataset
     losses = {stage: vals[-1] for stage, vals in state.stage_losses.items()}
-    pipeline.write_run_manifest(run_dir / "manifest.json", state.config, manifest,
-                                extra={"test_error_rate": err,
-                                       "final_stage_losses": losses,
-                                       "desk_scale": args.desk_scale,
-                                       "data_dir": args.data_dir})
+    pipeline.save_state(state, args.out, extra={
+        "dataset": manifest, "test_error_rate": err, "final_stage_losses": losses,
+        "desk_scale": args.desk_scale, "data_dir": args.data_dir})
     print(f"{args.variant} on {args.dataset} @ {args.noise:.0%} noise: "
           f"test error {err:.2f}%")
     return 0
@@ -64,19 +60,16 @@ def _reload_run(run: str):
     run_path = Path(run)
     if run_path.name == "manifest.json":
         run_path = run_path.parent
-    for name in ("manifest.json", "state.json"):
-        if not (run_path / name).is_file():
-            raise UsageError(f"{run_path} holds no {name}; pass a directory written by train")
-    manifest = dataio.read_manifest(run_path / "manifest.json", (
-        "dataset.dataset_id", "dataset.noise.rate", "dataset.noise.seed", "seed", "variant",
-        "test_error_rate"))
-    dataset_id = manifest["dataset"]["dataset_id"]
-    seed = manifest["seed"]
-    ds, _ = bench.load_dataset(dataset_id, manifest.get("data_dir"), seed=seed,
-                               desk_scale=manifest.get("desk_scale", False))
-    spec = NoiseSpec(rate=manifest["dataset"]["noise"]["rate"],
-                     seed=manifest["dataset"]["noise"]["seed"])
-    ds = dataio.inject_label_noise(ds, spec)
+    if not (run_path / "manifest.json").is_file():
+        raise UsageError(f"{run_path} holds no manifest.json; pass a directory written by train")
+    manifest = dataio.read_manifest(run_path / "manifest.json", {
+        "dataset.dataset_id": str, "dataset.noise.rate": float, "dataset.noise.seed": int,
+        "seed": int, "variant": str, "test_error_rate": float})
+    dataset_id, seed = manifest["dataset"]["dataset_id"], manifest["seed"]
+    noise = manifest["dataset"]["noise"]
+    ds, _ = _noisy_dataset(dataset_id, manifest.get("data_dir"), seed,
+                           manifest.get("desk_scale", False),
+                           NoiseSpec(rate=noise["rate"], seed=noise["seed"]))
     cfg = pipeline.PipelineConfig.for_dataset(dataset_id, variant=manifest["variant"],
                                               seed=seed)
     state = pipeline.load_state(run_path, ds, cfg)

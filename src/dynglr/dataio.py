@@ -233,18 +233,22 @@ def write_manifest(manifest: dict, path) -> None:
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def read_manifest(path, keys) -> dict:
-    """The JSON object at path; ConfigError names the file and any key (a dotted path) it lacks."""
+def read_manifest(path, keys: dict) -> dict:
+    """The JSON object at path; ConfigError names the file and any key (a
+    dotted path) it lacks, or whose value is not of the type keys gives it."""
     try:
         manifest = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not JSON: {exc}") from None
-    for key in keys:
+    for key, kind in keys.items():
         node = manifest
         for part in key.split("."):
             if not isinstance(node, dict) or part not in node:
                 raise ConfigError(f"{path} has no {key!r}")
             node = node[part]
+        # an integer is a float here, and bool (a subclass of int) is neither
+        if type(node) not in ((int, float) if kind is float else (kind,)):
+            raise ConfigError(f"{path}: {key!r} must be {kind.__name__}, not {node!r}")
     return manifest
 
 

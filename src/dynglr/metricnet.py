@@ -2,11 +2,12 @@
 
 Hidden layers are rectified, the output layer is linear, and the activation
 of the second-to-last layer is exposed as a "shallow" feature tap that later
-stages concatenate onto raw inputs. Training minimizes hinge triplet losses
-over squared embedding distances, optionally gated per pair by a binary
-attention matrix, using adaptive-moment estimation with a linearly decaying
-learning rate. Gradients are exact and are verified against central finite
-differences in the test suite.
+stages concatenate onto raw inputs. This module provides the pieces of
+training: hinge triplet losses over squared embedding distances, optionally
+gated per pair by a binary attention matrix, triplet sampling, and
+adaptive-moment steps with a linearly decaying learning rate. The epoch loop
+that combines them is pipeline._train_net. Gradients are exact and are
+verified against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SamplingError, ShapeError, TrainingError
+from .errors import ConfigError, SamplingError, ShapeError
 from .seeds import substream
 
 
@@ -274,38 +275,6 @@ def lr_at(config: NetConfig, epoch: int) -> float:
         return config.lr_start
     frac = epoch / (config.epochs - 1)
     return config.lr_start + (config.lr_end - config.lr_start) * frac
-
-
-def train(net: MetricNet, batches: Callable[[int], Sequence], loss_fn: Callable,
-          name: str = "net") -> list[float]:
-    """Run net.config.epochs passes, each over the batches that batches(epoch)
-    returns, with one adaptive-moment step per batch.
-
-    loss_fn(batch, epoch, b_idx) returns (loss, gradients aligned with
-    net.parameters()), or None to skip the batch. Returns the mean loss per
-    epoch, 0.0 for an epoch whose batches were all skipped. Aborts on a
-    non-finite loss, naming the net, epoch and batch.
-    """
-    config = net.config
-    state = AdamState.for_net(net)
-    epoch_losses = []
-    for epoch in range(config.epochs):
-        lr = lr_at(config, epoch)
-        epoch_batches = batches(epoch)
-        if not epoch_batches:
-            raise ConfigError("batches must be nonempty")
-        losses = []
-        for b_idx, batch in enumerate(epoch_batches):
-            result = loss_fn(batch, epoch, b_idx)
-            if result is None:
-                continue
-            loss, grads = result
-            if not np.isfinite(loss):
-                raise TrainingError(f"{name}: non-finite loss at epoch {epoch}, batch {b_idx}")
-            losses.append(loss)
-            adam_step(net, grads, state, lr)
-        epoch_losses.append(float(np.mean(losses)) if losses else 0.0)
-    return epoch_losses
 
 
 def save_checkpoint(net: MetricNet, path) -> None:

@@ -20,9 +20,11 @@ Each variant is one ordered list of steps (CHAIN_STEPS), and run_chain
 applies it to any node set: to the train+val working set during training,
 where each net is trained just before the step that first uses it, and
 again when a saved run is reloaded; and to small reference graphs joined by
-test nodes whose labels are set to 0, to classify them. Training batches
-draw 80 labeled train nodes and 20 unlabeled validation nodes per graph, 16
-graphs per epoch; test nodes never appear in training.
+test nodes whose labels are set to 0, to classify them. Every net is fit
+by one loop (_train_net): 16 batch graphs per epoch of 80 labeled train and
+20 unlabeled validation nodes, a triplet draw per graph, and one
+adaptive-moment step per graph; test nodes never appear in training. A saved
+run is one checkpoint per net plus manifest.json (save_state).
 """
 
 from __future__ import annotations
@@ -37,13 +39,13 @@ import numpy as np
 
 from . import dataio, glr, graphs
 from .dataio import TRAIN, VAL, Dataset
-from .errors import ConfigError, SamplingError, UsageError
+from .errors import ConfigError, SamplingError, TrainingError, UsageError
 from .glr import denoise
 from .graphs import (Graph, assign_weights, graph_update, knn_edges, nearest_rows,
                      partition_edges)
-from .metricnet import (MetricNet, NetConfig, load_checkpoint, node_attention_matrix,
-                        sample_triplets, save_checkpoint, train, triplet_loss_E,
-                        triplet_loss_W)
+from .metricnet import (AdamState, MetricNet, NetConfig, adam_step, load_checkpoint, lr_at,
+                        node_attention_matrix, sample_triplets, save_checkpoint,
+                        triplet_loss_E, triplet_loss_W)
 from .seeds import substream, substream_seed
 
 logger = logging.getLogger(__name__)
@@ -266,26 +268,35 @@ def grid_search_gamma(embeddings: np.ndarray, train_pos: np.ndarray,
 def _train_net(state: PipelineState, stage: str, inputs: np.ndarray, labels: np.ndarray,
                step) -> MetricNet:
     """Fit the stage's net on fresh batch graphs each epoch and store it and its
-    epoch losses under stage. Each batch's triplets are drawn from labels[pos]
-    (a single-class batch is skipped, logged), then step(net, pos, triplets,
-    epoch) returns the batch's loss and gradients, or None to skip it."""
+    mean loss per epoch (0.0 if every batch was skipped) under stage. A batch's
+    triplets are drawn from labels[pos] (a single-class batch is skipped, logged),
+    then step(net, pos, triplets, epoch) returns its loss and gradients, or None to
+    skip it; a non-finite loss raises TrainingError naming stage, epoch and batch."""
     cfg = state.config
     split = state.dataset.split[state.work_ids]
     net = MetricNet(inputs.shape[1], cfg.net_config(stage))
-
-    def batches(epoch):
-        return build_batches(split, substream_seed(cfg.seed, stage, "epoch", epoch))
-
-    def loss_of_batch(pos, epoch, b_idx):
-        try:
-            trips = sample_triplets(labels[pos], TRIPLETS_PER_GRAPH,
-                                    substream_seed(cfg.seed, stage, "trip", epoch, b_idx))
-        except SamplingError:
-            logger.info("%s: single-class batch skipped (epoch %d)", stage, epoch)
-            return None
-        return step(net, pos, trips, epoch)
-
-    state.stage_losses[stage] = train(net, batches, loss_of_batch, stage)
+    adam = AdamState.for_net(net)
+    epoch_losses = []
+    for epoch in range(net.config.epochs):
+        losses = []
+        batches = build_batches(split, substream_seed(cfg.seed, stage, "epoch", epoch))
+        for b_idx, pos in enumerate(batches):
+            try:
+                trips = sample_triplets(labels[pos], TRIPLETS_PER_GRAPH,
+                                        substream_seed(cfg.seed, stage, "trip", epoch, b_idx))
+            except SamplingError:
+                logger.info("%s: single-class batch skipped (epoch %d)", stage, epoch)
+                continue
+            result = step(net, pos, trips, epoch)
+            if result is None:
+                continue
+            loss, grads = result
+            if not np.isfinite(loss):
+                raise TrainingError(f"{stage}: non-finite loss at epoch {epoch}, batch {b_idx}")
+            losses.append(loss)
+            adam_step(net, grads, adam, lr_at(net.config, epoch))
+        epoch_losses.append(float(np.mean(losses)) if losses else 0.0)
+    state.stage_losses[stage] = epoch_losses
     state.nets[stage] = net
     return net
 
@@ -615,13 +626,21 @@ def _ordinal_rank(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # persistence
 
-def write_run_manifest(path, cfg: PipelineConfig, ds_manifest: dict,
-                       extra: dict | None = None) -> None:
+def save_state(state: PipelineState, run_dir, extra: dict | None = None) -> None:
+    """Run directory: one checkpoint per net, and manifest.json with the neighbor
+    budget, the config, the method's fixed values, the numpy build and extra's
+    keys. load_state rebuilds every stage record by replaying the chain."""
+    run_dir = Path(run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    for name, net in state.nets.items():
+        save_checkpoint(net, run_dir / f"net_{name}.npz")
+    cfg = state.config
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     payload = {
         "numpy": {"version": np.__version__, "blas": f"{blas['name']} {blas['version']}"},
         "variant": cfg.variant,
         "seed": cfg.seed,
+        "gamma0": state.gamma0,
         "margins": {"triplet": MARGIN_E, "weighted": MARGIN_W},
         "thresholds": {"eps1": EPS1, "eps2": EPS2, "beta": BETA},
         "glr": {"kappa": glr.KAPPA, "mu_fraction": glr.MU_FRACTION,
@@ -632,29 +651,17 @@ def write_run_manifest(path, cfg: PipelineConfig, ds_manifest: dict,
         "rank_sampling": {"k": cfg.rank_sample_k, "batches": cfg.rank_sample_batches},
         "gamma_candidates": list(GAMMA_CANDIDATES),
         "embedding_dim": EMBEDDING_DIM,
-        "dataset": ds_manifest,
     }
-    dataio.write_manifest({**payload, **(extra or {})}, path)
-
-
-def save_state(state: PipelineState, run_dir) -> None:
-    """Run directory: state.json plus one checkpoint per net. load_state
-    rebuilds every stage record by replaying the chain."""
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    for name, net in state.nets.items():
-        save_checkpoint(net, run_dir / f"net_{name}.npz")
-    dataio.write_manifest({"gamma0": state.gamma0, "variant": state.config.variant,
-                           "seed": state.config.seed}, run_dir / "state.json")
+    dataio.write_manifest({**payload, **(extra or {})}, run_dir / "manifest.json")
 
 
 def load_state(run_dir, ds: Dataset, cfg: PipelineConfig) -> PipelineState:
     """Reload a saved run on its dataset: the nets and the neighbor budget
     from save_state's files, then the stage records by replaying the saved
     variant's chain on the working set. Other files in the directory are
-    ignored."""
+    ignored. A manifest.json without an integer gamma0 raises ConfigError."""
     run_dir = Path(run_dir)
-    meta = dataio.read_manifest(run_dir / "state.json", ("gamma0", "variant"))
+    meta = dataio.read_manifest(run_dir / "manifest.json", {"gamma0": int, "variant": str})
     state = PipelineState.fresh(ds, cfg)
     state.gamma0 = meta["gamma0"]
     for path in sorted(run_dir.glob("net_*.npz")):

@@ -95,12 +95,10 @@ class TestTrainEvalSpectrumReport:
         assert "not a version-2 checkpoint" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "spectrum"])
-    @pytest.mark.parametrize("missing", ["manifest.json", "state.json"])
+    @pytest.mark.parametrize("missing", ["manifest.json"])  # a run's one JSON file
     def test_missing_run_file_is_a_usage_error(self, tmp_path, capsys, command, missing):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        for name in {"manifest.json", "state.json"} - {missing}:
-            (run_dir / name).write_text("{}\n")
         argv = [command, "--run", str(run_dir)]
         rc = main(argv + (["--out", str(tmp_path / "spec.csv")] if command == "spectrum" else []))
         assert rc == 5
@@ -116,18 +114,43 @@ class TestTrainEvalSpectrumReport:
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         (run_dir / "manifest.json").write_text(text)
-        (run_dir / "state.json").write_text("{}\n")
         assert main(["eval", "--run", str(run_dir)]) == 2
         assert f"manifest.json {message}" in capsys.readouterr().err
 
     def test_malformed_state_is_a_config_error(self, toy_data_dir, tmp_path, capsys):
+        # a run directory written before the neighbor budget moved into
+        # manifest.json has the same manifest less gamma0
         run_dir = tmp_path / "run4"
         main(["train", "--dataset", "toy", "--variant", "G-2", "--seed", "4",
               "--out", str(run_dir), "--data-dir", str(toy_data_dir)])
-        (run_dir / "state.json").write_text('{"variant": "G-2"}\n')
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["gamma0"]
+        path.write_text(json.dumps(manifest))
         capsys.readouterr()
         assert main(["eval", "--run", str(run_dir)]) == 2
-        assert "state.json has no 'gamma0'" in capsys.readouterr().err
+        assert "manifest.json has no 'gamma0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("gamma0", "x"), ("variant", 5), ("seed", "x"), ("seed", True),
+        ("dataset.noise.rate", "0.1"),
+    ], ids=["gamma0-str", "variant-int", "seed-str", "seed-bool", "noise-rate-str"])
+    def test_mistyped_manifest_key_is_a_config_error(self, toy_data_dir, tmp_path, capsys,
+                                                     key, value):
+        run_dir = tmp_path / "run5"
+        main(["train", "--dataset", "toy", "--variant", "G-2", "--seed", "5",
+              "--out", str(run_dir), "--data-dir", str(toy_data_dir)])
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        *parents, leaf = key.split(".")
+        node = manifest
+        for part in parents:
+            node = node[part]
+        node[leaf] = value
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run_dir)]) == 2
+        assert f"manifest.json: {key!r} must be" in capsys.readouterr().err
 
 
 class TestAblateReport:

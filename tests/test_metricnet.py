@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import n_params
-from dynglr.errors import ConfigError, SamplingError, ShapeError, TrainingError
+from dynglr.errors import ConfigError, SamplingError, ShapeError
 from dynglr.metricnet import (AdamState, MetricNet, NetConfig, adam_step,
                               load_checkpoint, lr_at, node_attention_matrix,
-                              sample_triplets, save_checkpoint, train,
-                              triplet_loss_E, triplet_loss_W)
+                              sample_triplets, save_checkpoint, triplet_loss_E,
+                              triplet_loss_W)
 from dynglr.pipeline import PipelineConfig
 
 
@@ -439,39 +439,15 @@ class TestOptimizer:
         cfg = NetConfig(layer_widths=(), embedding_dim=1, lr_start=0.05,
                         lr_end=0.05, epochs=500, seed=11)
         net = MetricNet(1, cfg)
-
-        def loss_fn(batch, epoch, b_idx):
+        state = AdamState.for_net(net)
+        losses = []
+        for epoch in range(cfg.epochs):
             w = net.weights[0][0, 0]
+            losses.append((w - 3.0) ** 2)
             grads = [np.array([[2.0 * (w - 3.0)]]), np.zeros(1)]
-            return (w - 3.0) ** 2, grads
-
-        losses = train(net, lambda epoch: [None], loss_fn)
+            adam_step(net, grads, state, lr_at(cfg, epoch))
         assert abs(net.weights[0][0, 0] - 3.0) <= 1e-3
         assert len(losses) == 500 and losses[-1] < losses[0]
-
-    def test_non_finite_loss_aborts_with_location(self):
-        cfg = NetConfig(layer_widths=(), embedding_dim=1, epochs=3)
-        net = MetricNet(1, cfg)
-
-        def loss_fn(batch, epoch, b_idx):
-            return np.nan, net.zero_grads()
-
-        with pytest.raises(TrainingError, match="probe: non-finite loss at epoch 0, batch 0"):
-            train(net, lambda epoch: [None], loss_fn, "probe")
-
-    def test_empty_batches_rejected(self):
-        cfg = NetConfig(layer_widths=(), embedding_dim=1)
-        net = MetricNet(1, cfg)
-        with pytest.raises(ConfigError):
-            train(net, lambda epoch: [], lambda b, e, i: (0.0, net.zero_grads()))
-
-    def test_skipped_batches_leave_net_unchanged(self):
-        cfg = NetConfig(layer_widths=(3,), embedding_dim=2, epochs=2, seed=16)
-        net = MetricNet(2, cfg)
-        before = [p.copy() for p in net.parameters()]
-        assert train(net, lambda epoch: [None, None], lambda b, e, i: None) == [0.0, 0.0]
-        for b, p in zip(before, net.parameters()):
-            np.testing.assert_array_equal(b, p)
 
     def test_parameters_stay_finite_through_training(self):
         rng = np.random.default_rng(12)
@@ -480,7 +456,11 @@ class TestOptimizer:
         x = rng.normal(size=(10, 3))
         labels = np.array([1.0] * 5 + [-1.0] * 5)
         batches = [sample_triplets(labels, 8, seed=k) for k in range(4)]
-        train(net, lambda epoch: batches, lambda b, e, i: triplet_loss_E(net, x, b, 10.0))
+        state = AdamState.for_net(net)
+        for epoch in range(cfg.epochs):
+            for trips in batches:
+                _, grads = triplet_loss_E(net, x, trips, 10.0)
+                adam_step(net, grads, state, lr_at(cfg, epoch))
         assert all(np.all(np.isfinite(p)) for p in net.parameters())
 
 

@@ -360,7 +360,7 @@ class TestRunVariant:
             return float("nan"), net.zero_grads()
 
         monkeypatch.setattr(pipeline, "triplet_loss_W", nan_loss)
-        with pytest.raises(TrainingError, match="weight1: non-finite loss at epoch 0"):
+        with pytest.raises(TrainingError, match="weight1: non-finite loss at epoch 0, batch 0$"):
             run_variant(blobs, tiny_config("G-12", seed=7))
 
 
@@ -587,15 +587,15 @@ class TestPersistence:
         before = predict(state, test_idx, cfg)
         save_state(state, tmp_path / "run")
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
-            "net_embed.npz", "net_update.npz", "net_weight1.npz", "net_weight2.npz",
-            "state.json"]
+            "manifest.json", "net_embed.npz", "net_update.npz", "net_weight1.npz",
+            "net_weight2.npz"]
         reloaded = load_state(tmp_path / "run", blobs, cfg)
         after = predict(reloaded, test_idx, cfg)
         assert np.array_equal(before, after)
         for r, rec in enumerate(state.stages):
             assert np.array_equal(reloaded.stages[r].y, rec.y)
         # older run directories also stored the chain name beside the variant
-        meta_path = tmp_path / "run" / "state.json"
+        meta_path = tmp_path / "run" / "manifest.json"
         meta = json.loads(meta_path.read_text())
         assert "trained_chain" not in meta
         meta_path.write_text(json.dumps({**meta, "trained_chain": "G-12312"}))
@@ -604,13 +604,14 @@ class TestPersistence:
         assert len(older.stages) == len(state.stages)
 
     def test_run_manifest_written(self, trained_full, blobs, tmp_path):
-        _, cfg = trained_full
+        state, cfg = trained_full
         manifest = dataio.dataset_manifest(blobs, seed=0)
-        pipeline.write_run_manifest(tmp_path / "m.json", cfg, manifest,
-                                    extra={"test_error_rate": 1.0})
-        payload = json.loads((tmp_path / "m.json").read_text())
+        save_state(state, tmp_path, extra={"dataset": manifest, "test_error_rate": 1.0})
+        payload = json.loads((tmp_path / "manifest.json").read_text())
         assert payload["variant"] == cfg.variant
         assert payload["thresholds"]["eps1"] == pipeline.EPS1
+        assert payload["gamma0"] == state.gamma0
+        assert payload["dataset"] == manifest and payload["test_error_rate"] == 1.0
 
 
 class TestConfig:
@@ -622,15 +623,17 @@ class TestConfig:
             "seed")
 
     def test_run_manifest_payload_pinned(self, tmp_path):
-        path = tmp_path / "m.json"
-        pipeline.write_run_manifest(path, PipelineConfig.for_dataset("spambase"),
-                                    {"id": "ds"})
+        # save_state reads only the config and the neighbor budget of a state without nets
+        cfg = PipelineConfig.for_dataset("spambase")
+        save_state(PipelineState(cfg, dataset=None, work_ids=None, gamma0=6), tmp_path,
+                   extra={"dataset": {"id": "ds"}})
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         expected = {
             "batching": {"graphs_per_epoch": 16, "labeled_per_graph": 80,
                          "unlabeled_per_graph": 20},
             "dataset": {"id": "ds"},
             "embedding_dim": 16,
+            "gamma0": 6,
             "gamma_candidates": [2, 4, 6, 8, 10, 12, 14, 16, 18, 20],
             "glr": {"kappa": 60.0, "mu_fraction": 0.67, "solver_tol": 1e-10},
             "margins": {"triplet": 10.0, "weighted": 10.0},
@@ -640,7 +643,9 @@ class TestConfig:
             "thresholds": {"beta": 0.1, "eps1": 0.6, "eps2": 0.15},
             "variant": "G-12312",
         }
-        assert path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+        assert (tmp_path / "manifest.json").read_text() == (
+            json.dumps(expected, indent=2, sort_keys=True) + "\n")
 
     def test_rank_batch_divisibility_enforced(self):
         with pytest.raises(ConfigError):
