@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import n_params
-from dynglr.errors import ConfigError, SamplingError, ShapeError
+from conftest import n_params, tiny_config
+from dynglr import pipeline
+from dynglr.errors import ConfigError, SamplingError, ShapeError, TrainingError
 from dynglr.metricnet import (AdamState, MetricNet, NetConfig, adam_step,
                               load_checkpoint, lr_at, node_attention_matrix,
                               sample_triplets, save_checkpoint, triplet_loss_E,
                               triplet_loss_W)
-from dynglr.pipeline import PipelineConfig
+from dynglr.pipeline import PipelineConfig, PipelineState
 
 
 def loop_forward_oracle(net, x):
@@ -448,6 +449,27 @@ class TestOptimizer:
             adam_step(net, grads, state, lr_at(cfg, epoch))
         assert abs(net.weights[0][0, 0] - 3.0) <= 1e-3
         assert len(losses) == 500 and losses[-1] < losses[0]
+
+    def test_non_finite_loss_aborts_with_location(self, blobs):
+        state = PipelineState.fresh(blobs, tiny_config("G-2", seed=3))
+        inputs = blobs.features[state.work_ids]
+
+        def step(net, pos, trips, epoch):
+            return np.nan, net.zero_grads()
+
+        with pytest.raises(TrainingError, match="embed: non-finite loss at epoch 0, batch 0$"):
+            pipeline._train_net(state, "embed", inputs, state.work_signal0, step)
+
+    def test_skipped_batches_leave_net_unchanged(self, blobs):
+        cfg = tiny_config("G-2", seed=16)
+        state = PipelineState.fresh(blobs, cfg)
+        inputs = blobs.features[state.work_ids]
+        net = pipeline._train_net(state, "embed", inputs, state.work_signal0,
+                                  lambda net, pos, trips, epoch: None)
+        untrained = MetricNet(inputs.shape[1], cfg.net_config("embed"))
+        assert state.stage_losses["embed"] == [0.0] * cfg.net_config("embed").epochs
+        for got, init in zip(net.parameters(), untrained.parameters(), strict=True):
+            np.testing.assert_array_equal(got, init)
 
     def test_parameters_stay_finite_through_training(self):
         rng = np.random.default_rng(12)
