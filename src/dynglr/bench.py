@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import logging
+import numbers
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,16 @@ class ExperimentGrid:
     data_dir: str | None = None
     desk_scale: bool = False
 
+    def __post_init__(self):
+        for key in ("repeats", "base_seed"):
+            if type(getattr(self, key)) is not int:
+                raise ConfigError(f"grid key {key!r} must be an integer, "
+                                  f"not {getattr(self, key)!r}")
+        if any(isinstance(nz, bool) or not isinstance(nz, numbers.Real)
+               for nz in self.noise_levels):
+            raise ConfigError(f"grid key 'noise_levels' must hold numbers, "
+                              f"not {self.noise_levels!r}")
+
     def cells(self):
         for dataset_id in self.datasets:
             for noise in self.noise_levels:
@@ -134,43 +145,37 @@ class Report:
             counts[key] = counts.get(key, 0) + 1
         return {k: sums[k] / counts[k] for k in sums}
 
-    def to_markdown(self) -> str:
+    def _table(self) -> tuple[list, list]:
+        """Noise levels, and one (dataset, variant, mean per noise level or
+        None) row per pair: datasets by name, each with its ladder variants in
+        ladder order, then any other variants by name."""
         means = self.mean_errors()
         noises = sorted({k[2] for k in means})
-        rows = _row_order(means)
+        rank = {v: i for i, v in enumerate(VARIANT_LADDER)}
+        pairs = sorted({k[:2] for k in means},
+                       key=lambda p: (p[0], rank.get(p[1], len(rank)), p[1]))
+        return noises, [(d, v, [means.get((d, v, nz)) for nz in noises]) for d, v in pairs]
+
+    def to_markdown(self) -> str:
+        noises, rows = self._table()
         lines = []
-        for dataset_id in dict.fromkeys(d for d, _ in rows):
+        for dataset_id in dict.fromkeys(d for d, _, _ in rows):
             lines += [f"## {dataset_id}",
                       "| variant | " + " | ".join(f"{100 * nz:g}%" for nz in noises) + " |",
                       "|" + "---|" * (len(noises) + 1)]
-            for variant in (v for d, v in rows if d == dataset_id):
-                vals = [means.get((dataset_id, variant, nz)) for nz in noises]
+            for _, variant, vals in (row for row in rows if row[0] == dataset_id):
                 cells = [f"{v:.2f}" if v is not None else "-" for v in vals]
                 lines.append(f"| {variant} | " + " | ".join(cells) + " |")
             lines.append("")
         return "\n".join(lines)
 
     def to_csv(self) -> str:
-        means = self.mean_errors()
-        noises = sorted({k[2] for k in means})
+        noises, rows = self._table()
         lines = ["dataset,variant," + ",".join(f"{nz:g}" for nz in noises)]
-        for dataset_id, variant in _row_order(means):
-            vals = [means.get((dataset_id, variant, nz)) for nz in noises]
+        for dataset_id, variant, vals in rows:
             cells = [f"{v:.6f}" if v is not None else "" for v in vals]
             lines.append(f"{dataset_id},{variant}," + ",".join(cells))
         return "\n".join(lines) + "\n"
-
-
-def _row_order(means: dict) -> list[tuple[str, str]]:
-    """(dataset, variant) rows of a report: datasets by name, each with its
-    ladder variants in ladder order, then any other variants by name."""
-    def key(row):
-        dataset_id, variant = row
-        if variant in VARIANT_LADDER:
-            return dataset_id, VARIANT_LADDER.index(variant), ""
-        return dataset_id, len(VARIANT_LADDER), variant
-
-    return sorted({k[:2] for k in means}, key=key)
 
 
 def cell_seed(base_seed: int, dataset_id: str, noise: float, repeat: int) -> int:
@@ -190,10 +195,7 @@ def prepare_cell(ds: Dataset, grid: ExperimentGrid, dataset_id: str, noise: floa
     return dataio.inject_label_noise(ds, spec)
 
 
-def run_cell(ds_cell: Dataset, dataset_id: str, variant: str, seed: int,
-             config_overrides: dict | None = None) -> dict:
-    cfg = PipelineConfig.for_dataset(dataset_id, variant=variant, seed=seed,
-                                     **(config_overrides or {}))
+def run_cell(ds_cell: Dataset, cfg: PipelineConfig) -> dict:
     start = time.perf_counter()
     state = run_variant(ds_cell, cfg)
     test_idx = ds_cell.indices(dataio.TEST)
@@ -223,15 +225,6 @@ def _read_results(path: Path) -> list[dict]:
         return list({_cell_key(r): r for r in csv.DictReader(fh)}.values())
 
 
-def _check_overrides(config_overrides: dict) -> None:
-    """Refuse overrides no cell could take; each cell sets variant and seed."""
-    settable = [f.name for f in fields(PipelineConfig) if f.name not in ("variant", "seed")]
-    unknown = sorted(set(config_overrides) - set(settable))
-    if unknown:
-        raise ConfigError(f"unknown config_overrides {unknown}; settable: {settable}")
-    PipelineConfig(**config_overrides)
-
-
 def run_grid(grid: ExperimentGrid, out_csv, config_overrides: dict | None = None
              ) -> Report:
     """Run every cell, appending one CSV row per finished cell.
@@ -239,9 +232,16 @@ def run_grid(grid: ExperimentGrid, out_csv, config_overrides: dict | None = None
     Completed cells found in an existing results file are not recomputed; a
     failing cell is recorded with an error tag and the grid continues. A
     rerun cell's new row replaces its old one in the report. Invalid
-    overrides raise ConfigError before any row is written.
+    overrides or variants raise ConfigError before the CSV is opened.
     """
-    _check_overrides(config_overrides or {})
+    overrides = config_overrides or {}
+    # the grid sets each cell's variant and seed
+    settable = [f.name for f in fields(PipelineConfig) if f.name not in ("variant", "seed")]
+    unknown = sorted(set(overrides) - set(settable))
+    if unknown:
+        raise ConfigError(f"unknown config_overrides {unknown}; settable: {settable}")
+    configs = {(d, v): PipelineConfig.for_dataset(d, variant=v, **overrides)
+               for d in grid.datasets for v in grid.variants}
     out_csv = Path(out_csv)
     rows = {_cell_key(r): r for r in _read_results(out_csv)}
     done = {key for key, r in rows.items() if r["status"] == "ok"}
@@ -267,7 +267,7 @@ def run_grid(grid: ExperimentGrid, out_csv, config_overrides: dict | None = None
             try:
                 ds_cell = prepare_cell(datasets[dataset_id], grid, dataset_id,
                                        noise, repeat)
-                result = run_cell(ds_cell, dataset_id, variant, seed, config_overrides)
+                result = run_cell(ds_cell, replace(configs[dataset_id, variant], seed=seed))
                 row.update(status="ok", error_rate=f"{result['error_rate']:.12g}",
                            n_test=result["n_test"],
                            runtime_s=f"{result['runtime_s']:.3f}",

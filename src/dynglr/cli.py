@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
@@ -41,7 +40,9 @@ def _noisy_dataset(dataset_id: str, data_dir, seed: int, desk_scale: bool, noise
 def _cmd_train(args) -> int:
     spec = NoiseSpec(rate=args.noise, seed=args.seed)
     ds, source = _noisy_dataset(args.dataset, args.data_dir, args.seed, args.desk_scale, spec)
-    result = bench.run_cell(ds, args.dataset, args.variant, args.seed)
+    cfg = pipeline.PipelineConfig.for_dataset(args.dataset, variant=args.variant,
+                                              seed=args.seed)
+    result = bench.run_cell(ds, cfg)
     state, err = result["state"], result["error_rate"]
     manifest = dataio.dataset_manifest(ds, noise=spec, seed=args.seed)
     manifest["source"] = source
@@ -64,11 +65,11 @@ def _reload_run(run: str):
         raise UsageError(f"{run_path} holds no manifest.json; pass a directory written by train")
     manifest = dataio.read_manifest(run_path / "manifest.json", {
         "dataset.dataset_id": str, "dataset.noise.rate": float, "dataset.noise.seed": int,
-        "seed": int, "variant": str, "test_error_rate": float})
+        "seed": int, "variant": str, "test_error_rate": float,
+        "data_dir": (str, type(None)), "desk_scale": bool})
     dataset_id, seed = manifest["dataset"]["dataset_id"], manifest["seed"]
     noise = manifest["dataset"]["noise"]
-    ds, _ = _noisy_dataset(dataset_id, manifest.get("data_dir"), seed,
-                           manifest.get("desk_scale", False),
+    ds, _ = _noisy_dataset(dataset_id, manifest["data_dir"], seed, manifest["desk_scale"],
                            NoiseSpec(rate=noise["rate"], seed=noise["seed"]))
     cfg = pipeline.PipelineConfig.for_dataset(dataset_id, variant=manifest["variant"],
                                               seed=seed)
@@ -87,16 +88,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    grid_spec = json.loads(Path(args.grid).read_text())
+    if not Path(args.grid).is_file():
+        raise ParseError(f"no such file: {args.grid}")
+    grid_spec = dataio.read_manifest(args.grid, {})
     overrides = grid_spec.pop("config_overrides", None)
     allowed = [f.name for f in dataclasses.fields(bench.ExperimentGrid)]
     unknown = sorted(set(grid_spec) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown grid keys {unknown}; allowed: "
                           f"{allowed + ['config_overrides']}")
-    for key in ("repeats", "base_seed"):
-        if type(grid_spec.get(key, 0)) is not int:
-            raise ConfigError(f"grid key {key!r} must be an integer, not {grid_spec[key]!r}")
     grid_spec["data_dir"] = grid_spec.get("data_dir") or args.data_dir
     grid = bench.ExperimentGrid(**grid_spec)
     report = bench.run_grid(grid, args.out, overrides)

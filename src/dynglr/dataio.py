@@ -235,20 +235,25 @@ def write_manifest(manifest: dict, path) -> None:
 
 def read_manifest(path, keys: dict) -> dict:
     """The JSON object at path; ConfigError names the file and any key (a
-    dotted path) it lacks, or whose value is not of the type keys gives it."""
+    dotted path) it lacks, or whose value is not of the type, or one of the
+    tuple of types, that keys gives it."""
     try:
         manifest = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{path} is not a JSON object")
     for key, kind in keys.items():
         node = manifest
         for part in key.split("."):
             if not isinstance(node, dict) or part not in node:
                 raise ConfigError(f"{path} has no {key!r}")
             node = node[part]
+        kinds = kind if isinstance(kind, tuple) else (kind,)
         # an integer is a float here, and bool (a subclass of int) is neither
-        if type(node) not in ((int, float) if kind is float else (kind,)):
-            raise ConfigError(f"{path}: {key!r} must be {kind.__name__}, not {node!r}")
+        if type(node) not in kinds + ((int,) if float in kinds else ()):
+            names = " or ".join(k.__name__ for k in kinds)
+            raise ConfigError(f"{path}: {key!r} must be {names}, not {node!r}")
     return manifest
 
 

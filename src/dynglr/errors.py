@@ -20,13 +20,8 @@ class ParseError(DynglrError, ValueError):
 
 
 class ValidationError(DynglrError, ValueError):
-    """Input violates a domain precondition (single class, non-finite, ...)."""
-
-    exit_code = 4
-
-
-class ShapeError(DynglrError, ValueError):
-    """Array dimension mismatch."""
+    """Input violates a domain precondition (single class, non-finite, array
+    shapes that do not match, ...)."""
 
     exit_code = 4
 

@@ -2,12 +2,13 @@
 
 Hidden layers are rectified, the output layer is linear, and the activation
 of the second-to-last layer is exposed as a "shallow" feature tap that later
-stages concatenate onto raw inputs. This module provides the pieces of
-training: hinge triplet losses over squared embedding distances, optionally
-gated per pair by a binary attention matrix, triplet sampling, and
-adaptive-moment steps with a linearly decaying learning rate. The epoch loop
-that combines them is pipeline._train_net. Gradients are exact and are
-verified against central finite differences in the test suite.
+stages concatenate onto raw inputs. The one forward method, forward_batch,
+returns the embeddings, the tap and the layer cache that backprop reads. The
+module also provides the pieces of training: hinge triplet losses over squared
+embedding distances, optionally gated per pair by a binary attention matrix,
+triplet sampling, and adaptive-moment steps with a linearly decaying learning
+rate. The epoch loop that combines them is pipeline._train_net. Gradients are
+exact and are verified against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SamplingError, ShapeError
+from .errors import ConfigError, SamplingError, ValidationError
 from .seeds import substream
 
 
@@ -82,10 +83,12 @@ class MetricNet:
     def parameters(self) -> list[np.ndarray]:
         return self.weights + self.biases
 
-    def forward_cached(self, x: np.ndarray):
-        """(embeddings, shallow activations, layer inputs and pre-activations)."""
+    def forward_batch(self, x: np.ndarray):
+        """(embeddings, shallow activations, (layer inputs, pre-activations))
+        for a batch of row vectors; the last item is what backprop needs."""
+        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ShapeError(f"expected (*, {self.in_dim}) input, got {x.shape}")
+            raise ValidationError(f"expected (*, {self.in_dim}) input, got {x.shape}")
         inputs, pres = [], []
         h = x
         shallow = x
@@ -98,11 +101,6 @@ class MetricNet:
             if k == self.shallow_tap:
                 shallow = h
         return h, shallow, (inputs, pres)
-
-    def forward_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(embeddings, shallow activations) for a batch of row vectors."""
-        emb, shallow, _ = self.forward_cached(np.asarray(x, dtype=np.float64))
-        return emb, shallow
 
     def _backward(self, cache, d_out: np.ndarray) -> list[np.ndarray]:
         """Gradients of sum(d_out * output) w.r.t. parameters()."""
@@ -128,17 +126,19 @@ class MetricNet:
 def _triplet_core(net: MetricNet, x: np.ndarray, triplets: np.ndarray, margin: float,
                   attention, forward=None) -> tuple[float, list[np.ndarray]]:
     """Embeds rows [0, m) of x once, m being one past the largest triplet
-    index (or reads them from forward, net.forward_cached(x)), indexes the
+    index (or reads them from forward, net.forward_batch(x)), indexes the
     triplets into the embeddings and backpropagates in one pass."""
+    if margin <= 0:
+        raise ConfigError("margin must be positive")
     trips = np.asarray(triplets, dtype=np.int64)
     if trips.ndim != 2 or trips.shape[1] != 3 or (trips < 0).any():
-        raise ShapeError("triplets must be a (T, 3) array of row numbers >= 0, got "
-                         f"shape {trips.shape}")
+        raise ValidationError("triplets must be a (T, 3) array of row numbers >= 0, got "
+                              f"shape {trips.shape}")
     if trips.shape[0] == 0:
         return 0.0, net.zero_grads()
     m = int(trips.max()) + 1
     if forward is None:
-        forward = net.forward_cached(np.asarray(x, dtype=np.float64)[:m])
+        forward = net.forward_batch(x[:m])
     emb, _, (inputs, pres) = forward
     emb, cache = emb[:m], ([a[:m] for a in inputs], [z[:m] for z in pres])
     ia, ip, iq = trips.T
@@ -175,8 +175,6 @@ def triplet_loss_E(net: MetricNet, x: np.ndarray, triplets, margin: float
     Distances are squared Euclidean between embeddings. Empty triplet sets
     yield zero loss and zero gradients.
     """
-    if margin <= 0:
-        raise ConfigError("margin must be positive")
     return _triplet_core(net, x, triplets, margin, attention=None)
 
 
@@ -190,10 +188,8 @@ def triplet_loss_W(net: MetricNet, x: np.ndarray, triplets, margin: float,
     their hinge is a gradient-free constant that would only distort reported
     loss magnitudes. With all-ones attention this is exactly triplet_loss_E,
     including accumulation order. A caller that already ran
-    net.forward_cached(x) passes its result as forward.
+    net.forward_batch(x) passes its result as forward.
     """
-    if margin <= 0:
-        raise ConfigError("margin must be positive")
     return _triplet_core(net, x, triplets, margin, attention, forward)
 
 

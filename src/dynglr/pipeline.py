@@ -306,7 +306,7 @@ def run_stage_gnet(state: PipelineState, inputs: np.ndarray) -> MetricNet:
     embedding of the working-set inputs."""
     net = _train_net(state, "embed", inputs, state.work_signal0,
                      lambda net, pos, trips, _: triplet_loss_E(net, inputs[pos], trips, MARGIN_E))
-    emb_work, _ = net.forward_batch(inputs)
+    emb_work = net.forward_batch(inputs)[0]
     split_work = state.dataset.split[state.work_ids]
     labels_work = state.dataset.noisy_labels[state.work_ids]
     train_pos = np.flatnonzero(split_work == TRAIN)
@@ -333,7 +333,7 @@ def run_stage_wnet(state: PipelineState, r: int, inputs: np.ndarray,
             logger.info("%s: batch without both edge classes skipped (epoch %d)", stage, epoch)
             return None
         # the loss reuses the forward that weighted the graph
-        forward = net.forward_cached(x_in)
+        forward = net.forward_batch(x_in)
         g_w = assign_weights(g_b, forward[0], same, opposite)
         att = node_attention_matrix(node_phi(y_b, denoise(g_w.laplacian, y_b), eps))
         return triplet_loss_W(net, x_in, trips, MARGIN_W, att, forward)
@@ -426,7 +426,7 @@ def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.nda
                 run_stage_unet(state, x, y, node_phi(y_prev, y, EPS1))
             else:
                 run_stage_wnet(state, int(step[-1]), x, emb, graph.gamma, y)
-        emb, tap = state.nets[step].forward_batch(x)
+        emb, tap = state.nets[step].forward_batch(x)[:2]
         if y_prev is None:
             emb = emb[nodes]
         if step == "embed":
@@ -507,8 +507,8 @@ def _transduce(state: PipelineState, chain: str, refs: np.ndarray, targets: np.n
     ds = state.dataset
     if chain == "DML-KNN":
         net = state.nets["embed"]
-        emb_refs, _ = net.forward_batch(ds.features[refs])
-        emb_targets, _ = net.forward_batch(ds.features[targets])
+        emb_refs = net.forward_batch(ds.features[refs])[0]
+        emb_targets = net.forward_batch(ds.features[targets])[0]
         nn = nearest_rows(emb_targets, emb_refs, state.gamma0)
         votes = ds.noisy_labels[refs][nn].sum(axis=1)
         return np.sign(votes), np.zeros(targets.size)

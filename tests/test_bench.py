@@ -179,6 +179,16 @@ class TestRunGrid:
             run_grid(grid, out, {**TINY_OVERRIDES, **override})
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("repeats", "2", "grid key 'repeats' must be an integer, not '2'"),
+        ("base_seed", True, "grid key 'base_seed' must be an integer, not True"),
+        ("noise_levels", ("x",), "grid key 'noise_levels' must hold numbers"),
+        ("noise_levels", (0.1, True), "grid key 'noise_levels' must hold numbers"),
+    ], ids=["repeats-str", "base-seed-bool", "noise-str", "noise-bool"])
+    def test_grid_fields_checked_on_construction(self, tmp_path, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            tiny_grid(tmp_path, **{field: value})
+
     def test_cell_count(self, toy_csv_dir, tmp_path):
         grid = tiny_grid(toy_csv_dir, noise_levels=(0.0, 0.25), repeats=1,
                          variants=("DML-KNN",))
@@ -230,11 +240,11 @@ class TestRunGrid:
         calls = {"n": 0}
         real = bench.run_cell
 
-        def flaky(ds_cell, dataset_id, variant, seed, overrides=None):
+        def flaky(ds_cell, cfg):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("boom")
-            return real(ds_cell, dataset_id, variant, seed, overrides)
+            return real(ds_cell, cfg)
 
         monkeypatch.setattr(bench, "run_cell", flaky)
         grid = tiny_grid(toy_csv_dir, variants=("DML-KNN",))

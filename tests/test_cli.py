@@ -106,7 +106,7 @@ class TestTrainEvalSpectrumReport:
 
     @pytest.mark.parametrize("text, message", [
         ("{}\n", "has no 'dataset.dataset_id'"),
-        ("[1, 2]\n", "has no 'dataset.dataset_id'"),
+        ("[1, 2]\n", "is not a JSON object"),
         ('{"dataset": {"dataset_id": "toy", "noise": {}}}\n', "has no 'dataset.noise.rate'"),
         ("{not json\n", "is not JSON"),
     ], ids=["empty", "not-an-object", "no-noise-rate", "not-json"])
@@ -133,8 +133,9 @@ class TestTrainEvalSpectrumReport:
 
     @pytest.mark.parametrize("key, value", [
         ("gamma0", "x"), ("variant", 5), ("seed", "x"), ("seed", True),
-        ("dataset.noise.rate", "0.1"),
-    ], ids=["gamma0-str", "variant-int", "seed-str", "seed-bool", "noise-rate-str"])
+        ("dataset.noise.rate", "0.1"), ("data_dir", 5), ("desk_scale", "no"),
+    ], ids=["gamma0-str", "variant-int", "seed-str", "seed-bool", "noise-rate-str",
+            "data-dir-int", "desk-scale-str"])
     def test_mistyped_manifest_key_is_a_config_error(self, toy_data_dir, tmp_path, capsys,
                                                      key, value):
         run_dir = tmp_path / "run5"
@@ -228,6 +229,24 @@ class TestAblateReport:
         rc = main(["ablate", "--grid", str(grid_file), "--out", str(tmp_path / "r.csv")])
         assert rc == 2
         assert f"grid key {key!r} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, code, message", [
+        ("{not json\n", 2, "is not JSON"),
+        ('["toy"]\n', 2, "is not a JSON object"),
+        (None, 3, "no such file"),
+        ('{"datasets": ["toy"], "noise_levels": ["x"]}\n', 2,
+         "grid key 'noise_levels' must hold numbers"),
+        ('{"datasets": ["toy"], "variants": ["G-9"]}\n', 2, "unknown variant 'G-9'"),
+    ], ids=["not-json", "not-an-object", "missing", "noise-not-a-number", "unknown-variant"])
+    def test_malformed_grid_fails_before_any_cell(self, tmp_path, capsys, text, code,
+                                                  message):
+        grid_file = tmp_path / "grid.json"
+        if text is not None:
+            grid_file.write_text(text)
+        results = tmp_path / "results.csv"
+        assert main(["ablate", "--grid", str(grid_file), "--out", str(results)]) == code
+        assert message in capsys.readouterr().err
+        assert not results.exists()
 
     def test_data_dir_flag_used_when_grid_names_none(self, toy_data_dir, tmp_path, capsys):
         grid_file = tmp_path / "grid.json"

@@ -1,10 +1,12 @@
 """Golden digests of the predictions of one tiny seeded cell per chain type.
 
 The pipeline is seeded end to end, so a change that keeps the computation
-keeps every prediction vector bit-identical, and its sha256 with it. The
-three cells cover the full chain with rank sampling (G-12312s), the graph
-update on one reference set (G-1232) and the nearest-neighbour baseline
-(DML-KNN). A change that moves a digest on purpose updates the constant and
+keeps every prediction vector bit-identical, and its sha256 with it. One
+cell per variant of the ladder pins every chain type: the nearest-neighbour
+baseline with and without rank sampling (DML-KNN, DML-KNN-s), one
+weighting round (G-2), the two-round chains with and without rank sampling
+(G-12, G-12s), the graph update (G-1232) and the full chain (G-12312,
+G-12312s). A change that moves a digest on purpose updates the constant and
 says why in CHANGES.md.
 """
 
@@ -20,6 +22,11 @@ DIGESTS = {
     "G-12312s": "11ecb2d952514d97d35fb7781a09cf64e5fe6501a2ecaef68a762ae413d004a8",
     "G-1232": "991d28bce0e68ccd02c66a10be8054b5dc3275093cecd26c862736acca671915",
     "DML-KNN": "ab057b0348b15cf68e7c6c029a23c296670b1f9876d06c847ef66c449004e5fd",
+    "DML-KNN-s": "ac4a93738f95ce838349cdcd3b32a7bf5a00021ed9edf1c1f9283436d011aeff",
+    "G-2": "d39ff0a4544cc35d1a08642a73b76a062cef8d4760dabf1889883eaf5fea6bec",
+    "G-12": "ab8961dd9abcfaf3cd3535b33bb7fbd6e0db4a3a357b17714f038fe54d7ad8d0",
+    "G-12s": "d703ea330dee3116bc72bfb93aae30379704feadaafdd8903bc7a08f7527b1ef",
+    "G-12312": "c9f936ae066a3aafe2c78e1e0d2647fb7b3f82845ef688ea11bbc919dffeb644",
 }
 
 

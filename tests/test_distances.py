@@ -148,8 +148,8 @@ class TestSlicedNearest:
         net = MetricNet(ds.features.shape[1], cfg.net_config("embed"))
         state.nets["embed"], state.gamma0 = net, 9
         refs, targets = ds.indices(TRAIN), ds.indices(TEST)
-        emb_refs, _ = net.forward_batch(ds.features[refs])
-        emb_targets, _ = net.forward_batch(ds.features[targets])
+        emb_refs = net.forward_batch(ds.features[refs])[0]
+        emb_targets = net.forward_batch(ds.features[targets])[0]
         nn = nearest(whole_sq_dists(emb_targets, emb_refs), 9)
         signal, neighbor_sum = pipeline._transduce(state, "DML-KNN", refs, targets)
         assert same_bytes(signal, np.sign(ds.noisy_labels[refs][nn].sum(axis=1)))

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import n_params, tiny_config
-from dynglr import pipeline
-from dynglr.errors import ConfigError, SamplingError, ShapeError, TrainingError
+from dynglr import dataio, pipeline
+from dynglr.errors import ConfigError, SamplingError, TrainingError, ValidationError
 from dynglr.metricnet import (AdamState, MetricNet, NetConfig, adam_step,
                               load_checkpoint, lr_at, node_attention_matrix,
                               sample_triplets, save_checkpoint, triplet_loss_E,
@@ -39,7 +39,7 @@ def loop_forward_oracle(net, x):
 
 def forward_one(net, x):
     """(embedding, shallow activations) of a single row vector."""
-    emb, shallow = net.forward_batch(np.asarray(x, dtype=np.float64)[None, :])
+    emb, shallow = net.forward_batch(np.asarray(x, dtype=np.float64)[None, :])[:2]
     return emb[0], shallow[0]
 
 
@@ -80,7 +80,7 @@ def kink_free_inputs(net, rng, n_rows, kink_gap=5e-4):
     its kink, so the loss is smooth on the finite-difference interval."""
     for scale in (0.4, 0.35, 0.45, 0.3, 0.5, 0.25):
         x = rng.normal(size=(n_rows, net.in_dim)) * scale
-        _, _, (_, pres) = net.forward_cached(x)
+        _, _, (_, pres) = net.forward_batch(x)
         if all(np.abs(z).min() > kink_gap for z in pres[:-1]):
             return x
     raise AssertionError("could not find kink-free inputs")
@@ -120,7 +120,7 @@ class TestForward:
 
     def test_dimension_mismatch_raises(self):
         net = MetricNet(3, NetConfig(layer_widths=(2,), embedding_dim=2))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError):
             forward_one(net, np.zeros(5))
 
     def test_batch_order_equivariance(self):
@@ -128,10 +128,29 @@ class TestForward:
         net = MetricNet(4, NetConfig(layer_widths=(6,), embedding_dim=3, seed=4))
         x = rng.normal(size=(10, 4))
         perm = rng.permutation(10)
-        emb, shallow = net.forward_batch(x)
-        emb_p, shallow_p = net.forward_batch(x[perm])
+        emb, shallow = net.forward_batch(x)[:2]
+        emb_p, shallow_p = net.forward_batch(x[perm])[:2]
         np.testing.assert_array_equal(emb[perm], emb_p)
         np.testing.assert_array_equal(shallow[perm], shallow_p)
+
+    @pytest.mark.parametrize("preset", list(pipeline.PRESETS))
+    def test_forward_does_not_depend_on_the_row_count(self, preset):
+        # stacked prediction embeds many graphs in one product, so a row
+        # must get the same bits whatever else shares its forward
+        arch = pipeline.PRESETS[preset]
+        d = dataio.SYNTHETIC_SHAPES[preset][1] if preset in dataio.SYNTHETIC_SHAPES else 8
+        in_dims = {"embed": d, "weight1": d + arch.metric_hidden[-1],
+                   "update": d + 2 + 2 * pipeline.UNET_NEIGHBORS,
+                   "weight2": d + arch.update_hidden[-1]}
+        cfg = PipelineConfig(arch=arch, seed=7)
+        rng = np.random.default_rng(8)
+        for stage, in_dim in in_dims.items():
+            net = MetricNet(in_dim, cfg.net_config(stage))
+            x = rng.normal(size=(1000, in_dim))
+            whole = net.forward_batch(x)[:2]
+            parts = [net.forward_batch(x[i:i + 100])[:2] for i in range(0, 1000, 100)]
+            for k, out in enumerate(whole):
+                assert out.tobytes() == np.vstack([p[k] for p in parts]).tobytes(), stage
 
 
 class TestTripletLosses:
@@ -245,9 +264,9 @@ def three_pass_triplet_core(net, x, trips, margin, attention):
     rounding error of that sum, in any order, scales with it."""
     x = np.asarray(x, dtype=np.float64)
     ia, ip, iq = trips[:, 0], trips[:, 1], trips[:, 2]
-    emb_a, _, cache_a = net.forward_cached(x[ia])
-    emb_p, _, cache_p = net.forward_cached(x[ip])
-    emb_n, _, cache_n = net.forward_cached(x[iq])
+    emb_a, _, cache_a = net.forward_batch(x[ia])
+    emb_p, _, cache_p = net.forward_batch(x[ip])
+    emb_n, _, cache_n = net.forward_batch(x[iq])
     diff_ap = emb_a - emb_p
     diff_an = emb_a - emb_n
     d_ap = (diff_ap * diff_ap).sum(axis=1)
@@ -277,7 +296,7 @@ def add_at_triplet_core(net, x, trips, margin, attention):
     the per-row gradients summed by three unbuffered np.add.at passes
     (anchor, positive, then negative terms), one backward."""
     ia, ip, iq = trips.T
-    emb, _, cache = net.forward_cached(np.asarray(x, dtype=np.float64))
+    emb, _, cache = net.forward_batch(np.asarray(x, dtype=np.float64))
     diff_ap = emb[ia] - emb[ip]
     diff_an = emb[ia] - emb[iq]
     d_ap = (diff_ap * diff_ap).sum(axis=1)
@@ -356,16 +375,23 @@ class TestBatchTripletCore:
             assert np.array_equal(np.signbit(g), np.signbit(ref))
         # a forward of every row, passed in, gives the same bits
         shared = triplet_loss_W(net, x, trips, margin=10.0, attention=np.ones((len(x),) * 2)
-                                if att is None else att, forward=net.forward_cached(x))
+                                if att is None else att, forward=net.forward_batch(x))
         assert shared[0] == loss
         for g, ref in zip(shared[1], grads, strict=True):
             assert np.array_equal(g, ref)
 
+    @pytest.mark.parametrize("loss", ["E", "W"])
+    def test_margin_is_checked_first(self, loss):
+        net = MetricNet(2, NetConfig(layer_widths=(3,), embedding_dim=2))
+        args = (net, np.zeros((4, 2)), np.array([0, 1, 2]), 0.0)
+        with pytest.raises(ConfigError, match="margin must be positive"):
+            triplet_loss_E(*args) if loss == "E" else triplet_loss_W(*args, np.ones((4, 4)))
+
     def test_triplets_must_be_index_rows(self):
         net = MetricNet(2, NetConfig(layer_widths=(3,), embedding_dim=2))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError):
             triplet_loss_E(net, np.zeros((4, 2)), np.array([0, 1, 2]), margin=10.0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError):
             triplet_loss_E(net, np.zeros((4, 2)), np.array([[0, 1, -1]]), margin=10.0)
 
 
@@ -557,7 +583,7 @@ class TestCheckpoint:
             save_checkpoint(net, Path(tmp) / "net.npz")
             loaded = load_checkpoint(Path(tmp) / "net.npz")
         assert loaded.config == config
-        for got, want in zip(loaded.forward_batch(x), net.forward_batch(x)):
+        for got, want in zip(loaded.forward_batch(x)[:2], net.forward_batch(x)[:2]):
             assert np.array_equal(got, want)
 
     def test_tap_off_the_last_hidden_layer_refused(self, tmp_path):

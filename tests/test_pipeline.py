@@ -527,10 +527,10 @@ class TestPredict:
         if variant == "DML-KNN":
             assert len(ref_sets) == 1 and np.array_equal(ref_sets[0], blobs.indices(TRAIN))
         net = state.nets["embed"]
-        emb_test, _ = net.forward_batch(blobs.features[test_idx])
+        emb_test = net.forward_batch(blobs.features[test_idx])[0]
         votes = np.zeros(test_idx.size)
         for refs in ref_sets:
-            emb_refs, _ = net.forward_batch(blobs.features[refs])
+            emb_refs = net.forward_batch(blobs.features[refs])[0]
             votes += np.sign(knn_vote_oracle(emb_refs, blobs.noisy_labels[refs], emb_test,
                                              state.gamma0))
         pred = predict(state, test_idx, cfg)
