@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dataio
 from .dataio import Dataset, NoiseSpec
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .graphs import Graph
 from .pipeline import VARIANT_LADDER, PipelineConfig, predict, run_variant
 from .seeds import substream, substream_seed
@@ -36,6 +36,8 @@ NOISE_LEVELS = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25)
 RESULT_FIELDS = ("dataset", "noise", "repeat", "variant", "status",
                  "error_rate", "n_test", "seed", "runtime_s",
                  "diag_residual_noise", "diag_rho")
+# the columns the grid and the report read; a results file may carry others
+READ_FIELDS = ("dataset", "noise", "repeat", "variant", "status", "error_rate")
 
 
 def error_rate(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -117,10 +119,12 @@ class ExperimentGrid:
             if type(getattr(self, key)) is not int:
                 raise ConfigError(f"grid key {key!r} must be an integer, "
                                   f"not {getattr(self, key)!r}")
-        if any(isinstance(nz, bool) or not isinstance(nz, numbers.Real)
-               for nz in self.noise_levels):
-            raise ConfigError(f"grid key 'noise_levels' must hold numbers, "
-                              f"not {self.noise_levels!r}")
+        for key, kind, what in (("datasets", str, "strings"), ("variants", str, "strings"),
+                                ("noise_levels", numbers.Real, "numbers")):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)) or any(
+                    isinstance(v, bool) or not isinstance(v, kind) for v in value):
+                raise ConfigError(f"grid key {key!r} must hold {what} in a list, not {value!r}")
 
     def cells(self):
         for dataset_id in self.datasets:
@@ -218,11 +222,30 @@ def _cell_key(row: dict) -> tuple:
 
 
 def _read_results(path: Path) -> list[dict]:
-    """Rows of a results CSV, the last one only for a cell that was rerun."""
+    """Rows of a results CSV, the last one only for a cell that was rerun.
+
+    A file without one of READ_FIELDS, or a row whose noise, repeat or (in an
+    ok row) error_rate does not parse, raises ParseError naming the file and
+    the column or the line."""
     if not path.exists():
         return []
+    rows = {}
     with path.open(newline="") as fh:
-        return list({_cell_key(r): r for r in csv.DictReader(fh)}.values())
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:  # empty: killed before its header was written
+            return []
+        for column in READ_FIELDS:
+            if column not in reader.fieldnames:
+                raise ParseError(f"{path} is not a results CSV: no {column!r} column")
+        for row in reader:
+            try:
+                key = _cell_key(row)
+                if row["status"] == "ok":
+                    float(row["error_rate"])
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
+            rows[key] = row
+    return list(rows.values())
 
 
 def run_grid(grid: ExperimentGrid, out_csv, config_overrides: dict | None = None

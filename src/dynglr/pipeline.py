@@ -302,18 +302,16 @@ def _train_net(state: PipelineState, stage: str, inputs: np.ndarray, labels: np.
 
 
 def run_stage_gnet(state: PipelineState, inputs: np.ndarray) -> MetricNet:
-    """Train the embedding net and grid-search the neighbor budget on its
-    embedding of the working-set inputs."""
-    net = _train_net(state, "embed", inputs, state.work_signal0,
-                     lambda net, pos, trips, _: triplet_loss_E(net, inputs[pos], trips, MARGIN_E))
-    emb_work = net.forward_batch(inputs)[0]
-    split_work = state.dataset.split[state.work_ids]
-    labels_work = state.dataset.noisy_labels[state.work_ids]
-    train_pos = np.flatnonzero(split_work == TRAIN)
-    val_pos = np.flatnonzero(split_work == VAL)
-    state.gamma0 = grid_search_gamma(emb_work, train_pos, labels_work[train_pos], val_pos,
-                                     labels_work[val_pos], GAMMA_CANDIDATES)
-    return net
+    """Train the embedding net on the working-set inputs."""
+    return _train_net(state, "embed", inputs, state.work_signal0,
+                      lambda net, pos, trips, _: triplet_loss_E(net, inputs[pos], trips, MARGIN_E))
+
+
+def _search_work_gamma(state: PipelineState, emb_work: np.ndarray) -> int:
+    """The neighbor budget grid-searched on the working set's embedding."""
+    split, labels = state.dataset.split[state.work_ids], state.dataset.noisy_labels[state.work_ids]
+    train, val = np.flatnonzero(split == TRAIN), np.flatnonzero(split == VAL)
+    return grid_search_gamma(emb_work, train, labels[train], val, labels[val], GAMMA_CANDIDATES)
 
 
 def run_stage_wnet(state: PipelineState, r: int, inputs: np.ndarray,
@@ -396,8 +394,9 @@ def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.nda
     Returns one record after the KNN step and one after each denoising pass.
     With train_missing, the node set must be the train+val working set, and
     each net not yet in state.nets is trained there just before the step
-    that first uses it. A (C, b) layout of row indices into features and y0
-    runs it on C graphs at once, graph k on the rows layout[k], and the
+    that first uses it (a new embedding net's working-set embedding then sets
+    state.gamma0). A (C, b) layout of row indices into features and y0 runs
+    it on C graphs at once, graph k on the rows layout[k], and the
     records hold their C * b nodes in order. The nets forward each row once
     until the first denoising pass, before which its input is block-free.
     """
@@ -417,7 +416,8 @@ def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.nda
             x = unet_inputs(features[nodes], y, graph, UNET_NEIGHBORS)
         else:
             x = np.hstack([features if y_prev is None else features[nodes], shallow])
-        if step not in state.nets:
+        trained = step not in state.nets
+        if trained:
             if not train_missing:
                 raise UsageError(f"chain {chain} needs the untrained {step} net")
             if step == "embed":
@@ -430,6 +430,8 @@ def run_chain(state: PipelineState, chain: str, features: np.ndarray, y0: np.nda
         if y_prev is None:
             emb = emb[nodes]
         if step == "embed":
+            if trained:
+                state.gamma0 = _search_work_gamma(state, emb)
             graph, shallow = knn_edges(emb, state.gamma0, layout.shape[0]), tap
             records.append(StageRecord(graph, y))
         elif step == "update":
@@ -495,12 +497,11 @@ def _reference_sets(state: PipelineState, cfg: PipelineConfig, chain: str,
 
 
 def _transduce(state: PipelineState, chain: str, refs: np.ndarray, targets: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Signal of the target nodes given a reference set, and each target's
-    weighted sum of the final signal over its neighbors.
+               ) -> np.ndarray:
+    """Signal of the target nodes given a reference set.
 
     The baseline's signal is the sign of the vote of each target's gamma0
-    nearest references in the embedding space (neighbor sums 0). A graph
+    nearest references in the embedding space (0 for a tied vote). A graph
     chain runs on the references, which carry their noisy labels, joined by
     each chunk of targets, which carry 0, as blocks of stacked graphs.
     """
@@ -510,14 +511,13 @@ def _transduce(state: PipelineState, chain: str, refs: np.ndarray, targets: np.n
         emb_refs = net.forward_batch(ds.features[refs])[0]
         emb_targets = net.forward_batch(ds.features[targets])[0]
         nn = nearest_rows(emb_targets, emb_refs, state.gamma0)
-        votes = ds.noisy_labels[refs][nn].sum(axis=1)
-        return np.sign(votes), np.zeros(targets.size)
+        return np.sign(ds.noisy_labels[refs][nn].sum(axis=1))
     r, chunk = refs.size, UNLABELED_PER_GRAPH
     # full chunks in stacks of at most STACK_NODES nodes, the short last one alone
     step = chunk * (STACK_NODES // (r + chunk) if r + chunk <= graphs.DENSE_BACKING_MAX else 1)
     whole = targets.size - targets.size % chunk
     bounds = sorted({*range(0, whole, step), whole, targets.size})
-    signal, neighbor_sum = np.empty(targets.size), np.empty(targets.size)
+    signal = np.empty(targets.size)
     for start, stop in zip(bounds, bounds[1:]):
         size = min(chunk, stop - start)
         blocks = (stop - start) // size
@@ -528,40 +528,22 @@ def _transduce(state: PipelineState, chain: str, refs: np.ndarray, targets: np.n
         y0 = np.concatenate([ds.noisy_labels[refs], np.zeros(stop - start)])
         final = run_chain(state, chain, ds.features[nodes], y0, layout=layout)[-1]
         signal[start:stop] = final.y.reshape(blocks, r + size)[:, r:].ravel()
-        g = final.graph
-        block, row = np.divmod(g.rows, r + size)
-        tail = row >= r  # the targets' entries
-        neighbor_sum[start:stop] = np.bincount(block[tail] * size + row[tail] - r,
-                                               g.weights[tail] * final.y[g.cols[tail]],
-                                               minlength=stop - start)
-    return signal, neighbor_sum
+    return signal
 
 
 def predict(state: PipelineState, test_indices, cfg: PipelineConfig | None = None
             ) -> np.ndarray:
-    """Classify nodes by transduction from reference sets of training nodes.
-
-    The prediction is the sign of the target signal averaged over reference
-    sets (several in sampling mode). Exact zeros fall back to the sign of the
-    accumulated weighted-neighbor signal, then +1.
-    """
+    """Classify nodes by transduction from reference sets of training nodes:
+    +1 where the target signal summed over the sets (several in sampling
+    mode) is >= 0, else -1, the rule the gamma search and rank sampling use."""
     cfg = cfg or state.config
     if not state.stages:
         raise UsageError("predict called before the pipeline was trained")
     chain, sampling = parse_variant(cfg.variant)
     test_indices = np.asarray(test_indices, dtype=np.int64)
-    ref_sets = _reference_sets(state, cfg, chain, sampling)
-    total = np.zeros(test_indices.size)
-    neighbor_total = np.zeros(test_indices.size)
-    for refs in ref_sets:
-        signal, neighbor_sum = _transduce(state, chain, refs, test_indices)
-        total += signal
-        neighbor_total += neighbor_sum
-    pred = np.sign(total / len(ref_sets))
-    ties = pred == 0
-    pred[ties] = np.sign(neighbor_total[ties])
-    pred[pred == 0] = 1.0
-    return pred.astype(np.int8)
+    total = sum(_transduce(state, chain, refs, test_indices)
+                for refs in _reference_sets(state, cfg, chain, sampling))
+    return np.where(total >= 0, 1, -1).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +580,7 @@ def rank_sampling(state: PipelineState, cfg: PipelineConfig | None = None) -> np
     for rnd in range(rounds):
         rng = substream(cfg.seed, "rank", rnd)
         refs = _stratified_train_sample(ds, LABELED_PER_GRAPH, rng)
-        signal, _ = _transduce(state, chain, refs, val_ids)
+        signal = _transduce(state, chain, refs, val_ids)
         acc = float(np.mean(np.where(signal >= 0, 1.0, -1.0) == val_labels))
         members = np.searchsorted(train_ids, refs)
         acc_sum[members] += acc

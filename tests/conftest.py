@@ -104,11 +104,7 @@ def blob_dataset(n=300, dim=4, separation=4.0, seed=0, noise_rate=0.0):
                        rng.normal(separation / 2, 1.0, (n - half, dim))])
     labels = np.concatenate([-np.ones(half), np.ones(n - half)])
     ds = dataio.from_arrays(feats, labels, seed=seed)
-    if noise_rate > 0:
-        ds = dataio.inject_label_noise(ds, dataio.NoiseSpec(rate=noise_rate, seed=seed))
-    else:
-        ds = dataio.inject_label_noise(ds, dataio.NoiseSpec(rate=0.0, seed=seed))
-    return ds
+    return dataio.inject_label_noise(ds, dataio.NoiseSpec(rate=noise_rate, seed=seed))
 
 
 @pytest.fixture(scope="session")

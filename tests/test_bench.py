@@ -7,13 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TINY_ARCH, kernel_graph
-from dynglr import bench, dataio
+from dynglr import bench, dataio, pipeline
 from dynglr.bench import (RESULT_FIELDS, ExperimentGrid, Report, error_rate, load_dataset,
                           mean_edge_weight_proportion, prepare_cell,
                           residual_noise, run_grid, subsample_dataset)
-from dynglr.errors import ConfigError
+from dynglr.errors import ConfigError, DynglrError
 from dynglr.graphs import Graph, knn_edges
 
 
@@ -333,3 +335,56 @@ class TestReport:
                                           env=env, capture_output=True, text=True,
                                           check=True).stdout)
         assert outputs[0] == outputs[1]
+
+
+ONE_EPOCH = dataclasses.replace(TINY_ARCH, embed_epochs=1, weight1_epochs=1,
+                                update_epochs=1, weight2_epochs=1)
+
+
+@st.composite
+def degenerate_cells(draw):
+    """(features, labels, noise rate, variant): a tiny dataset with classes of
+    4-25 nodes, or a minority of at most 2 or none; normal, constant (all
+    columns but one), duplicated (rows in pairs) or 1-D features; 0% or 40%
+    noise; and a variant of each chain type, rank sampling included. The
+    sizes come from the seed: a drawn 0 would be hypothesis's favourite and
+    spend a third of the examples on the one-class file from_arrays refuses."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = rng.integers(4, 26), rng.integers(0, 3) if rng.random() < 0.5 else rng.integers(4, 26)
+    labels = rng.permutation(np.repeat([1.0, -1.0], sizes))
+    kind = draw(st.sampled_from(["normal", "constant", "duplicated", "1-D"]))
+    features = rng.normal(size=(labels.size, 1 if kind == "1-D" else 3)) + labels[:, None]
+    if kind == "constant":
+        features[:, 1:] = 2.0
+    elif kind == "duplicated":
+        features = features[np.arange(labels.size) // 2 * 2]
+    return (features, labels, draw(st.sampled_from([0.0, 0.4])),
+            draw(st.sampled_from(["DML-KNN-s", "G-2", "G-12s", "G-12312s"])))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(degenerate_cells())
+def test_degenerate_cell_raises_or_predicts_every_test_node(cell):
+    """A cell on degenerate data fails loudly, with a DynglrError, or gives
+    one +-1 prediction per test node; a raw numpy or Python error fails here
+    by name instead of as an opaque error row of a grid."""
+    features, labels, noise, variant = cell
+    preds = []
+
+    def recorded_predict(*args):
+        preds.append(pipeline.predict(*args))
+        return preds[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "predict", recorded_predict)
+        try:
+            ds = dataio.inject_label_noise(dataio.from_arrays(features, labels, seed=1),
+                                           dataio.NoiseSpec(rate=noise, seed=2))
+            cfg = pipeline.PipelineConfig(variant=variant, seed=3, arch=ONE_EPOCH,
+                                          rank_sample_k=8, rank_sample_batches=2)
+            result = bench.run_cell(ds, cfg)
+        except DynglrError:
+            return
+    (pred,) = preds
+    assert result["n_test"] == pred.size == ds.indices(dataio.TEST).size
+    assert np.isin(pred, (-1, 1)).all()

@@ -186,6 +186,48 @@ class TestAblateReport:
         assert rc == 3
         assert "no such file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n", "other.csv is not a results CSV: no 'dataset' column"),
+        ("dataset,noise,repeat,variant,status\ntoy,0,0,G-2,ok\n",
+         "other.csv is not a results CSV: no 'error_rate' column"),
+        ("dataset,noise,repeat,variant,status,error_rate\ntoy,0,0,G-2,ok,1.5\n"
+         "toy,0,0,G-12,ok,\n", "other.csv, line 3: could not convert string to float: ''"),
+        ("dataset,noise,repeat,variant,status,error_rate\ntoy,x,0,G-2,error:X,\n",
+         "other.csv, line 2: could not convert string to float: 'x'"),
+    ], ids=["other-header", "no-error-rate", "empty-ok-error-rate", "bad-noise"])
+    def test_report_on_a_file_that_is_not_results_is_a_parse_error(self, tmp_path, capsys,
+                                                                    text, message):
+        other = tmp_path / "other.csv"
+        other.write_text(text)
+        assert main(["report", "--grid-results", str(other)]) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "dataset,noise,repeat,variant,status,error_rate\n"
+        "toy,0.1,0,G-2,ok,2.5\ntoy,0.1,0,G-12,error:SamplingError,\n",
+        "dataset,noise,repeat,variant,status,error_rate,events\n"
+        "toy,0.1,0,G-2,ok,2.5,{}\ntoy,0.1,0,G-12,error:SamplingError,,{}\n",
+    ], ids=["older", "events-column"])
+    def test_report_reads_results_with_other_columns(self, tmp_path, capsys, text):
+        # an older file without the diagnostics and runtime columns, and a
+        # newer one with a column this version does not write
+        results = tmp_path / "results.csv"
+        results.write_text(text)
+        assert main(["report", "--grid-results", str(results)]) == 0
+        assert "| G-2 | 2.50 |" in capsys.readouterr().out
+
+    def test_ablate_refuses_an_output_file_that_is_not_results(self, toy_data_dir, tmp_path,
+                                                               capsys):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps({
+            "datasets": ["toy"], "noise_levels": [0.0], "repeats": 1,
+            "variants": ["DML-KNN"], "data_dir": str(toy_data_dir)}))
+        other = tmp_path / "other.csv"
+        other.write_text("a,b\n1,2\n")
+        assert main(["ablate", "--grid", str(grid_file), "--out", str(other)]) == 3
+        assert "other.csv is not a results CSV: no 'dataset' column" in capsys.readouterr().err
+        assert other.read_text() == "a,b\n1,2\n"
+
     @pytest.mark.parametrize("overrides", [{"esp1": 0.5}, {"eps1": 0.5, "rank_coverage": 1.0},
                                            {"seed": 3}])
     def test_unknown_override_rejected_before_any_cell(self, toy_data_dir, tmp_path,
@@ -237,7 +279,14 @@ class TestAblateReport:
         ('{"datasets": ["toy"], "noise_levels": ["x"]}\n', 2,
          "grid key 'noise_levels' must hold numbers"),
         ('{"datasets": ["toy"], "variants": ["G-9"]}\n', 2, "unknown variant 'G-9'"),
-    ], ids=["not-json", "not-an-object", "missing", "noise-not-a-number", "unknown-variant"])
+        ('{"datasets": "spambase"}\n', 2,
+         "grid key 'datasets' must hold strings in a list, not 'spambase'"),
+        ('{"datasets": ["toy"], "variants": "G-2"}\n', 2,
+         "grid key 'variants' must hold strings in a list, not 'G-2'"),
+        ('{"datasets": ["toy"], "noise_levels": 0.1}\n', 2,
+         "grid key 'noise_levels' must hold numbers in a list, not 0.1"),
+    ], ids=["not-json", "not-an-object", "missing", "noise-not-a-number", "unknown-variant",
+            "datasets-not-a-list", "variants-not-a-list", "noise-not-a-list"])
     def test_malformed_grid_fails_before_any_cell(self, tmp_path, capsys, text, code,
                                                   message):
         grid_file = tmp_path / "grid.json"

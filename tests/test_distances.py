@@ -151,9 +151,8 @@ class TestSlicedNearest:
         emb_refs = net.forward_batch(ds.features[refs])[0]
         emb_targets = net.forward_batch(ds.features[targets])[0]
         nn = nearest(whole_sq_dists(emb_targets, emb_refs), 9)
-        signal, neighbor_sum = pipeline._transduce(state, "DML-KNN", refs, targets)
+        signal = pipeline._transduce(state, "DML-KNN", refs, targets)
         assert same_bytes(signal, np.sign(ds.noisy_labels[refs][nn].sum(axis=1)))
-        assert not neighbor_sum.any()
 
 
 def traced_peak(fn, *args):

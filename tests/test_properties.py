@@ -11,12 +11,13 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.sparse.csgraph import connected_components
 
 from conftest import (dense, edge_pairs, edge_sq, kernel_graph, kernel_margin, pair_graph,
                       visited_sq_dists)
 from dynglr import graphs
 from dynglr.glr import denoise
-from dynglr.graphs import (EdgeLaplacian, assign_weights, auto_sigma, build_laplacian,
+from dynglr.graphs import (EdgeLaplacian, Graph, assign_weights, auto_sigma, build_laplacian,
                            directed_knn, graph_update, knn_edges, nearest, partition_edges)
 
 # fixed example sequence, so a failure reproduces on every run
@@ -65,6 +66,22 @@ def block_stacks(draw):
     emb = draw(arrays(np.float64, (blocks * b, dim), elements=st.integers(0, 3).map(float)))
     gamma = draw(arrays(np.int64, blocks * b, elements=st.integers(1, b + 2)))
     return emb, gamma, blocks
+
+
+@st.composite
+def grouped_stacks(draw):
+    """A stack of equal blocks whose kernel-weighted edges join only nodes of
+    one of up to three groups of one block, so it has several connected
+    components, single nodes among them. Drawn from a seed, like the large
+    tied point sets."""
+    blocks, b = draw(st.integers(1, 4)), draw(st.integers(2, 20))
+    n = blocks * b
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    group = rng.integers(0, draw(st.integers(1, 3)), n) + 3 * (np.arange(n) // b)
+    linked = (rng.random((n, n)) < draw(st.floats(0.05, 0.5))) & (group[:, None] == group)
+    g = pair_graph(n, np.argwhere(np.triu(linked, 1)))
+    return kernel_graph(Graph(g.rows, g.cols, g.weights, g.gamma, blocks),
+                        rng.normal(size=(n, 2)), 1.0)
 
 
 def loop_directed_knn(emb, gamma):
@@ -323,6 +340,26 @@ def test_denoise_stays_within_input_range(points, sigma, data):
     tol = 1e-8 * max(1.0, float(np.abs(y0).max()))
     assert out.min() >= y0.min() - tol
     assert out.max() <= y0.max() + tol
+
+
+@PROPERTY
+@given(grouped_stacks(), st.sampled_from(["dense", "edges"]), st.data())
+def test_denoise_keeps_an_all_zero_component_exactly_zero(g, kind, data):
+    """(I + mu L)^-1 acts on each connected component alone, so a component
+    whose input is all zero comes out exactly 0.0 from the batched direct
+    solve of a dense stack and from CG on an edge list alike. A test node
+    of such a component has signal 0, and so does every one of its
+    neighbours."""
+    count, component = connected_components(g.edges, directed=False)
+    zeroed = np.array(data.draw(st.lists(st.booleans(), min_size=count, max_size=count)))
+    zeroed[component[0]] = True
+    zero = zeroed[component]
+    y0 = data.draw(arrays(np.float64, g.n_nodes, elements=st.floats(-1.0, 1.0)))
+    y0[zero] = 0.0
+    with backing(kind):
+        lap = build_laplacian(g)
+    assert isinstance(lap, EdgeLaplacian if kind == "edges" else np.ndarray)
+    assert (denoise(lap, y0)[zero] == 0.0).all()
 
 
 @PROPERTY
