@@ -18,7 +18,11 @@ count for neither side). It also holds the signed relative change of the
 medians (positive means worse), whether that change is inside the metric's
 `bound` in BENCHMARK.json, and whether the two sides' quartile ranges are
 apart: where they overlap, the runs cannot tell the sides apart, and the
-metric is unresolved rather than unchanged. A claimed metric is met when the
+metric is unresolved rather than unchanged. Next to the run medians stand the
+median and quartiles of the per-pair signed relative change, (change -
+parent) / parent with positive meaning worse, over the pairs whose parent
+value is not 0: a drift that scales both runs of a pair alike cancels in
+these figures, though not in the medians. A claimed metric is met when the
 change wins at least nine tenths of the pairs and its median is better than
 the parent's by more than the parent's interquartile range.
 """
@@ -68,8 +72,8 @@ def bounds() -> dict:
 
 
 def summarise(runs: list) -> dict:
-    """Medians, quartiles, wins and the change against the bound per
-    end-to-end metric over the pairs."""
+    """Medians, quartiles, wins, the per-pair relative changes and the change
+    against the bound per end-to-end metric over the pairs."""
     out = {"pairs": len(runs)}
     bound = bounds()
     for name, better in END_TO_END.items():
@@ -81,10 +85,14 @@ def summarise(runs: list) -> dict:
         worse = sign * (c_med - p_med)
         # relative to the parent's median; None where that median is 0
         rel = worse / abs(p_med) if p_med else None
+        # each pair's signed relative change, positive where the change is worse
+        paired = [sign * (c - p) / abs(p) for p, c in zip(parent, change) if p]
         out[name] = {"parent_median": p_med, "change_median": c_med,
                      "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
                      "parent_q1_q3": q_parent, "change_q1_q3": q_change,
                      "parent_iqr": q_parent[1] - q_parent[0],
+                     "pair_change_median": statistics.median(paired) if paired else None,
+                     "pair_change_q1_q3": quartiles(paired) if paired else None,
                      "worse_by": rel, "bound": bound[name],
                      "within_bound": worse <= 0 if rel is None else rel <= bound[name],
                      "resolved": q_change[1] < q_parent[0] or q_change[0] > q_parent[1]}

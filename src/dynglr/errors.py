@@ -8,7 +8,7 @@ class DynglrError(Exception):
 
 
 class ConfigError(DynglrError, ValueError):
-    """Invalid configuration value (rates, rank-sampling sizes, candidate sets, ...)."""
+    """Invalid configuration value (rates, rank-sampling sizes, ...)."""
 
     exit_code = 2
 

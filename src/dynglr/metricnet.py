@@ -91,7 +91,6 @@ class MetricNet:
             raise ValidationError(f"expected (*, {self.in_dim}) input, got {x.shape}")
         inputs, pres = [], []
         h = x
-        shallow = x
         for k in range(self.n_layers):
             inp = np.hstack([h, x]) if self.config.skip_to_layer == k else h
             z = inp @ self.weights[k] + self.biases[k]
@@ -119,23 +118,18 @@ class MetricNet:
             delta = d_inp * (pres[k - 1] > 0.0)
         return grad_w + grad_b
 
-    def zero_grads(self) -> list[np.ndarray]:
-        return [np.zeros_like(p) for p in self.parameters()]
-
 
 def _triplet_core(net: MetricNet, x: np.ndarray, triplets: np.ndarray, margin: float,
                   attention, forward=None) -> tuple[float, list[np.ndarray]]:
-    """Embeds rows [0, m) of x once, m being one past the largest triplet
-    index (or reads them from forward, net.forward_batch(x)), indexes the
-    triplets into the embeddings and backpropagates in one pass."""
+    """Embeds rows [0, m) of x once, m being one past the largest index of a
+    nonempty triplet array (or reads them from forward, net.forward_batch(x)),
+    indexes the triplets into the embeddings and backpropagates in one pass."""
     if margin <= 0:
         raise ConfigError("margin must be positive")
     trips = np.asarray(triplets, dtype=np.int64)
-    if trips.ndim != 2 or trips.shape[1] != 3 or (trips < 0).any():
-        raise ValidationError("triplets must be a (T, 3) array of row numbers >= 0, got "
-                              f"shape {trips.shape}")
-    if trips.shape[0] == 0:
-        return 0.0, net.zero_grads()
+    if trips.ndim != 2 or trips.shape[1] != 3 or not trips.shape[0] or (trips < 0).any():
+        raise ValidationError("triplets must be a nonempty (T, 3) array of row numbers >= 0, "
+                              f"got shape {trips.shape}")
     m = int(trips.max()) + 1
     if forward is None:
         forward = net.forward_batch(x[:m])
@@ -172,8 +166,8 @@ def triplet_loss_E(net: MetricNet, x: np.ndarray, triplets, margin: float
     """Plain hinge triplet loss: sum max(margin - d(a,n) + d(a,p), 0).
 
     triplets is a (T, 3) int array of (anchor, positive, negative) rows of x.
-    Distances are squared Euclidean between embeddings. Empty triplet sets
-    yield zero loss and zero gradients.
+    Distances are squared Euclidean between embeddings. An empty or
+    malformed triplet array raises ValidationError.
     """
     return _triplet_core(net, x, triplets, margin, attention=None)
 

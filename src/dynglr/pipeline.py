@@ -119,6 +119,7 @@ STACK_NODES = 1000
 TRIPLETS_PER_GRAPH = 80
 # neighbors whose label encodings the update net sees
 UNET_NEIGHBORS = 6
+# neighbor budgets the gamma search tries, in increasing order
 GAMMA_CANDIDATES = (2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
 EMBEDDING_DIM = 16
 # the per-dataset schedules were published for convolutional stacks; the
@@ -244,22 +245,19 @@ class PipelineState:
 
 def grid_search_gamma(embeddings: np.ndarray, train_pos: np.ndarray,
                       train_labels: np.ndarray, val_pos: np.ndarray,
-                      val_labels: np.ndarray, candidates) -> int:
-    """Neighbor budget maximizing KNN-vote accuracy on validation nodes.
+                      val_labels: np.ndarray) -> int:
+    """The budget of GAMMA_CANDIDATES maximizing KNN-vote accuracy on validation nodes.
 
     Train nodes vote with their (noisy) labels; accuracy is measured against
-    the (noisy) validation labels. Ties prefer the smaller candidate. The
+    the (noisy) validation labels. Ties prefer the smaller budget. The
     val x train distances are taken _DIST_CHUNK val rows at a time.
     """
-    candidates = sorted(int(c) for c in candidates)
-    if not candidates:
-        raise ConfigError("gamma candidate set is empty")
     if not (len(train_pos) and len(val_pos)):
         raise SamplingError(f"gamma search: {len(train_pos)} train, {len(val_pos)} val nodes")
-    order = nearest_rows(embeddings[val_pos], embeddings[train_pos], candidates[-1])
+    order = nearest_rows(embeddings[val_pos], embeddings[train_pos], GAMMA_CANDIDATES[-1])
     acc = [np.mean(np.where(train_labels[order[:, :gamma]].sum(axis=1) >= 0, 1.0, -1.0)
-                   == np.sign(val_labels)) for gamma in candidates]
-    return candidates[int(np.argmax(acc))]  # the first of equal maxima
+                   == np.sign(val_labels)) for gamma in GAMMA_CANDIDATES]
+    return GAMMA_CANDIDATES[int(np.argmax(acc))]  # the first of equal maxima
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +309,7 @@ def _search_work_gamma(state: PipelineState, emb_work: np.ndarray) -> int:
     """The neighbor budget grid-searched on the working set's embedding."""
     split, labels = state.dataset.split[state.work_ids], state.dataset.noisy_labels[state.work_ids]
     train, val = np.flatnonzero(split == TRAIN), np.flatnonzero(split == VAL)
-    return grid_search_gamma(emb_work, train, labels[train], val, labels[val], GAMMA_CANDIDATES)
+    return grid_search_gamma(emb_work, train, labels[train], val, labels[val])
 
 
 def run_stage_wnet(state: PipelineState, r: int, inputs: np.ndarray,
@@ -477,8 +475,14 @@ def _stratified_train_sample(ds: Dataset, size: int, rng) -> np.ndarray:
 
 def _stratified_batches(ids: np.ndarray, labels: np.ndarray, n_batches: int,
                         rng) -> list[np.ndarray]:
-    """Deal ids into n_batches groups, class-balanced, shuffled per class."""
+    """Deal ids into n_batches groups, class-balanced, shuffled per class, each
+    class from group 0; a group left empty raises SamplingError."""
     dealt = [m[rng.permutation(m.size)] for m in (ids[labels == 1], ids[labels == -1])]
+    filled = max(m.size for m in dealt)
+    if filled < n_batches:
+        raise SamplingError(f"rank sampling keeps k={ids.size} train nodes ({dealt[0].size} "
+                            f"positive, {dealt[1].size} negative), so reference batch {filled} "
+                            f"of batches 0-{n_batches - 1} would be empty")
     return [np.concatenate([m[k::n_batches] for m in dealt]).astype(np.int64)
             for k in range(n_batches)]
 

@@ -15,7 +15,7 @@ from dynglr import bench, dataio, pipeline
 from dynglr.bench import (RESULT_FIELDS, ExperimentGrid, Report, error_rate, load_dataset,
                           mean_edge_weight_proportion, prepare_cell,
                           residual_noise, run_grid, subsample_dataset)
-from dynglr.errors import ConfigError, DynglrError
+from dynglr.errors import ConfigError, DynglrError, SamplingError
 from dynglr.graphs import Graph, knn_edges
 
 
@@ -388,3 +388,34 @@ def test_degenerate_cell_raises_or_predicts_every_test_node(cell):
     (pred,) = preds
     assert result["n_test"] == pred.size == ds.indices(dataio.TEST).size
     assert np.isin(pred, (-1, 1)).all()
+
+
+@pytest.mark.parametrize("variant", ["DML-KNN-s", "G-12s"])
+def test_empty_reference_batch_fails_before_prediction(variant):
+    """Rank sampling clamps k to 2 on this cell's 4 train nodes and keeps one
+    node of each class, which fill only the first of 2 reference batches: the
+    cell raises before predict transduces from any reference set."""
+    rng = np.random.default_rng(1)
+    labels = rng.permutation(np.repeat([1.0, -1.0], 6))
+    ds = dataio.from_arrays(rng.normal(size=(12, 3)) + labels[:, None], labels, seed=1)
+    cfg = pipeline.PipelineConfig(variant=variant, seed=3, arch=ONE_EPOCH,
+                                  rank_sample_k=8, rank_sample_batches=2)
+    calls = []
+    real_transduce, real_rank = pipeline._transduce, pipeline.rank_sampling
+
+    def transduce(*args):
+        calls.append("transduce")
+        return real_transduce(*args)
+
+    def ranked(*args):
+        top = real_rank(*args)
+        calls.append("rank_sampling")
+        return top
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_transduce", transduce)
+        mp.setattr(pipeline, "rank_sampling", ranked)
+        with pytest.raises(SamplingError, match=r"keeps k=2 train nodes \(1 positive, 1 "
+                           r"negative\), so reference batch 1 of batches 0-1 would be empty"):
+            bench.run_cell(ds, cfg)
+    assert ds.indices(dataio.TRAIN).size == 4 and calls[-1] == "rank_sampling"

@@ -1,6 +1,7 @@
-"""scripts/bench_pairs.py: pair parsing, per-metric summaries, the change
-against BENCHMARK.json's bounds, the claim rule and the recorded command
-line. The script is loaded by path; nothing here runs perfbench."""
+"""scripts/bench_pairs.py: pair parsing, per-metric summaries, the per-pair
+relative changes, the change against BENCHMARK.json's bounds, the claim rule
+and the recorded command line. The script is loaded by path; nothing here
+runs perfbench."""
 
 import importlib.util
 from pathlib import Path
@@ -65,6 +66,24 @@ def test_change_against_the_bound(bp):
     # a parent median of 0 has no relative change; any rise is outside the bound
     m = bp.summarise(runs_of([0.0] * 2, [0.1] * 2, "setup_s"))["setup_s"]
     assert m["worse_by"] is None and not m["within_bound"]
+
+
+def test_summarise_reports_the_per_pair_relative_change(bp):
+    # the parent drifts from 10 to 40 and each change run sits 10% under its
+    # pair's parent: the run medians overlap, every pair's change reads -0.1
+    parent = [10, 20, 30, 40]
+    m = bp.summarise(runs_of(parent, [0.9 * p for p in parent], "train_s"))["train_s"]
+    assert not m["resolved"]
+    assert m["pair_change_median"] == pytest.approx(-0.1)
+    assert m["pair_change_q1_q3"] == pytest.approx([-0.1, -0.1])
+    # positive means worse, for ok_frac too, where higher is better
+    m = bp.summarise(runs_of([1.0, 1.0, 0.5], [0.5, 1.0, 1.0], "ok_frac"))["ok_frac"]
+    assert m["pair_change_median"] == pytest.approx(0.0)
+    assert m["pair_change_q1_q3"] == pytest.approx([-0.5, 0.25])
+    # a pair whose parent value is 0 has no relative change and is left out
+    m = bp.summarise(runs_of([0.0, 2.0, 4.0], [1.0, 3.0, 2.0], "setup_s"))["setup_s"]
+    assert m["pair_change_median"] == pytest.approx(0.0)
+    assert bp.summarise(runs_of([0.0], [1.0], "setup_s"))["setup_s"]["pair_change_median"] is None
 
 
 def test_claim_needs_nine_tenths_of_pairs_and_a_gain_above_the_parent_iqr(bp):

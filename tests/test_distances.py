@@ -131,13 +131,13 @@ class TestSlicedNearest:
         labels[::11] *= -1
         train_pos = np.arange(0, 600, 3)
         val_pos = np.setdiff1d(np.arange(600), train_pos)
-        candidates = range(1, 60)
+        candidates = pipeline.GAMMA_CANDIDATES
         order = nearest(whole_sq_dists(emb[val_pos], emb[train_pos]), max(candidates))
         acc = [np.mean(np.where(labels[train_pos][order[:, :g]].sum(axis=1) >= 0, 1.0, -1.0)
                        == labels[val_pos]) for g in candidates]
         expected = candidates[int(np.argmax(acc))]
         assert grid_search_gamma(emb, train_pos, labels[train_pos], val_pos,
-                                 labels[val_pos], candidates) == expected
+                                 labels[val_pos]) == expected
         assert len(set(acc)) > 5  # the vote depends on the order, so a wrong row shows
 
     def test_dml_knn_vote_equals_whole_matrix_vote(self, monkeypatch):
@@ -181,7 +181,7 @@ class TestPeakMemory:
         train_pos, val_pos = np.arange(2000), np.arange(2000, 3500)
         product = 1500 * 2000 * 8
         peak = traced_peak(grid_search_gamma, emb, train_pos, labels[train_pos], val_pos,
-                           labels[val_pos], range(1, 41))
+                           labels[val_pos])
         assert peak < 1.3 * product
 
     def test_gamma_search_holds_one_chunk(self):
@@ -191,7 +191,7 @@ class TestPeakMemory:
         train_pos, val_pos = np.arange(2000), np.arange(2000, 3500)
         product = graphs._DIST_CHUNK * 2000 * 8
         peak = traced_peak(grid_search_gamma, emb, train_pos, labels[train_pos], val_pos,
-                           labels[val_pos], range(1, 41))
+                           labels[val_pos])
         assert peak < 1.3 * product
 
     def test_dml_knn_vote_holds_one_chunk(self):

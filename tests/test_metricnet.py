@@ -176,11 +176,15 @@ class TestTripletLosses:
         loss, _ = triplet_loss_E(net, x, np.array([[0, 1, 2]]), margin=10.0)
         assert loss == pytest.approx(6.0)
 
-    def test_empty_triplets_zero_loss_and_grads(self):
+    def test_empty_triplets_raise(self):
+        # the training loop always draws TRIPLETS_PER_GRAPH triplets, so an
+        # empty array is as malformed as a wrongly shaped one
         net, x = self._fixed_embedding_net([[0.0], [1.0]])
-        loss, grads = triplet_loss_E(net, x, np.empty((0, 3), dtype=np.int64), margin=10.0)
-        assert loss == 0.0
-        assert all(np.all(g == 0) for g in grads)
+        empty = np.empty((0, 3), dtype=np.int64)
+        with pytest.raises(ValidationError, match="nonempty"):
+            triplet_loss_E(net, x, empty, margin=10.0)
+        with pytest.raises(ValidationError, match="nonempty"):
+            triplet_loss_W(net, x, empty, margin=10.0, attention=np.ones((2, 2)))
 
     def test_attention_all_ones_bitwise_equal_to_plain(self):
         rng = np.random.default_rng(5)
@@ -451,7 +455,7 @@ class TestOptimizer:
         net = MetricNet(2, NetConfig(layer_widths=(3,), embedding_dim=2, seed=10))
         before = [p.copy() for p in net.parameters()]
         state = AdamState.for_net(net)
-        adam_step(net, net.zero_grads(), state, lr=0.1)
+        adam_step(net, [np.zeros_like(p) for p in net.parameters()], state, lr=0.1)
         for b, p in zip(before, net.parameters()):
             np.testing.assert_array_equal(b, p)
 
@@ -481,7 +485,7 @@ class TestOptimizer:
         inputs = blobs.features[state.work_ids]
 
         def step(net, pos, trips, epoch):
-            return np.nan, net.zero_grads()
+            return np.nan, [np.zeros_like(p) for p in net.parameters()]
 
         with pytest.raises(TrainingError, match="embed: non-finite loss at epoch 0, batch 0$"):
             pipeline._train_net(state, "embed", inputs, state.work_signal0, step)

@@ -12,7 +12,7 @@ from dynglr.dataio import TRAIN, VAL, TEST
 from dynglr.errors import ConfigError, SamplingError, TrainingError, UsageError
 from dynglr.graphs import Graph, knn_edges, surviving_edge_budgets
 from dynglr.metricnet import MetricNet, node_attention_matrix
-from dynglr.pipeline import (PipelineConfig, PipelineState, build_batches,
+from dynglr.pipeline import (GAMMA_CANDIDATES, PipelineConfig, PipelineState, build_batches,
                              grid_search_gamma, load_state, node_phi, parse_variant,
                              predict, rank_sampling, run_chain, run_variant, save_state,
                              unet_inputs, _ordinal_rank)
@@ -196,32 +196,46 @@ class TestGammaGrid:
         labels = np.concatenate([-np.ones(30), np.ones(30)])
         train_pos = np.arange(0, 60, 2)
         val_pos = np.arange(1, 60, 2)
-        picked = grid_search_gamma(emb, train_pos, labels[train_pos], val_pos,
-                                   labels[val_pos], candidates=(2, 4, 6, 8))
-        # several budgets reach perfect accuracy; brute-force confirms and the
-        # tie breaks to the smallest candidate
+        picked = grid_search_gamma(emb, train_pos, labels[train_pos], val_pos, labels[val_pos])
+        # every budget reaches perfect accuracy; brute-force confirms and the
+        # tie breaks to the smallest of GAMMA_CANDIDATES
         d = ((emb[val_pos][:, None] - emb[train_pos][None]) ** 2).sum(axis=2)
         nn2 = np.argsort(d, axis=1)[:, :2]
         assert (np.sign(labels[train_pos][nn2].sum(axis=1)) == labels[val_pos]).all()
         assert picked == 2
 
-    def test_singleton_candidates(self):
+    def test_budgets_past_the_train_count_tie_at_the_smallest(self):
+        # two train nodes: every budget votes with both, so every accuracy ties
         emb = np.array([[0.0], [1.0], [2.0], [3.0]])
         labels = np.array([1.0, 1.0, -1.0, -1.0])
         assert grid_search_gamma(emb, np.array([0, 2]), labels[[0, 2]],
-                                 np.array([1, 3]), labels[[1, 3]], (5,)) == 5
+                                 np.array([1, 3]), labels[[1, 3]]) == GAMMA_CANDIDATES[0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_a_per_budget_vote_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        emb = rng.normal(size=(90, 3))
+        labels = np.where(rng.random(90) < 0.5, 1.0, -1.0)
+        train_pos, val_pos = np.arange(60), np.arange(60, 90)
+        d = ((emb[val_pos][:, None] - emb[train_pos][None]) ** 2).sum(axis=2)
+        ranked = np.argsort(d, axis=1, kind="stable")
+        best, best_acc, seen = None, -1.0, set()
+        for gamma in GAMMA_CANDIDATES:
+            votes = labels[train_pos][ranked[:, :gamma]].sum(axis=1)
+            acc = np.mean(np.where(votes >= 0, 1.0, -1.0) == labels[val_pos])
+            seen.add(acc)
+            if acc > best_acc:
+                best, best_acc = gamma, acc
+        assert len(seen) > 1  # the budgets differ, so a wrong pick shows
+        assert grid_search_gamma(emb, train_pos, labels[train_pos], val_pos,
+                                 labels[val_pos]) == best
 
     @pytest.mark.parametrize("train_pos, val_pos", [([], [1]), ([0], [])])
     def test_empty_positions_rejected(self, train_pos, val_pos):
         train_pos, val_pos = np.array(train_pos, dtype=int), np.array(val_pos, dtype=int)
         with pytest.raises(SamplingError, match="gamma search"):
             grid_search_gamma(np.zeros((2, 1)), train_pos, np.ones(train_pos.size),
-                              val_pos, np.ones(val_pos.size), (1, 2))
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ConfigError):
-            grid_search_gamma(np.zeros((2, 1)), np.array([0]), np.array([1.0]),
-                              np.array([1]), np.array([1.0]), ())
+                              val_pos, np.ones(val_pos.size))
 
 
 class TestUnetInputs:
@@ -357,7 +371,7 @@ class TestRunVariant:
 
     def test_non_finite_loss_names_stage(self, blobs, monkeypatch):
         def nan_loss(net, x, triplets, margin, attention, forward=None):
-            return float("nan"), net.zero_grads()
+            return float("nan"), [np.zeros_like(p) for p in net.parameters()]
 
         monkeypatch.setattr(pipeline, "triplet_loss_W", nan_loss)
         with pytest.raises(TrainingError, match="weight1: non-finite loss at epoch 0, batch 0$"):
@@ -579,6 +593,16 @@ class TestRankSampling:
         cfg = tiny_config("G-12s", seed=7, rank_sample_k=160, rank_sample_batches=80)
         with pytest.raises(SamplingError, match="fewer than"):
             rank_sampling(state, cfg)
+
+    def test_empty_reference_batch_raises(self):
+        # each class is dealt from batch 0, so one node of each fills only batch 0
+        rng = substream(0, "test")
+        with pytest.raises(SamplingError, match=r"keeps k=2 train nodes \(1 positive, 1 "
+                           r"negative\), so reference batch 1 of batches 0-1 would be empty"):
+            pipeline._stratified_batches(np.array([3, 8]), np.array([1.0, -1.0]), 2, rng)
+        batches = pipeline._stratified_batches(np.array([3, 5, 8]), np.array([1.0, 1.0, -1.0]),
+                                               2, rng)
+        assert [b.size for b in batches] == [2, 1]
 
     def test_deterministic(self, blobs, trained_g12):
         state, cfg = trained_g12
